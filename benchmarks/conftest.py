@@ -22,14 +22,6 @@ BENCH_POPULATION_SIZE = int(os.environ.get("REPRO_BENCH_POPULATION_SIZE", "2500"
 #: Sweep sample size of the shared campaign fixture (small-campaign knob).
 BENCH_SWEEP_SAMPLES = int(os.environ.get("REPRO_BENCH_SWEEP_SAMPLES", "250"))
 
-#: Worker processes for the shared campaign fixture.  Unset (the tier-1/CI
-#: default) keeps the single-process serial path; the sharded runner merges to
-#: byte-identical results, so setting it only changes wall time.
-BENCH_WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "0")) or None
-
-#: Deployments per scan shard when the sharded runner is active.
-BENCH_SHARD_SIZE = int(os.environ.get("REPRO_BENCH_SHARD_SIZE", "0")) or None
-
 
 @pytest.fixture(scope="session")
 def population() -> InternetPopulation:
@@ -43,7 +35,5 @@ def campaign_results(population: InternetPopulation) -> CampaignResults:
         run_sweep=True,
         sweep_sample_size=BENCH_SWEEP_SAMPLES,
         spoofed_targets_per_provider=40,
-        workers=BENCH_WORKERS,
-        shard_size=BENCH_SHARD_SIZE,
     )
     return campaign.run()

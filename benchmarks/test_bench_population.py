@@ -26,6 +26,7 @@ from repro.webpki.population import (
     GENERATION_SHARD_SIZE,
     PopulationConfig,
     generate_shard,
+    iter_population_shards,
 )
 from repro.webpki.tranco import generate_tranco_list
 
@@ -56,6 +57,18 @@ def test_bench_skeleton_materialisation(benchmark):
     skeleton_shard = generate_shard(BENCH_CONFIG, 1, skeleton=True)
     shard = benchmark(skeleton_shard.materialize)
     assert shard.deployments == generate_shard(BENCH_CONFIG, 1).deployments
+
+
+def test_bench_streaming_population_generation(benchmark):
+    """Streaming generation throughput (the 100k–1M ingest path)."""
+
+    def consume() -> int:
+        total = 0
+        for shard in iter_population_shards(PopulationConfig(size=4096, seed=7)):
+            total += len(shard)
+        return total
+
+    assert benchmark.pedantic(consume, rounds=1, iterations=1) == 4096
 
 
 def test_bench_discovery_pass(benchmark):

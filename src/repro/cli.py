@@ -30,15 +30,33 @@ from .webpki import PopulationConfig, generate_population
 from .x509.ca import default_hierarchy
 
 
+def positive_int(text: str) -> int:
+    """``argparse`` type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one stderr line (exit 2), without the usage block."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message} (see '{self.prog} --help')\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="Reproduction of 'On the Interplay between TLS Certificates and QUIC Performance'",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     campaign = subparsers.add_parser("campaign", help="run the measurement campaign and print the report")
-    campaign.add_argument("--size", type=int, default=3000, help="population size (default: 3000)")
+    campaign.add_argument("--size", type=positive_int, default=3000, help="population size (default: 3000)")
     campaign.add_argument("--seed", type=int, default=2022, help="population seed (default: 2022)")
     campaign.add_argument("--sweep", action="store_true", help="also run the Figure 3 Initial-size sweep")
     campaign.add_argument("--output", type=str, default=None, help="write the report to this file")
@@ -47,18 +65,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="also export the report and per-figure CSV data series to this directory",
     )
     campaign.add_argument(
-        "--workers", type=int, default=None,
-        help="scan shards in this many worker processes (default: single-process serial)",
+        "--workers", type=positive_int, default=None,
+        help="scan shards in this many worker processes; implies --stream "
+             "(default: single-process serial)",
     )
     campaign.add_argument(
-        "--shard-size", type=int, default=None,
-        help="deployments per scan shard (default: 2048; implies the sharded runner)",
+        "--shard-size", type=positive_int, default=None,
+        help="deployments per scan shard; implies --stream (default: 2048)",
     )
     campaign.add_argument(
         "--stream", action="store_true",
         help="streaming reduction pipeline: generate, scan and reduce shard by "
              "shard so parent memory stays bounded (1M-domain campaigns); "
-             "reports are byte-identical to the eager path",
+             "reports are byte-identical to the serial path; implied by "
+             "--workers, --shard-size and --scan-backend columnar",
     )
     campaign.add_argument(
         "--checkpoint-dir", type=str, default=None, metavar="DIR",
@@ -109,9 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--scan-backend", type=str, default=None, metavar="{object,columnar}",
         help="shard-scan implementation: 'object' (reference pipeline over "
              "real fabric objects) or 'columnar' (fused whole-shard "
-             "arithmetic, byte-identical reports, ~2x faster scan+reduce); "
-             "default: the REPRO_SCAN_BACKEND environment variable, else "
-             "'object'",
+             "arithmetic, byte-identical reports, ~2x faster scan+reduce; "
+             "implies --stream); default: the REPRO_SCAN_BACKEND environment "
+             "variable on streamed runs, else 'object'",
     )
     campaign.add_argument(
         "--skeleton-cache", type=str, default=None, metavar="DIR",
@@ -139,14 +159,14 @@ def build_parser() -> argparse.ArgumentParser:
              "table: a built-in grid name (e.g. 'compression-adoption'), a "
              "grid JSON file, or a comma-separated scenario list",
     )
-    compare.add_argument("--size", type=int, default=1200, help="population size (default: 1200)")
+    compare.add_argument("--size", type=positive_int, default=1200, help="population size (default: 1200)")
     compare.add_argument("--seed", type=int, default=2022, help="population seed (default: 2022)")
     compare.add_argument(
-        "--workers", type=int, default=None,
-        help="scan shards in this many worker processes",
+        "--workers", type=positive_int, default=None,
+        help="scan shards in this many worker processes (default: 1)",
     )
     compare.add_argument(
-        "--shard-size", type=int, default=None,
+        "--shard-size", type=positive_int, default=None,
         help="deployments per scan shard (default: 2048)",
     )
     compare.add_argument(
@@ -185,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
              "so later campaigns warm-start",
     )
     skel_warm.add_argument("directory", help="cache directory (created if missing)")
-    skel_warm.add_argument("--size", type=int, default=3000, help="population size (default: 3000)")
+    skel_warm.add_argument("--size", type=positive_int, default=3000, help="population size (default: 3000)")
     skel_warm.add_argument("--seed", type=int, default=2022, help="population seed (default: 2022)")
     skel_warm.add_argument(
         "--shards", type=str, default=None, metavar="I[,J...]",
@@ -202,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     skel_gc.add_argument("directory", help="cache directory")
     skel_gc.add_argument(
-        "--size", type=int, default=None,
+        "--size", type=positive_int, default=None,
         help="population size whose entries to keep (with --seed)",
     )
     skel_gc.add_argument(
@@ -244,6 +264,13 @@ def _run_campaign(args: argparse.Namespace) -> int:
     if args.resume and not args.checkpoint_dir:
         print("error: --resume needs --checkpoint-dir DIR to resume from", file=sys.stderr)
         return 2
+    # The flags that shape the shard dispatch exist on the streamed pipeline
+    # only, so they select it; reports are byte-identical either way.
+    args.stream = args.stream or (
+        args.workers is not None
+        or args.shard_size is not None
+        or args.scan_backend == "columnar"
+    )
     if args.checkpoint_dir and not args.stream and not args.scenario_grid:
         print(
             "error: checkpointing rides the streaming pipeline; add --stream",
@@ -350,19 +377,15 @@ def _build_campaign(args, config, retry_policy, fault_plan) -> MeasurementCampai
             scan_backend=args.scan_backend,
             skeleton_cache_dir=args.skeleton_cache,
         )
-    # Only the explicit flag switches the eager pipeline's backend; the
-    # environment knob applies to streamed runs (resolved inside
-    # run_streaming_scan), so it cannot silently change eager internals.
-    # Eager generation routes through the campaign when a skeleton cache is
-    # requested, so --skeleton-cache warm-starts it too.
+    # The serial object reference.  The REPRO_SCAN_BACKEND environment knob
+    # applies to streamed runs only (resolved inside run_streaming_scan), so
+    # it cannot silently change the serial internals.  Generation routes
+    # through the campaign when a skeleton cache is requested, so
+    # --skeleton-cache warm-starts it too.
     return MeasurementCampaign(
         population=(None if args.skeleton_cache else generate_population(config)),
         population_config=config,
         run_sweep=args.sweep,
-        workers=args.workers,
-        shard_size=args.shard_size,
-        retry_policy=retry_policy,
-        scan_backend=args.scan_backend,
         skeleton_cache_dir=args.skeleton_cache,
     )
 

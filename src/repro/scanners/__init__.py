@@ -15,8 +15,8 @@ One module per tool in the paper's Figure 10 pipeline:
 * :mod:`repro.scanners.backscatter` — step 4.1: telescope backscatter analysis,
 * :mod:`repro.scanners.orchestrator` — step 5: runs the full campaign and
   merges the per-tool outputs into one results bundle for the analysis layer,
-* :mod:`repro.scanners.sharding` — sharded, multi-process execution of the
-  per-domain stages with deterministic merging,
+* :mod:`repro.scanners.sharding` — shard planning, the per-shard object scan
+  and the retrying multi-process dispatcher,
 * :mod:`repro.scanners.streaming` — streaming reduction of sharded campaigns:
   workers ship compact per-shard summaries, the parent merges them
   order-insensitively, reports stay byte-identical at bounded memory.
@@ -41,13 +41,10 @@ from .streaming import (
 )
 from .sharding import (
     DEFAULT_SHARD_SIZE,
-    MergedScanResults,
     ShardScanResult,
     ShardSpec,
     ShardTask,
-    merge_shard_results,
     plan_shards,
-    run_sharded_scan,
     scan_shard,
 )
 
@@ -62,13 +59,10 @@ __all__ = [
     "run_streaming_scan",
     "summarize_shard",
     "DEFAULT_SHARD_SIZE",
-    "MergedScanResults",
     "ShardScanResult",
     "ShardSpec",
     "ShardTask",
-    "merge_shard_results",
     "plan_shards",
-    "run_sharded_scan",
     "scan_shard",
     "HttpsScanner",
     "HttpsScanResult",

@@ -32,8 +32,8 @@ The backend contract (see docs/ARCHITECTURE.md, "Columnar scan core"):
 
 Backend selection is threaded through ``ShardTask.scan_backend``; use
 ``--scan-backend {object,columnar}`` on the CLI or the ``REPRO_SCAN_BACKEND``
-environment knob (streaming runs only — the eager pipeline keeps its
-full-observation internals unless a caller opts in explicitly).
+environment knob (streaming runs only — the serial path is the object
+reference and always keeps its full-observation internals).
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ from ..x509.keys import KeyAlgorithm
 from .compression_scanner import ALL_ALGORITHMS
 from .https_scanner import ScanFunnel
 from .quicreach import HandshakeObservation
-from .sharding import ShardTask
+from .sharding import ScanTarget, ShardTask
 from .streaming import ReductionSpec, ShardSummary, take_per_provider
 
 # ---------------------------------------------------------------------------
@@ -747,7 +747,7 @@ def summarize_shard_columnar(
 
     # Stage 2b — the sampled Initial-size sweep (kept as real observations;
     # the sample is small and the reducer re-interleaves them size-major).
-    sweep_targets = task.sweep_targets
+    sweep_targets: Tuple[ScanTarget, ...] = ()
     if task.run_sweep and task.sweep_local_selection is not None:
         offset, stride = task.sweep_local_selection
         sweep_targets = tuple(
@@ -756,7 +756,7 @@ def summarize_shard_columnar(
             if (offset + position) % stride == 0
         )
     sweep_observations: Tuple[HandshakeObservation, ...] = ()
-    if task.run_sweep and sweep_targets:
+    if sweep_targets:
         collected_sweep: List[HandshakeObservation] = []
         for initial_size in task.sweep_initial_sizes:
             for domain, rank, provider in sweep_targets:

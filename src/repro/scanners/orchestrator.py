@@ -32,20 +32,12 @@ from ..webpki.population import (
     generate_population,
 )
 from .columnar import resolve_scan_backend
-from .sharding import (
-    DEFAULT_SHARD_SIZE,
-    build_shard_tasks,
-    dispatch_with_retry,
-    global_sweep_sample,
-    run_sharded_scan,
-)
+from .sharding import DEFAULT_SHARD_SIZE, global_sweep_sample
 from .streaming import (
-    CampaignReducer,
     META_SERVICE_DOMAINS,
     ReducedCampaignResults,
     ReductionSpec,
     SPOOF_PROVIDERS,
-    _scan_and_summarize,
     provider_of_domain,
     run_streaming_grid_scan,
     run_streaming_scan,
@@ -120,25 +112,26 @@ class CampaignResults:
 class MeasurementCampaign:
     """Configures and runs the full measurement pipeline.
 
-    ``workers``/``shard_size`` switch the per-domain stages (1–4) onto the
-    sharded runner of :mod:`repro.scanners.sharding`: the population is cut
-    into rank-contiguous shards that are scanned independently — across
-    ``workers`` processes when ``workers > 1`` — and merged back into results
-    identical for every worker count.  Both default to ``None``, which keeps
-    the single-process serial path (the tier-1/CI default).  The
+    A campaign runs one of two paths:
+
+    * the default in-process serial path, the object reference: ``run()``
+      returns :class:`CampaignResults` with every per-domain observation;
+    * ``stream=True``, the streaming reduction pipeline
+      (:mod:`repro.scanners.streaming`): the population is regenerated shard
+      by shard inside the workers, every shard is reduced to a compact
+      summary before it reaches the parent, and ``run()`` returns a
+      :class:`~repro.scanners.streaming.ReducedCampaignResults` whose report
+      is byte-identical to the serial path's — at bounded parent memory,
+      which is what makes 1M-domain campaigns practical.  Streaming
+      regenerates from ``population_config``; passing a materialised
+      ``population`` would defeat the point and is rejected.
+
+    Everything that shapes the shard dispatch — ``workers``, ``shard_size``,
+    ``scan_backend="columnar"``, ``checkpoint_dir``/``resume`` — exists on
+    the streamed path only and is rejected without ``stream=True``.  The
     telescope/ZMap stage (5) always runs in the parent process: it is cheap,
     global (spoof-target selection scans the whole population) and identical
     either way.
-
-    ``stream=True`` switches to the streaming reduction pipeline
-    (:mod:`repro.scanners.streaming`): the population is regenerated shard by
-    shard inside the workers, every shard is reduced to a compact summary
-    before it reaches the parent, and ``run()`` returns a
-    :class:`~repro.scanners.streaming.ReducedCampaignResults` whose report is
-    byte-identical to the eager paths — at bounded parent memory, which is
-    what makes 1M-domain campaigns practical.  Streaming regenerates from
-    ``population_config``; passing a materialised ``population`` would defeat
-    the point and is rejected.
 
     ``scenario`` runs the campaign under a what-if
     :class:`~repro.scenarios.ScenarioSpec`: the population config is derived
@@ -173,15 +166,23 @@ class MeasurementCampaign:
         #: Shard-scan implementation (see :mod:`repro.scanners.columnar`).
         #: An explicit value is validated eagerly; ``None`` stays ``None`` so
         #: only streamed runs consult the ``REPRO_SCAN_BACKEND`` environment
-        #: knob (the eager pipelines keep their full-observation internals
-        #: unless a caller opts into columnar explicitly).
+        #: knob (the serial path always scans with the object reference).
         self.scan_backend = (
             resolve_scan_backend(scan_backend) if scan_backend is not None else None
         )
-        if (checkpoint_dir is not None or resume) and not stream:
-            raise ValueError(
-                "checkpoint/resume rides the streaming pipeline; pass stream=True"
-            )
+        if not stream:
+            if checkpoint_dir is not None or resume:
+                raise ValueError(
+                    "checkpoint/resume rides the streaming pipeline; pass stream=True"
+                )
+            if workers is not None or shard_size is not None:
+                raise ValueError(
+                    "workers/shard_size shape the streamed shard dispatch; pass stream=True"
+                )
+            if self.scan_backend == "columnar":
+                raise ValueError(
+                    "the columnar backend rides the streaming pipeline; pass stream=True"
+                )
         if scenario is not None:
             if population is not None:
                 # A scenario-less population and the identity scenario denote
@@ -198,8 +199,8 @@ class MeasurementCampaign:
                 # caller-supplied fractions and size/seed are kept as the base.
                 population_config = scenario.population_config(base=population_config)
         #: Persistent skeleton-shard cache directory (see
-        #: :mod:`repro.scanners.skeleton_store`).  Works on every path:
-        #: streamed workers read their ranges through the store, and eager
+        #: :mod:`repro.scanners.skeleton_store`).  Works on both paths:
+        #: streamed workers read their ranges through the store, and serial
         #: campaigns generate the population itself through it.
         self.skeleton_cache_dir = skeleton_cache_dir
         if stream:
@@ -253,10 +254,6 @@ class MeasurementCampaign:
     def run(self) -> "CampaignResults | ReducedCampaignResults":
         if self.stream:
             return self._run_streaming()
-        if self.scan_backend == "columnar":
-            return self._run_eager_columnar()
-        if self.workers is not None or self.shard_size is not None:
-            return self._run_sharded()
         return self._run_serial()
 
     def _run_serial(self) -> CampaignResults:
@@ -283,16 +280,11 @@ class MeasurementCampaign:
         )
 
         # 2b. Optional full Initial-size sweep (Figure 3); sampled for speed.
-        # The sample comes from the same helper the sharded runner routes
-        # through, so serial and sharded runs sweep identical targets.
+        # The stride is the one streamed workers select with, so serial and
+        # streamed runs sweep identical targets.
         sweep: Optional[SweepResult] = None
         if self.run_sweep:
-            sample = [
-                target
-                for _, target in global_sweep_sample(
-                    population.deployments, self.sweep_sample_size
-                )
-            ]
+            sample = global_sweep_sample(population.deployments, self.sweep_sample_size)
             sweep = InitialSizeSweep(quicreach).run(sample)
 
         # 3. Certificates over QUIC and comparison with HTTPS.
@@ -334,108 +326,6 @@ class MeasurementCampaign:
             flight_cache=flight_cache,
             scenario=self.scenario,
         )
-
-    def _run_sharded(self) -> CampaignResults:
-        population = self.population
-
-        # Stages 1–4 fan out over rank-contiguous shards (each worker warms
-        # its own flight-plan cache) and merge deterministically.  Explicit
-        # zeros pass through so run_sharded_scan/plan_shards reject them.
-        merged = run_sharded_scan(
-            population,
-            workers=self.workers if self.workers is not None else 1,
-            shard_size=self.shard_size if self.shard_size is not None else DEFAULT_SHARD_SIZE,
-            analysis_initial_size=self.analysis_initial_size,
-            analysis_compression=self.analysis_compression,
-            run_sweep=self.run_sweep,
-            sweep_sample_size=self.sweep_sample_size,
-            retry_policy=self.retry_policy,
-            skeleton_cache_dir=self.skeleton_cache_dir,
-        )
-
-        # Stage 5 runs in the parent over the full fabric, exactly as serially
-        # — but against its own fresh flight-plan cache, so the final counters
-        # are a pure function of the campaign (not of whatever else this
-        # process simulated before).
-        stage5_cache = FlightPlanCache()
-        network = build_network_for(population.deployments, flight_cache=stage5_cache)
-        backscatter, meta_probe_before, meta_probe_after = (
-            self._run_incomplete_handshake_stage(network, flight_cache=stage5_cache)
-        )
-
-        stage5_info = stage5_cache.cache_info()
-        flight_cache = FlightCacheInfo(
-            hits=merged.flight_cache.hits + stage5_info.hits,
-            misses=merged.flight_cache.misses + stage5_info.misses,
-            currsize=merged.flight_cache.currsize + stage5_info.currsize,
-            maxsize=max(merged.flight_cache.maxsize, stage5_info.maxsize),
-        )
-
-        return CampaignResults(
-            population=population,
-            https_scan=merged.https_scan,
-            handshakes=merged.handshakes,
-            sweep=merged.sweep,
-            quic_certificates=merged.quic_certificates,
-            certificate_comparison=merged.certificate_comparison,
-            compression=merged.compression,
-            backscatter=backscatter,
-            meta_probe_before=meta_probe_before,
-            meta_probe_after=meta_probe_after,
-            analysis_initial_size=self.analysis_initial_size,
-            flight_cache=flight_cache,
-            scenario=self.scenario,
-        )
-
-    def _run_eager_columnar(self) -> ReducedCampaignResults:
-        """Eager pipeline on the columnar backend.
-
-        The already-materialised population is scan-reduced shard by shard
-        through the columnar kernel and finalised exactly like a streamed run,
-        so the report is byte-identical to every other path; the return type
-        is :class:`~repro.scanners.streaming.ReducedCampaignResults` (summary
-        internals, not per-domain observations).  Tasks ship the deployments
-        by value — ``resolve_deployments`` prefers them — while still carrying
-        the population config so the scenario fingerprint stamped into each
-        summary matches this campaign's.
-        """
-        import dataclasses
-
-        population = self.population
-        workers = self.workers if self.workers is not None else 1
-        spec = ReductionSpec(spoof_limit_per_provider=self.spoofed_targets_per_provider)
-        tasks = [
-            dataclasses.replace(task, population_config=population.config)
-            for task in build_shard_tasks(
-                population.deployments,
-                shard_size=(
-                    self.shard_size if self.shard_size is not None else DEFAULT_SHARD_SIZE
-                ),
-                analysis_initial_size=self.analysis_initial_size,
-                analysis_compression=self.analysis_compression,
-                run_sweep=self.run_sweep,
-                sweep_sample_size=self.sweep_sample_size,
-                scan_backend="columnar",
-            )
-        ]
-        tasks_by_index = {task.index: task for task in tasks}
-        reducer = CampaignReducer(spec=spec, run_sweep=self.run_sweep)
-
-        def make_payload(index: int, attempt: int):
-            return (tasks_by_index[index], spec, attempt, self.fault_plan)
-
-        def on_result(index: int, summary, attempt: int = 0) -> None:
-            reducer.add(summary)
-
-        dispatch_with_retry(
-            sorted(tasks_by_index),
-            make_payload,
-            _scan_and_summarize,
-            workers if workers > 1 and len(tasks) > 1 else 1,
-            self.retry_policy,
-            on_result,
-        )
-        return self.finalize_streaming(reducer.reduced_scan())
 
     def _run_streaming(self) -> ReducedCampaignResults:
         """Streaming pipeline: scan + reduce per shard, stage 5 in the parent."""

@@ -1,13 +1,14 @@
-"""Sharded, multi-process execution of the measurement pipeline.
+"""Shard planning, per-shard scanning and retrying dispatch.
 
 The per-domain stages of the campaign — HTTPS certificate collection, QUIC
 handshake classification, the Initial-size sweep, certificate fetches over
 QUIC and the compression scan — are embarrassingly parallel: every observation
-depends on exactly one deployment.  This module exploits that by cutting the
-population into deterministic, rank-contiguous :class:`ShardSpec` slices,
-scanning each shard independently (:func:`scan_shard`, optionally in
-``ProcessPoolExecutor`` workers), and merging the per-shard partial results
-back into exactly what a serial run produces (:func:`merge_shard_results`).
+depends on exactly one deployment.  This module holds the pieces every shard
+runner shares: deterministic, rank-contiguous :class:`ShardSpec` slices, the
+picklable :class:`ShardTask` a worker regenerates its shard from, the object
+reference scan of one shard (:func:`scan_shard`) and the retrying dispatcher
+(:func:`dispatch_with_retry`).  The streaming pipeline
+(:mod:`repro.scanners.streaming`) drives them.
 
 Determinism rules, so ``workers=1`` and ``workers=N`` yield byte-identical
 campaign reports:
@@ -18,15 +19,11 @@ campaign reports:
 * Each shard is scanned against a fabric built from its own deployments with a
   *fresh* :class:`~repro.quic.server.FlightPlanCache`; cache counters are a
   pure function of the shard, not of which worker it landed on.
-* Merging concatenates observations in shard (= rank) order; the sweep is
-  re-interleaved Initial-size-major, matching the serial sweep's iteration
-  order.  Funnel counters add up; unique-chain counts merge as set unions.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures import TimeoutError as FutureTimeoutError
@@ -38,7 +35,6 @@ from ..scenarios import BASELINE, ScenarioSpec
 from ..tls.cert_compression import CertificateCompressionAlgorithm
 from ..webpki.deployment import DomainDeployment, ServiceCategory
 from ..webpki.population import (
-    InternetPopulation,
     PopulationConfig,
     build_network_for,
     build_origins_for,
@@ -47,7 +43,7 @@ from ..webpki.population import (
 )
 from ..webpki.tranco import generate_tranco_list
 from .compression_scanner import CompressionObservation, CompressionScanner
-from .https_scanner import CertificateRecord, HttpsScanner, HttpsScanResult, ScanFunnel
+from .https_scanner import CertificateRecord, HttpsScanner, ScanFunnel
 from .qscanner import CertificateComparison, QScanner, QuicCertificateRecord
 from .quicreach import (
     DEFAULT_ANALYSIS_INITIAL_SIZE,
@@ -55,7 +51,6 @@ from .quicreach import (
     HandshakeObservation,
     InitialSizeSweep,
     QuicReach,
-    SweepResult,
 )
 
 #: Deployments per scan shard.  A constant (not derived from the worker
@@ -103,43 +98,33 @@ def plan_shards(total: int, shard_size: int = DEFAULT_SHARD_SIZE) -> Tuple[Shard
 class ShardTask:
     """Everything a worker needs to scan one shard, picklable as one unit.
 
-    The shard's deployments travel one of two ways: by value (``deployments``)
-    or by recipe (``population_config`` plus the ``[start, stop)`` index
-    range, regenerated in the worker via
-    :func:`~repro.webpki.population.deployments_for_range`).  The recipe form
-    keeps certificate chains out of the parent→worker pickle stream — for
-    populations from :func:`generate_population` both forms produce identical
-    deployments, so scan results do not depend on the transport.
+    The shard travels by recipe: ``population_config`` plus the
+    ``[start, stop)`` index range, regenerated in the worker via
+    :func:`~repro.webpki.population.deployments_for_range`, so certificate
+    chains never cross the parent→worker pickle stream.
     """
 
     index: int
-    deployments: Optional[Tuple[DomainDeployment, ...]] = None
     population_config: Optional[PopulationConfig] = None
     start: int = 0
     stop: int = 0
-    #: Read the shard from the fork-inherited module global instead of
-    #: pickling or regenerating (see :data:`_FORK_SHARED_DEPLOYMENTS`).
-    use_fork_shared: bool = False
     analysis_initial_size: int = DEFAULT_ANALYSIS_INITIAL_SIZE
     #: RFC 8879 algorithms the scanning client offers in the analysis scan
     #: (empty, like the paper's scanner, unless a scenario turns it on).
     analysis_compression: Tuple[CertificateCompressionAlgorithm, ...] = ()
     run_sweep: bool = False
-    #: This shard's slice of the *globally* computed sweep sample.
-    sweep_targets: Tuple[ScanTarget, ...] = ()
-    #: Alternative to ``sweep_targets`` for streaming runs, where the parent
-    #: never sees the deployments: ``(quic_index_offset, stride)``.  The worker
-    #: selects its own sweep targets — the QUIC targets of the shard whose
-    #: *global* QUIC index (offset + local position) is a multiple of the
-    #: stride — reproducing exactly the ``indexed[::stride]`` sample of
-    #: :func:`global_sweep_sample` without shipping any target list.
+    #: The shard's part of the Figure 3 sweep sample, as
+    #: ``(quic_index_offset, stride)``.  The parent never sees the
+    #: deployments, so the worker selects its own sweep targets — the QUIC
+    #: targets of the shard whose *global* QUIC index (offset + local
+    #: position) is a multiple of the stride — reproducing exactly the
+    #: ``targets[::stride]`` sample of :func:`global_sweep_sample` without
+    #: shipping any target list.
     sweep_local_selection: Optional[Tuple[int, int]] = None
     sweep_initial_sizes: Tuple[int, ...] = SWEEP_INITIAL_SIZES
     #: Which shard-scan implementation the worker runs: ``"object"`` (the
     #: reference stages 1–4 over real fabric objects) or ``"columnar"`` (the
-    #: fused arithmetic kernel in :mod:`repro.scanners.columnar`, streaming
-    #: runs only).  Appended last so pickled tasks from older call sites keep
-    #: their field order.
+    #: fused arithmetic kernel in :mod:`repro.scanners.columnar`).
     scan_backend: str = "object"
     #: The scenario sweep riding this worker visit.  When set, the grid worker
     #: entry (:func:`repro.scanners.streaming._scan_and_summarize_grid`)
@@ -147,14 +132,12 @@ class ShardTask:
     #: transform against them, and emits one summary per member — the
     #: cross-scenario shard-reuse contract.  ``population_config`` then
     #: carries the *base* (scenario-free) campaign config; each member derives
-    #: its own via :meth:`for_scenario`.  Appended after ``scan_backend`` to
-    #: keep pickled field order stable.
+    #: its own via :meth:`for_scenario`.
     grid_scenarios: Optional[Tuple[ScenarioSpec, ...]] = None
     #: Directory of the persistent skeleton-shard store
-    #: (:mod:`repro.scanners.skeleton_store`).  When set, recipe-form
-    #: regeneration consults the store before generating and populates it
-    #: after, so a warm worker skips the generation phase entirely.  Appended
-    #: after ``grid_scenarios`` to keep pickled field order stable.
+    #: (:mod:`repro.scanners.skeleton_store`).  When set, regeneration
+    #: consults the store before generating and populates it after, so a warm
+    #: worker skips the generation phase entirely.
     skeleton_cache_dir: Optional[str] = None
 
     def for_scenario(self, scenario: ScenarioSpec) -> "ShardTask":
@@ -182,17 +165,8 @@ class ShardTask:
         )
 
     def resolve_deployments(self) -> Tuple[DomainDeployment, ...]:
-        if self.use_fork_shared:
-            if _FORK_SHARED_DEPLOYMENTS is None:
-                raise RuntimeError(
-                    "shard task expects fork-inherited deployments, but none are set "
-                    "in this process"
-                )
-            return tuple(_FORK_SHARED_DEPLOYMENTS[self.start : self.stop])
-        if self.deployments is not None:
-            return self.deployments
         if self.population_config is None:
-            raise ValueError("shard task carries neither deployments nor a config")
+            raise ValueError("shard task carries no population config")
         tranco = _cached_tranco(self.population_config.size, seed=self.population_config.seed)
         if self.skeleton_cache_dir is not None:
             from .skeleton_store import deployments_for_range as cached_range, store_for
@@ -213,7 +187,7 @@ class ShardTask:
     def scenario_fingerprint(self) -> str:
         """Fingerprint of the scenario this shard is scanned under.
 
-        Recipe-form tasks carry the spec inside ``population_config.scenario``
+        Tasks carry the spec inside ``population_config.scenario``
         (that is how a scenario travels into worker processes); tasks without
         one are by definition the baseline.  The fingerprint is stamped into
         the shard's :class:`~repro.scanners.streaming.ShardSummary`, where the
@@ -227,17 +201,12 @@ class ShardTask:
     def resolve_skeletons(self) -> Sequence:
         """Cheap, count-only view of the shard (no certificate issuance).
 
-        For recipe-form tasks this runs only the skeleton pass of two-phase
-        generation (:mod:`repro.webpki.skeleton`) — the basis of the near-free
-        sweep discovery pass.  Tasks that already hold materialised
-        deployments (by value or fork-shared) return those: every counting
-        attribute (``category``, ``rank``, ``provider``, …) reads identically
-        off skeletons and deployments.
+        Runs only the skeleton pass of two-phase generation
+        (:mod:`repro.webpki.skeleton`) — the basis of the near-free sweep
+        discovery pass.
         """
-        if self.use_fork_shared or self.deployments is not None:
-            return self.resolve_deployments()
         if self.population_config is None:
-            raise ValueError("shard task carries neither deployments nor a config")
+            raise ValueError("shard task carries no population config")
         tranco = _cached_tranco(self.population_config.size, seed=self.population_config.seed)
         if self.skeleton_cache_dir is not None:
             from .skeleton_store import skeletons_for_range, store_for
@@ -263,12 +232,6 @@ class ShardTask:
 #: lives on ``generate_tranco_list`` itself (every regeneration path shares
 #: it); the alias keeps this module's call sites self-describing.
 _cached_tranco = generate_tranco_list
-
-#: Deployment list published for fork-started workers.  Set by
-#: :func:`run_sharded_scan` immediately before the pool forks; child processes
-#: inherit it copy-on-write, so neither certificate chains nor regeneration
-#: work ever crosses the parent→worker boundary.
-_FORK_SHARED_DEPLOYMENTS: Optional[Sequence[DomainDeployment]] = None
 
 
 @dataclass(frozen=True)
@@ -320,10 +283,9 @@ def scan_shard(
         targets, task.analysis_initial_size, compression=task.analysis_compression
     )
 
-    # 2b. This shard's part of the Initial-size sweep.  The sample arrives
-    # either routed by the parent (``sweep_targets``) or is selected locally
-    # from the global stride (``sweep_local_selection``, streaming runs).
-    sweep_targets = task.sweep_targets
+    # 2b. This shard's part of the Initial-size sweep, selected locally from
+    # the global stride (``sweep_local_selection``).
+    sweep_targets: Tuple[ScanTarget, ...] = ()
     if task.run_sweep and task.sweep_local_selection is not None:
         offset, stride = task.sweep_local_selection
         sweep_targets = tuple(
@@ -332,7 +294,7 @@ def scan_shard(
             if (offset + position) % stride == 0
         )
     sweep_observations: Tuple[HandshakeObservation, ...] = ()
-    if task.run_sweep and sweep_targets:
+    if sweep_targets:
         sweep = InitialSizeSweep(quicreach, task.sweep_initial_sizes)
         sweep_observations = sweep.run(list(sweep_targets)).observations
 
@@ -359,105 +321,6 @@ def scan_shard(
         comparison=comparison,
         compression=tuple(compression),
         flight_cache=cache.cache_info(),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Merging
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MergedScanResults:
-    """Stages 1–4 merged back into the serial pipeline's output shapes."""
-
-    https_scan: HttpsScanResult
-    handshakes: List[HandshakeObservation]
-    sweep: Optional[SweepResult]
-    quic_certificates: List[QuicCertificateRecord]
-    certificate_comparison: CertificateComparison
-    compression: List[CompressionObservation]
-    flight_cache: FlightCacheInfo
-
-
-def merge_shard_results(
-    shards: Sequence[ShardScanResult],
-    run_sweep: bool = False,
-    sweep_initial_sizes: Sequence[int] = SWEEP_INITIAL_SIZES,
-) -> MergedScanResults:
-    """Merge per-shard partials into the exact serial-run result.
-
-    ``shards`` must be in shard-index (= rank) order; concatenation then
-    reproduces the serial per-deployment iteration order, and the sweep is
-    re-interleaved Initial-size-major exactly like
-    :class:`~repro.scanners.quicreach.InitialSizeSweep` iterates.
-    """
-    ordered = sorted(shards, key=lambda shard: shard.index)
-
-    funnel = ScanFunnel()
-    fingerprints: set = set()
-    records: List[CertificateRecord] = []
-    handshakes: List[HandshakeObservation] = []
-    quic_certificates: List[QuicCertificateRecord] = []
-    compression: List[CompressionObservation] = []
-    total_compared = identical = 0
-    cache_hits = cache_misses = cache_currsize = cache_maxsize = 0
-
-    for shard in ordered:
-        for name, value in shard.funnel.as_dict().items():
-            if name == "unique_certificate_chains":
-                continue
-            setattr(funnel, name, getattr(funnel, name) + value)
-        # Chains shared across shards must count once: union the fingerprints
-        # (cached on the chains by the shard's own scan) rather than summing
-        # the per-shard unique counts.
-        fingerprints.update(record.fingerprint for record in shard.https_records)
-        records.extend(shard.https_records)
-        handshakes.extend(shard.handshakes)
-        quic_certificates.extend(shard.quic_certificates)
-        compression.extend(shard.compression)
-        total_compared += shard.comparison.total_compared
-        identical += shard.comparison.identical
-        cache_hits += shard.flight_cache.hits
-        cache_misses += shard.flight_cache.misses
-        cache_currsize += shard.flight_cache.currsize
-        # maxsize is a per-cache bound, not a counter: report the largest
-        # bound in play rather than a meaningless sum over shards.
-        cache_maxsize = max(cache_maxsize, shard.flight_cache.maxsize)
-    funnel.unique_certificate_chains = len(fingerprints)
-
-    sweep: Optional[SweepResult] = None
-    if run_sweep:
-        by_size: Dict[int, List[HandshakeObservation]] = {
-            size: [] for size in sweep_initial_sizes
-        }
-        for shard in ordered:
-            for observation in shard.sweep_observations:
-                by_size[observation.initial_size].append(observation)
-        sweep = SweepResult(
-            observations=tuple(
-                observation
-                for size in sweep_initial_sizes
-                for observation in by_size[size]
-            )
-        )
-
-    return MergedScanResults(
-        https_scan=HttpsScanResult(funnel=funnel, records=tuple(records)),
-        handshakes=handshakes,
-        sweep=sweep,
-        quic_certificates=quic_certificates,
-        certificate_comparison=CertificateComparison(
-            total_compared=total_compared,
-            identical=identical,
-            different=total_compared - identical,
-        ),
-        compression=compression,
-        flight_cache=FlightCacheInfo(
-            hits=cache_hits,
-            misses=cache_misses,
-            currsize=cache_currsize,
-            maxsize=cache_maxsize,
-        ),
     )
 
 
@@ -515,13 +378,12 @@ def dispatch_with_retry(
     workers: int,
     policy: Optional[RetryPolicy],
     on_result: Callable[[int, object, int], None],
-    mp_context=None,
 ) -> None:
     """Run ``worker_fn`` over one payload per shard index, retrying failures.
 
-    The durability core of both runners: each shard is dispatched up to
-    ``policy.max_attempts`` times (``make_payload(index, attempt)`` builds the
-    payload, so workers can know the attempt number), and
+    The durability core of the streamed runners: each shard is dispatched up
+    to ``policy.max_attempts`` times (``make_payload(index, attempt)`` builds
+    the payload, so workers can know the attempt number), and
     ``on_result(index, result, attempt)`` is called exactly once per shard, in
     completion order — downstream folding must therefore be order-insensitive,
     which ``CampaignReducer`` guarantees by construction.  The attempt number
@@ -564,9 +426,7 @@ def dispatch_with_retry(
                     completed.append(index)
                     on_result(index, result, pending[index])
         else:
-            pool = ProcessPoolExecutor(
-                max_workers=min(workers, len(pending)), mp_context=mp_context
-            )
+            pool = ProcessPoolExecutor(max_workers=min(workers, len(pending)))
             try:
                 futures = {
                     pool.submit(worker_fn, make_payload(index, attempt)): index
@@ -649,15 +509,15 @@ def dispatch_with_retry(
 
 
 # ---------------------------------------------------------------------------
-# Driving a full sharded scan
+# Figure 3 sweep sampling
 # ---------------------------------------------------------------------------
 
 def sweep_sample_stride(total_quic_targets: int, sweep_sample_size: Optional[int]) -> int:
     """The sampling stride of the Figure 3 sweep over the global QUIC targets.
 
-    Shared by :func:`global_sweep_sample` (eager runs, where the parent holds
-    the targets) and the streaming runner (where workers select locally from
-    ``(offset, stride)``), so the two sampling paths cannot drift apart.
+    Shared by :func:`global_sweep_sample` (the serial path, where the parent
+    holds the targets) and the streaming runner (where workers select locally
+    from ``(offset, stride)``), so the two sampling paths cannot drift apart.
     """
     if sweep_sample_size is None or total_quic_targets <= sweep_sample_size:
         return 1
@@ -667,180 +527,15 @@ def sweep_sample_stride(total_quic_targets: int, sweep_sample_size: Optional[int
 def global_sweep_sample(
     deployments: Sequence[DomainDeployment],
     sweep_sample_size: Optional[int],
-) -> List[Tuple[int, ScanTarget]]:
-    """The sweep sample over the whole population, with deployment indices.
+) -> List[ScanTarget]:
+    """The sweep sample over the whole population, in deployment order.
 
-    This is the one place the sweep's sampling stride lives: the serial
-    orchestrator and the sharded runner both call it, so they cannot drift
-    apart.  Returns ``(deployment_index, target)`` pairs — the index (not the
-    rank, which hand-assembled populations may renumber or reorder) is what
-    routes a sampled target to the scan shard that owns it.
+    The serial orchestrator's sample; streamed workers reproduce it shard by
+    shard from ``(offset, stride)`` via the same :func:`sweep_sample_stride`.
     """
-    indexed: List[Tuple[int, ScanTarget]] = [
-        (index, (d.domain, d.rank, d.provider))
-        for index, d in enumerate(deployments)
+    targets: List[ScanTarget] = [
+        (d.domain, d.rank, d.provider)
+        for d in deployments
         if d.category is ServiceCategory.QUIC
     ]
-    stride = sweep_sample_stride(len(indexed), sweep_sample_size)
-    return indexed[::stride]
-
-
-def build_shard_tasks(
-    deployments: Sequence[DomainDeployment],
-    shard_size: int = DEFAULT_SHARD_SIZE,
-    analysis_initial_size: int = DEFAULT_ANALYSIS_INITIAL_SIZE,
-    analysis_compression: Sequence[CertificateCompressionAlgorithm] = (),
-    run_sweep: bool = False,
-    sweep_sample_size: Optional[int] = 2000,
-    sweep_initial_sizes: Sequence[int] = SWEEP_INITIAL_SIZES,
-    regenerate_config: Optional[PopulationConfig] = None,
-    use_fork_shared: bool = False,
-    scan_backend: str = "object",
-    skeleton_cache_dir: Optional[str] = None,
-) -> List[ShardTask]:
-    """Plan shards over rank-ordered ``deployments`` and package their tasks.
-
-    The sweep sample is chosen over the *whole* population first (the stride
-    depends on the global QUIC-target count) and then routed to the shard that
-    owns each sampled rank.  With ``use_fork_shared`` or ``regenerate_config``
-    set, tasks carry only the index range instead of the deployments
-    themselves (see :class:`ShardTask`).  ``skeleton_cache_dir`` points
-    range-carrying tasks at a persistent skeleton store so worker-side
-    regeneration reads cached shards instead of rolling the RNG.
-    """
-    specs = plan_shards(len(deployments), shard_size)
-    sweep_by_shard: Dict[int, List[ScanTarget]] = {spec.index: [] for spec in specs}
-    if run_sweep:
-        for deployment_index, target in global_sweep_sample(deployments, sweep_sample_size):
-            sweep_by_shard[deployment_index // shard_size].append(target)
-    ship_by_value = not use_fork_shared and regenerate_config is None
-    return [
-        ShardTask(
-            index=spec.index,
-            deployments=(
-                tuple(deployments[spec.start : spec.stop]) if ship_by_value else None
-            ),
-            population_config=None if use_fork_shared else regenerate_config,
-            start=spec.start,
-            stop=spec.stop,
-            use_fork_shared=use_fork_shared,
-            analysis_initial_size=analysis_initial_size,
-            analysis_compression=tuple(analysis_compression),
-            run_sweep=run_sweep,
-            sweep_targets=tuple(sweep_by_shard[spec.index]),
-            sweep_initial_sizes=tuple(sweep_initial_sizes),
-            scan_backend=scan_backend,
-            skeleton_cache_dir=skeleton_cache_dir,
-        )
-        for spec in specs
-    ]
-
-
-def run_sharded_scan(
-    population: InternetPopulation,
-    workers: int = 1,
-    shard_size: int = DEFAULT_SHARD_SIZE,
-    analysis_initial_size: int = DEFAULT_ANALYSIS_INITIAL_SIZE,
-    analysis_compression: Sequence[CertificateCompressionAlgorithm] = (),
-    run_sweep: bool = False,
-    sweep_sample_size: Optional[int] = 2000,
-    sweep_initial_sizes: Sequence[int] = SWEEP_INITIAL_SIZES,
-    retry_policy: Optional[RetryPolicy] = None,
-    scan_backend: Optional[str] = None,
-    skeleton_cache_dir: Optional[str] = None,
-) -> MergedScanResults:
-    """Run stages 1–4 over the population, sharded across ``workers`` processes.
-
-    ``workers=1`` executes the same shard tasks in-process (no pool), which is
-    both the bitwise reference for multi-process runs and the tier-1/CI
-    default.  The merged result does not depend on ``workers``.
-
-    Dispatch goes through :func:`dispatch_with_retry`: a worker crash or a
-    broken pool re-dispatches only the affected shards on a fresh pool, and
-    exhausted retries raise :class:`ShardDispatchError` naming the incomplete
-    shard indices instead of returning a silently partial merge.
-    """
-    if workers <= 0:
-        raise ValueError("workers must be positive")
-    # The columnar backend emits ShardSummary objects, not per-domain
-    # observations, so it only exists on the reduced (streaming) pipeline;
-    # this runner's merge contract needs the full object-path partials.  The
-    # environment knob is deliberately not consulted here for the same reason.
-    if scan_backend is not None and scan_backend != "object":
-        raise ValueError(
-            f"run_sharded_scan only supports the 'object' backend, not "
-            f"{scan_backend!r}; use the streaming pipeline "
-            f"(run_streaming_scan / MeasurementCampaign(stream=True)) for "
-            f"'columnar'"
-        )
-    multiprocess = workers > 1 and len(population.deployments) > shard_size
-    # How shard deployments reach the workers, cheapest first:
-    #  * fork start method: publish the list in a module global right before
-    #    the pool forks; children inherit it copy-on-write, zero transfer,
-    #  * spawn/forkserver + regenerable population: ship (config, range) and
-    #    regenerate in the worker (parallel, no chains over the pipe),
-    #  * otherwise: pickle the deployments into the task.
-    fork_available = multiprocess and "fork" in multiprocessing.get_all_start_methods()
-    regenerate_config = (
-        population.config
-        if multiprocess
-        and not fork_available
-        and getattr(population, "_shard_regenerable", False)
-        else None
-    )
-    tasks = build_shard_tasks(
-        population.deployments,
-        shard_size=shard_size,
-        analysis_initial_size=analysis_initial_size,
-        analysis_compression=analysis_compression,
-        run_sweep=run_sweep,
-        sweep_sample_size=sweep_sample_size,
-        sweep_initial_sizes=sweep_initial_sizes,
-        regenerate_config=regenerate_config,
-        use_fork_shared=fork_available,
-        skeleton_cache_dir=skeleton_cache_dir if regenerate_config is not None else None,
-    )
-    tasks_by_index = {task.index: task for task in tasks}
-    partials_by_index: Dict[int, ShardScanResult] = {}
-
-    def on_result(index: int, partial: ShardScanResult, attempt: int = 0) -> None:
-        partials_by_index[index] = partial
-
-    def make_payload(index: int, attempt: int) -> ShardTask:
-        return tasks_by_index[index]
-
-    if not multiprocess:
-        dispatch_with_retry(
-            sorted(tasks_by_index), make_payload, scan_shard, 1, retry_policy, on_result
-        )
-    elif fork_available:
-        global _FORK_SHARED_DEPLOYMENTS
-        _FORK_SHARED_DEPLOYMENTS = population.deployments
-        try:
-            # The shared list stays published across retry rounds, so a fresh
-            # fork pool spun up after a crash re-inherits it.
-            dispatch_with_retry(
-                sorted(tasks_by_index),
-                make_payload,
-                scan_shard,
-                workers,
-                retry_policy,
-                on_result,
-                mp_context=multiprocessing.get_context("fork"),
-            )
-        finally:
-            _FORK_SHARED_DEPLOYMENTS = None
-    else:
-        dispatch_with_retry(
-            sorted(tasks_by_index),
-            make_payload,
-            scan_shard,
-            workers,
-            retry_policy,
-            on_result,
-        )
-    return merge_shard_results(
-        [partials_by_index[task.index] for task in tasks],
-        run_sweep=run_sweep,
-        sweep_initial_sizes=sweep_initial_sizes,
-    )
+    return targets[::sweep_sample_stride(len(targets), sweep_sample_size)]

@@ -918,15 +918,11 @@ def generate_population_cached(
     Materialises the full population through the store — warm directories
     skip every RNG roll and every certificate issuance — and returns an
     :class:`~repro.webpki.population.InternetPopulation` byte-identical to
-    the eager generator's, including the ``_shard_regenerable`` mark (the
-    cached path is faithful regeneration, so sharded runners may still ship
-    ``(config, range)`` to workers).
+    the eager generator's.
     """
     from ..webpki.population import InternetPopulation
 
     config = config or PopulationConfig()
     tranco = generate_tranco_list(config.size, seed=config.seed)
     deployments = deployments_for_range(store, config, 0, config.size, tranco=tranco)
-    population = InternetPopulation(config=config, tranco=tranco, deployments=deployments)
-    population._shard_regenerable = True
-    return population
+    return InternetPopulation(config=config, tranco=tranco, deployments=deployments)

@@ -1,13 +1,12 @@
 """Streaming reduction of sharded campaigns (true 1M-domain runs).
 
-The sharded runner of :mod:`repro.scanners.sharding` already splits scanning
-across shards, but its merge still materialises every shard's full result —
-certificate chains included — in the parent, which caps campaigns far below
-the paper's 1M-domain Tranco scans.  This module closes that gap: shards flow
-through scan *and* aggregation incrementally, and what a worker ships back is
-a :class:`ShardSummary` — counters, CDF count-accumulators, chain-fingerprint
-digests and compact row arrays — instead of deployments, certificate records
-or handshake observation objects.
+Merging every shard's full result — certificate chains included — in the
+parent would cap campaigns far below the paper's 1M-domain Tranco scans.
+Here shards flow through scan *and* aggregation incrementally, and what a
+worker ships back is a :class:`ShardSummary` — counters, CDF
+count-accumulators, chain-fingerprint digests and compact row arrays —
+instead of deployments, certificate records or handshake observation
+objects.
 
 The streaming reduction contract (see docs/ARCHITECTURE.md):
 
@@ -21,8 +20,8 @@ The streaming reduction contract (see docs/ARCHITECTURE.md):
   concatenated in index order at finalisation.  ``CampaignReducer.add`` and
   ``CampaignReducer.merge`` therefore commute, which
   ``tests/test_properties.py`` pins over random permutations and partitions.
-* **Finalisation is byte-identical to the eager path.**  Every reduced figure
-  input reproduces exactly the value the eager ``CampaignResults`` pipeline
+* **Finalisation is byte-identical to the serial path.**  Every reduced figure
+  input reproduces exactly the value the serial ``CampaignResults`` pipeline
   computes — including float-summation order for means and stable-sort
   tie-breaks — so ``build_report`` renders the same bytes either way
   (``tests/test_streaming_reduction.py``).

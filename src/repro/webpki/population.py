@@ -610,13 +610,7 @@ def generate_population(config: Optional[PopulationConfig] = None) -> InternetPo
     deployments: List[DomainDeployment] = []
     for shard in iter_population_shards(config, tranco=tranco):
         deployments.extend(shard.deployments)
-    population = InternetPopulation(config=config, tranco=tranco, deployments=deployments)
-    # Mark the instance as faithfully regenerable from its config: the sharded
-    # scan runner may then ship (config, range) to workers instead of the
-    # deployments themselves.  Hand-assembled populations lack the mark and
-    # always travel by value.
-    population._shard_regenerable = True
-    return population
+    return InternetPopulation(config=config, tranco=tranco, deployments=deployments)
 
 
 def _allocate_address(

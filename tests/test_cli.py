@@ -5,6 +5,7 @@ import os
 import pytest
 
 from repro.cli import build_parser, main
+from repro.scanners import MeasurementCampaign
 from repro.scenarios import BUILTIN_SCENARIOS
 
 
@@ -91,6 +92,23 @@ class TestCommands:
         assert "Table 2" in content
         assert (export_dir / "evaluation.txt").exists()
         assert (export_dir / "figure06_quic.csv").exists()
+
+    def test_workers_flag_rides_the_streamed_pipeline(self, tmp_path, monkeypatch):
+        serial = tmp_path / "serial.txt"
+        streamed = tmp_path / "streamed.txt"
+        base = ["campaign", "--size", "600", "--sweep"]
+        assert main([*base, "--output", str(serial)]) == 0
+        calls = []
+        original = MeasurementCampaign._run_streaming
+
+        def spy(campaign):
+            calls.append(campaign.workers)
+            return original(campaign)
+
+        monkeypatch.setattr(MeasurementCampaign, "_run_streaming", spy)
+        assert main([*base, "--workers", "2", "--output", str(streamed)]) == 0
+        assert calls == [2]
+        assert streamed.read_bytes() == serial.read_bytes()
 
 
 class TestScenarioCommands:
@@ -358,3 +376,33 @@ class TestScanBackendFlag:
             [*base, "--scan-backend", "columnar", "--output", str(columnar)]
         ) == 0
         assert columnar.read_bytes() == reference.read_bytes()
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [
+            (["campaign"], "--size", "0"),
+            (["campaign"], "--size", "-5"),
+            (["campaign"], "--workers", "0"),
+            (["campaign"], "--shard-size", "0"),
+            (["campaign", "--stream"], "--workers", "0"),
+            (["campaign", "--stream"], "--shard-size", "0"),
+            (["compare"], "--size", "0"),
+            (["compare"], "--workers", "0"),
+            (["compare"], "--shard-size", "0"),
+            (["skeletons", "warm", "DIR"], "--size", "0"),
+            (["skeletons", "gc", "DIR"], "--size", "0"),
+        ],
+    )
+    def test_non_positive_counts_exit_2_with_one_line(
+        self, command, flag, value, tmp_path, capsys
+    ):
+        argv = [str(tmp_path) if part == "DIR" else part for part in command]
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, flag, value])
+        assert exit_info.value.code == 2
+        error = capsys.readouterr().err
+        assert error.count("\n") == 1
+        assert f"argument {flag}: must be a positive integer" in error
+        assert "Traceback" not in error

@@ -4,9 +4,9 @@ The contract under test (docs/ARCHITECTURE.md, "Columnar scan core"): the
 fused arithmetic backend of :mod:`repro.scanners.columnar` produces
 byte-identical reports, per-figure CSVs, shard summaries and even flight-plan
 cache counters to the reference object pipeline — for any seed, worker count,
-shard size and built-in scenario, through both the streamed and the eager
-entry points, across a checkpoint/resume seam written by the *other* backend,
-and against the SHA-256 golden digests of ``tests/golden/report_digests.json``.
+shard size and built-in scenario, against the serial object reference,
+across a checkpoint/resume seam written by the *other* backend, and against
+the SHA-256 golden digests of ``tests/golden/report_digests.json``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from repro.scanners.columnar import (
     resolve_scan_backend,
     summarize_shard_columnar,
 )
-from repro.scanners.sharding import ShardTask, run_sharded_scan, scan_shard
+from repro.scanners.sharding import ShardTask, scan_shard
 from repro.scanners.streaming import (
     ReducedCampaignResults,
     ReductionSpec,
@@ -88,20 +88,16 @@ class TestColumnarMatchesObject:
         assert build_report(reference).text == build_report(columnar).text
         assert reference.scan == columnar.scan
 
-    def test_eager_columnar_matches_eager_object(self):
-        """``scan_backend='columnar'`` without ``stream`` still runs eagerly
-        (materialised population, stage 5 included) and reports identically."""
+    def test_streamed_columnar_matches_serial_object(self):
+        """The columnar kernel reports identically to the serial object
+        reference (materialised population, stage 5 over the full fabric)."""
         config = PopulationConfig(size=POPULATION_SIZE, seed=3)
-        eager_object = MeasurementCampaign(
+        serial_object = MeasurementCampaign(
             population=generate_population(config), **CAMPAIGN_KWARGS
         ).run()
-        eager_columnar = MeasurementCampaign(
-            population=generate_population(config),
-            scan_backend="columnar",
-            **CAMPAIGN_KWARGS,
-        ).run()
-        assert isinstance(eager_columnar, ReducedCampaignResults)
-        assert build_report(eager_object).text == build_report(eager_columnar).text
+        streamed_columnar = _streamed(config, "columnar")
+        assert isinstance(streamed_columnar, ReducedCampaignResults)
+        assert build_report(serial_object).text == build_report(streamed_columnar).text
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
     def test_every_builtin_scenario_is_backend_invariant(self, name):
@@ -199,25 +195,18 @@ class TestColumnarGoldenDigests:
         with open(GOLDEN_PATH, "r", encoding="utf-8") as handle:
             return json.load(handle)
 
-    @pytest.mark.parametrize("stream", [False, True])
-    def test_columnar_reproduces_golden_digests(self, golden, stream):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_columnar_reproduces_golden_digests(self, golden, workers):
         params = golden["campaign"]
-        config = PopulationConfig(size=params["size"], seed=params["seed"])
-        kwargs = dict(
+        results = MeasurementCampaign(
+            population_config=PopulationConfig(size=params["size"], seed=params["seed"]),
+            stream=True,
+            workers=workers,
             run_sweep=True,
             sweep_sample_size=params["sweep_sample_size"],
             spoofed_targets_per_provider=params["spoofed_targets_per_provider"],
             scan_backend="columnar",
-        )
-        if stream:
-            campaign = MeasurementCampaign(
-                population_config=config, stream=True, **kwargs
-            )
-        else:
-            campaign = MeasurementCampaign(
-                population=generate_population(config), **kwargs
-            )
-        results = campaign.run()
+        ).run()
         with tempfile.TemporaryDirectory() as directory:
             export_evaluation(results, directory)
             produced = {
@@ -260,11 +249,6 @@ class TestBackendSelection:
     def test_explicit_argument_beats_env(self, monkeypatch):
         monkeypatch.setenv(SCAN_BACKEND_ENV, "bogus")
         assert resolve_scan_backend("object") == "object"
-
-    def test_run_sharded_scan_rejects_columnar(self):
-        population = generate_population(PopulationConfig(size=120, seed=2))
-        with pytest.raises(ValueError, match="streaming"):
-            run_sharded_scan(population, scan_backend="columnar")
 
     def test_campaign_rejects_unknown_backend_eagerly(self):
         with pytest.raises(ValueError, match="choose from"):

@@ -209,11 +209,6 @@ class TestShardTaskSkeletons:
         assert [s.rank for s in skeletons] == [d.rank for d in deployments]
         assert [s.provider for s in skeletons] == [d.provider for d in deployments]
 
-    def test_value_tasks_fall_back_to_deployments(self):
-        deployments = tuple(deployments_for_range(self.CONFIG, 0, 64))
-        task = ShardTask(index=0, deployments=deployments, start=0, stop=64)
-        assert task.resolve_skeletons() == deployments
-
 
 class TestIssuanceFastPath:
     def test_fast_path_is_byte_identical_to_reference_issue_leaf(self):

@@ -460,7 +460,6 @@ def test_edge_shards_identical_under_both_backends(case):
     deployments = _edge_shard_deployments()[case]
     task = ShardTask(
         index=0,
-        deployments=deployments,
         start=0,
         stop=len(deployments),
         run_sweep=True,

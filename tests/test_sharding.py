@@ -1,7 +1,7 @@
-"""Determinism tests for the sharded campaign runner and streaming generation.
+"""Determinism tests for shard planning, sharded scans and streaming generation.
 
 The contract under test: a seeded campaign produces byte-identical results no
-matter how the work is split — serial vs. sharded, one worker vs. many
+matter how the work is split — serial vs. streamed shards, one worker vs. many
 processes, eager vs. streaming population generation.
 """
 
@@ -11,14 +11,7 @@ import pytest
 
 from repro.analysis.report import build_report
 from repro.scanners.orchestrator import MeasurementCampaign
-from repro.scanners.sharding import (
-    DEFAULT_SHARD_SIZE,
-    build_shard_tasks,
-    merge_shard_results,
-    plan_shards,
-    run_sharded_scan,
-    scan_shard,
-)
+from repro.scanners.sharding import DEFAULT_SHARD_SIZE, plan_shards
 from repro.webpki.deployment import ServiceCategory
 from repro.webpki.population import (
     GENERATION_SHARD_SIZE,
@@ -31,7 +24,7 @@ from repro.webpki.population import (
 from repro.x509.field_sizes import measure_field_sizes
 
 #: Small population with several scan shards (shard_size=256 below) so the
-#: merge logic is actually exercised; sized to keep the 4-process test quick.
+#: reduction merge is actually exercised; sized to keep the 4-process test quick.
 CONFIG = PopulationConfig(size=1200, seed=77)
 SHARD_SIZE = 256
 
@@ -41,13 +34,16 @@ def population():
     return generate_population(CONFIG)
 
 
-def _campaign(population, **kwargs):
+CAMPAIGN_KWARGS = dict(run_sweep=True, sweep_sample_size=80, spoofed_targets_per_provider=20)
+
+
+def _campaign(population):
+    return MeasurementCampaign(population=population, **CAMPAIGN_KWARGS).run()
+
+
+def _streamed(**kwargs):
     return MeasurementCampaign(
-        population=population,
-        run_sweep=True,
-        sweep_sample_size=80,
-        spoofed_targets_per_provider=20,
-        **kwargs,
+        population_config=CONFIG, stream=True, **CAMPAIGN_KWARGS, **kwargs
     ).run()
 
 
@@ -122,63 +118,31 @@ class TestStreamingGeneration:
 
 
 class TestShardedScanDeterminism:
-    def test_workers_1_vs_4_byte_identical_report(self, population):
+    def test_workers_1_vs_4_byte_identical_report(self):
         """The acceptance criterion: same seed => same report bytes, any N."""
-        results_1 = _campaign(population, workers=1, shard_size=SHARD_SIZE)
-        results_4 = _campaign(population, workers=4, shard_size=SHARD_SIZE)
+        results_1 = _streamed(workers=1, shard_size=SHARD_SIZE)
+        results_4 = _streamed(workers=4, shard_size=SHARD_SIZE)
         assert build_report(results_1).text == build_report(results_4).text
         assert results_1.flight_cache == results_4.flight_cache
-        assert results_1.https_scan.funnel.as_dict() == results_4.https_scan.funnel.as_dict()
-        assert results_1.handshakes == results_4.handshakes
+        assert results_1.scan.funnel.as_dict() == results_4.scan.funnel.as_dict()
         assert results_1.sweep.observations == results_4.sweep.observations
 
     def test_sharded_equals_serial_report(self, population):
         serial = _campaign(population)
-        sharded = _campaign(population, workers=1, shard_size=SHARD_SIZE)
+        sharded = _streamed(workers=1, shard_size=SHARD_SIZE)
         assert build_report(serial).text == build_report(sharded).text
 
-    def test_shard_size_does_not_change_results(self, population):
-        small = _campaign(population, workers=1, shard_size=200)
-        large = _campaign(population, workers=1, shard_size=800)
+    def test_shard_size_does_not_change_results(self):
+        small = _streamed(workers=1, shard_size=200)
+        large = _streamed(workers=1, shard_size=800)
         assert build_report(small).text == build_report(large).text
 
-    def test_merge_is_shard_order_insensitive(self, population):
-        tasks = build_shard_tasks(
-            population.deployments, shard_size=SHARD_SIZE,
-            run_sweep=True, sweep_sample_size=80,
-        )
-        partials = [scan_shard(task) for task in tasks]
-        forward = merge_shard_results(partials, run_sweep=True)
-        backward = merge_shard_results(list(reversed(partials)), run_sweep=True)
-        assert forward.handshakes == backward.handshakes
-        assert forward.https_scan.records == backward.https_scan.records
-        assert forward.sweep.observations == backward.sweep.observations
-        assert forward.flight_cache == backward.flight_cache
-
-    def test_merged_shapes_cover_population(self, population):
-        merged = run_sharded_scan(
-            population, workers=1, shard_size=SHARD_SIZE,
-            run_sweep=False,
-        )
-        quic_count = sum(
-            1 for d in population.deployments if d.category is ServiceCategory.QUIC
-        )
-        assert len(merged.handshakes) == quic_count
-        assert len(merged.quic_certificates) == quic_count
-        assert len(merged.compression) == quic_count
-        assert merged.sweep is None
-        assert merged.https_scan.funnel.names_total == len(population.deployments)
-        # One handshake per domain and the cache key includes the domain, so a
-        # sweepless scan is all misses; every flight still lands in the cache.
-        assert merged.flight_cache.hits == 0
-        assert merged.flight_cache.misses == merged.flight_cache.currsize
-
     def test_sweep_on_hand_assembled_population(self, population):
-        """Regression: sweep targets route by list index, not rank.
+        """Regression: the serial sweep samples hand-assembled populations.
 
         A hand-assembled population (here: the QUIC subset, so ranks are
-        sparse and far exceed the list length) used to crash task building —
-        or silently sweep the wrong shards when merely reordered.
+        sparse and far exceed the list length) samples by list position, not
+        rank, and still sweeps reachable targets.
         """
         quic_only = [
             d for d in population.deployments if d.category is ServiceCategory.QUIC
@@ -186,23 +150,19 @@ class TestShardedScanDeterminism:
         subset = InternetPopulation(
             config=population.config, tranco=population.tranco, deployments=quic_only
         )
-        kwargs = dict(run_sweep=True, sweep_sample_size=60, spoofed_targets_per_provider=10)
-        serial = MeasurementCampaign(population=subset, **kwargs).run()
-        sharded = MeasurementCampaign(
-            population=subset, workers=1, shard_size=64, **kwargs
+        serial = MeasurementCampaign(
+            population=subset, run_sweep=True, sweep_sample_size=60,
+            spoofed_targets_per_provider=10,
         ).run()
-        assert build_report(serial).text == build_report(sharded).text
-        reachable = [o for o in sharded.sweep.observations if o.reachable]
-        assert len(reachable) > len(sharded.sweep.observations) * 0.9
+        assert serial.sweep.observations
+        reachable = [o for o in serial.sweep.observations if o.reachable]
+        assert len(reachable) > len(serial.sweep.observations) * 0.9
 
-    def test_sweep_reuses_per_shard_caches(self, population):
-        merged = run_sharded_scan(
-            population, workers=1, shard_size=SHARD_SIZE,
-            run_sweep=True, sweep_sample_size=80,
-        )
+    def test_sweep_reuses_per_shard_caches(self):
+        results = _streamed(workers=1, shard_size=SHARD_SIZE)
         # The sweep replays each sampled domain at every Initial size; all but
         # the first replay hit the shard's cache.
-        assert merged.flight_cache.hits > merged.flight_cache.misses
+        assert results.flight_cache.hits > results.flight_cache.misses
 
 
 class TestFieldSizeMemo:
