@@ -41,7 +41,6 @@ from ..webpki.population import (
     build_resolver_for,
     deployments_for_range,
 )
-from ..webpki.tranco import generate_tranco_list
 from .compression_scanner import CompressionObservation, CompressionScanner
 from .https_scanner import CertificateRecord, HttpsScanner, ScanFunnel
 from .qscanner import CertificateComparison, QScanner, QuicCertificateRecord
@@ -167,7 +166,8 @@ class ShardTask:
     def resolve_deployments(self) -> Tuple[DomainDeployment, ...]:
         if self.population_config is None:
             raise ValueError("shard task carries no population config")
-        tranco = _cached_tranco(self.population_config.size, seed=self.population_config.seed)
+        # No ranked list is built here: a store hit never needs one, and
+        # every generating path builds (and memoizes) it on demand.
         if self.skeleton_cache_dir is not None:
             from .skeleton_store import deployments_for_range as cached_range, store_for
 
@@ -177,12 +177,9 @@ class ShardTask:
                     self.population_config,
                     self.start,
                     self.stop,
-                    tranco=tranco,
                 )
             )
-        return tuple(
-            deployments_for_range(self.population_config, self.start, self.stop, tranco=tranco)
-        )
+        return tuple(deployments_for_range(self.population_config, self.start, self.stop))
 
     def scenario_fingerprint(self) -> str:
         """Fingerprint of the scenario this shard is scanned under.
@@ -207,7 +204,6 @@ class ShardTask:
         """
         if self.population_config is None:
             raise ValueError("shard task carries no population config")
-        tranco = _cached_tranco(self.population_config.size, seed=self.population_config.seed)
         if self.skeleton_cache_dir is not None:
             from .skeleton_store import skeletons_for_range, store_for
 
@@ -217,21 +213,13 @@ class ShardTask:
                     self.population_config,
                     self.start,
                     self.stop,
-                    tranco=tranco,
                 )
             )
         return tuple(
             deployments_for_range(
-                self.population_config, self.start, self.stop, tranco=tranco, skeleton=True
+                self.population_config, self.start, self.stop, skeleton=True
             )
         )
-
-
-#: Per-process memo of the (names-only) ranked list, so a worker that scans
-#: several shards of the same population regenerates it once.  The memo now
-#: lives on ``generate_tranco_list`` itself (every regeneration path shares
-#: it); the alias keeps this module's call sites self-describing.
-_cached_tranco = generate_tranco_list
 
 
 @dataclass(frozen=True)

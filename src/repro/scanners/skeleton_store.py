@@ -52,6 +52,7 @@ import hashlib
 import json
 import os
 import struct
+import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
@@ -106,17 +107,17 @@ class SkeletonStoreError(RuntimeError):
 #: Process-wide hit/miss counters (all stores), read by the profiler and
 #: tests.  Generation is deterministic, so a "hit" is exactly "generation
 #: skipped" — the number the warm-start optimisation exists to maximise.
-_CACHE_COUNTERS = {"hits": 0, "misses": 0}
+_CACHE_COUNTERS = {"hits": 0, "misses": 0, "write_errors": 0}
 
 
 def cache_counters() -> Dict[str, int]:
-    """Process-wide ``{"hits": n, "misses": n}`` across all stores."""
+    """Process-wide ``{"hits", "misses", "write_errors"}`` across all stores."""
     return dict(_CACHE_COUNTERS)
 
 
 def reset_cache_counters() -> None:
-    _CACHE_COUNTERS["hits"] = 0
-    _CACHE_COUNTERS["misses"] = 0
+    for name in _CACHE_COUNTERS:
+        _CACHE_COUNTERS[name] = 0
 
 
 #: Per-process store registry: every :class:`ShardTask` naming the same cache
@@ -453,6 +454,7 @@ class SkeletonStore:
         os.makedirs(directory, exist_ok=True)
         self.hits = 0
         self.misses = 0
+        self.write_errors = 0
         # Decoded-shard memo: scan shards smaller than the generation shard
         # size straddle generation shards, so consecutive range reads would
         # otherwise decode the same file repeatedly.
@@ -616,6 +618,13 @@ class SkeletonStore:
         pass) the annex is neither decoded nor — on a miss — produced: the
         store reads through without writing, because writing would force the
         issuance the skeleton pass exists to skip.
+
+        The ranked list is built only on a miss (``tranco`` lets a caller
+        that already holds it skip even that): a warm hit reads every domain
+        name from the stored skeletons.  A write that fails with ``OSError``
+        (full disk, read-only or permission-denied directory) returns the
+        freshly built shard uncached, counted as ``write_errors`` in
+        :func:`cache_counters` with one warning per store.
         """
         if config.scenario is not None and not config.scenario.is_identity:
             raise SkeletonStoreError(
@@ -653,7 +662,20 @@ class SkeletonStore:
             self._memoize(key.digest(), shard, None)
             return shard, None
         chain_cache: ChainCache = {}
-        self.save(key, shard, chain_cache)
+        try:
+            self.save(key, shard, chain_cache)
+        except OSError as error:
+            # A full, read-only or permission-denied disk costs the cache,
+            # never the campaign: the shard and its chains are already built.
+            self.write_errors += 1
+            _CACHE_COUNTERS["write_errors"] += 1
+            if self.write_errors == 1:
+                warnings.warn(
+                    f"skeleton cache directory {self.directory!r} is not writable "
+                    f"({error}); continuing without caching new shards",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
         self._memoize(key.digest(), shard, chain_cache)
         return shard, chain_cache
 
@@ -752,14 +774,13 @@ def warm(
         else dataclasses.replace(config, scenario=None)
     )
     store.bind(base)
-    tranco = generate_tranco_list(base.size, seed=base.seed)
     hits = misses = 0
     indices = (
         range(shard_count(base.size)) if shard_indices is None else shard_indices
     )
     for index in indices:
         before = store.hits
-        store.load_or_generate(base, index, tranco=tranco)
+        store.load_or_generate(base, index)
         if store.hits > before:
             hits += 1
         else:
@@ -806,7 +827,6 @@ def skeletons_for_range(
         else dataclasses.replace(config, scenario=None)
     )
     store.bind(base)
-    tranco = tranco or generate_tranco_list(base.size, seed=base.seed)
     skeletons: List = []
     for shard_index in _covering_shards(start, stop):
         shard, cache = store.load_or_generate(
@@ -851,7 +871,6 @@ def deployments_for_range(
         else dataclasses.replace(config, scenario=None)
     )
     store.bind(base)
-    tranco = tranco or generate_tranco_list(base.size, seed=base.seed)
     if chain_cache is None:
         chain_cache = {}
     skeletons: List = []

@@ -36,6 +36,13 @@ class Validity:
         return encode_sequence(encode_utc_time(self.not_before), encode_utc_time(self.not_after))
 
 
+#: The fields a skeleton-store leaf record postpones (see
+#: :func:`repro.x509.issuance.leaf_from_record`); reading one expands it.
+_DEFERRED_FIELDS = frozenset(
+    ("subject", "public_key", "validity", "extensions", "tbs_der", "signature_value")
+)
+
+
 @dataclass(frozen=True)
 class Certificate:
     """An encoded certificate plus the structured description it came from.
@@ -76,6 +83,11 @@ class Certificate:
 
     @property
     def key_algorithm(self) -> KeyAlgorithm:
+        record = self.__dict__.get("_deferred")
+        if record is not None:
+            # A deferred leaf's key algorithm is its template's; reading it
+            # must not expand the record (the columnar kernel asks per chain).
+            return record[0].key_algorithm
         return self.public_key.algorithm
 
     def fingerprint(self) -> str:
@@ -107,10 +119,15 @@ class Certificate:
         # Certificates rebuilt from a skeleton-store leaf record carry a
         # ``_deferred`` record tuple instead of the fields the scan layer
         # never reads (subject DN, public key, validity, extension tuple,
-        # TBS and signature slices); the first access to any of them expands
-        # the record into ``__dict__`` and the instance behaves like a fresh
-        # one.  The import is deferred to break the issuance→certificate
-        # cycle; expansion is rare, so its cost is irrelevant.
+        # TBS and signature slices); the first access to one of those
+        # expands the record into ``__dict__`` and the instance behaves like
+        # a fresh one.  Every other missing name — memo probes such as
+        # ``getattr(cert, "_field_sizes", None)`` — raises without expanding:
+        # a warm scan reads key algorithm, sizes and SAN share straight from
+        # the record and must expand nothing.  The import is deferred to
+        # break the issuance→certificate cycle.
+        if name not in _DEFERRED_FIELDS:
+            raise AttributeError(name)
         record = self.__dict__.get("_deferred")
         if record is None:
             raise AttributeError(name)
@@ -118,10 +135,7 @@ class Certificate:
 
         del self.__dict__["_deferred"]
         self.__dict__.update(expand_deferred_leaf_fields(self.__dict__["der"], record))
-        try:
-            return self.__dict__[name]
-        except KeyError:
-            raise AttributeError(name) from None
+        return self.__dict__[name]
 
     def __getstate__(self):
         if "_deferred" in self.__dict__:

@@ -20,6 +20,7 @@ from typing import Dict, Iterable, List
 
 from ..asn1 import OID
 from .certificate import Certificate
+from .issuance import deferred_san_size
 
 
 @dataclass(frozen=True)
@@ -121,11 +122,15 @@ def san_byte_share(certificate: Certificate) -> float:
     cached = getattr(certificate, "_san_share", None)
     if cached is not None:
         return cached
-    san = certificate.extension(OID.SUBJECT_ALT_NAME.dotted)
-    if san is None or certificate.size == 0:
-        share = 0.0
+    record = certificate.__dict__.get("_deferred")
+    if record is not None:
+        # Skeleton-store leaf: size the SAN from the stored value rather
+        # than expanding the record into an extension tuple.
+        san_size = deferred_san_size(record)
     else:
-        share = san.encoded_size() / certificate.size
+        san = certificate.extension(OID.SUBJECT_ALT_NAME.dotted)
+        san_size = 0 if san is None else san.encoded_size()
+    share = san_size / certificate.size if certificate.size else 0.0
     object.__setattr__(certificate, "_san_share", share)
     return share
 

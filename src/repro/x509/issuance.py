@@ -24,6 +24,7 @@ from ..asn1 import (
     encode_bit_string,
     encode_explicit,
     encode_integer,
+    encode_length,
     encode_sequence,
     encode_tlv,
 )
@@ -255,6 +256,7 @@ _COMMON_NAME_OID = OID.COMMON_NAME
 _SKI_OID = OID.SUBJECT_KEY_IDENTIFIER
 _SAN_OID = OID.SUBJECT_ALT_NAME
 _SCT_OID = OID.SCT_LIST
+_SAN_OID_SIZE = len(_SAN_OID.encode())
 
 
 def leaf_record(
@@ -309,7 +311,8 @@ def leaf_from_record(
     DN, public key, validity, the extension tuple and the TBS/signature
     slices live behind a ``_deferred`` thunk that
     :meth:`Certificate.__getattr__` expands on first access, and
-    ``san_names`` may likewise be a thunk.
+    ``san_names`` may likewise be a thunk.  ``key_algorithm`` and the SAN
+    byte share are answered from the record without expanding it.
     """
     certificate = Certificate.__new__(Certificate)
     certificate.__dict__.update(
@@ -334,6 +337,18 @@ def leaf_from_record(
         }
     )
     return certificate
+
+
+def deferred_san_size(record: tuple) -> int:
+    """Encoded size of the SAN extension a ``_deferred`` leaf record holds.
+
+    Equal to the expanded extension's ``encoded_size()`` — the non-critical
+    ``SEQUENCE { OID, OCTET STRING san_value }`` — computed from the stored
+    value's length, so SAN accounting never expands the record.
+    """
+    value_size = len(record[4])
+    inner = _SAN_OID_SIZE + 1 + len(encode_length(value_size)) + value_size
+    return 1 + len(encode_length(inner)) + inner
 
 
 def expand_deferred_leaf_fields(der: bytes, record: tuple) -> dict:

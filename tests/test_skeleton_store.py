@@ -11,6 +11,7 @@ regenerated to the same bytes.
 from __future__ import annotations
 
 import dataclasses
+import errno
 import hashlib
 import json
 import os
@@ -23,6 +24,7 @@ import pytest
 from repro.analysis.export import export_evaluation
 from repro.analysis.report import build_report
 from repro.scanners import MeasurementCampaign, run_grid_campaign
+from repro.scanners import skeleton_store as skeleton_store_module
 from repro.scanners.faults import corrupt_file, truncate_file
 from repro.scanners.skeleton_store import (
     GENERATION_SHARD_SIZE,
@@ -46,7 +48,13 @@ from repro.scanners.skeleton_store import (
 from repro.scenarios import load_scenario
 from repro.scenarios.grid import load_grid
 from repro.webpki import population as population_module
+from repro.webpki import tranco as tranco_module
 from repro.webpki.population import PopulationConfig, generate_population
+from repro.x509 import issuance
+from repro.x509.ca import default_hierarchy
+from repro.x509.field_sizes import field_size_row, san_byte_share
+from repro.x509.issuance import issue_leaf_fast, leaf_from_record, leaf_record, leaf_template
+from repro.x509.keys import KeyAlgorithm
 
 POPULATION_SIZE = 360  # < GENERATION_SHARD_SIZE: exactly one generation shard
 SHARD_SIZE = 120
@@ -54,6 +62,9 @@ SPOOFED = 12
 CAMPAIGN_KWARGS = dict(stream=True, shard_size=SHARD_SIZE, spoofed_targets_per_provider=SPOOFED)
 
 GRID_MEMBERS = ("baseline-2022", "trimmed-chains", "universal-compression")
+
+#: Two generation shards, so scan shards straddle a stored-shard boundary.
+WARM_PATH_SIZE = 2000
 
 
 @pytest.fixture(autouse=True)
@@ -442,6 +453,102 @@ class TestQuarantine:
         assert os.listdir(store.quarantine_directory)
 
 
+@pytest.fixture(scope="module")
+def warm_path_dir(tmp_path_factory) -> str:
+    directory = str(tmp_path_factory.mktemp("skel-warm-path"))
+    warm(directory, PopulationConfig(size=WARM_PATH_SIZE, seed=2022))
+    return directory
+
+
+class TestWarmPathReadsOnlyTheStore:
+    """A warm streamed scan expands no deferred leaf and builds no ranked list.
+
+    Everything it needs — domain names included — is in the stored
+    skeletons and leaf annexes; the columnar kernel reads key algorithm,
+    field sizes and SAN share straight from the deferred leaf record.
+    """
+
+    @staticmethod
+    def _reports(run, directory=None):
+        config = PopulationConfig(size=WARM_PATH_SIZE, seed=2022)
+        kwargs = dict(
+            shard_size=700,
+            spoofed_targets_per_provider=SPOOFED,
+            scan_backend="columnar",
+            skeleton_cache_dir=directory,
+        )
+        if run == "grid":
+            results = run_grid_campaign(
+                load_grid(",".join(GRID_MEMBERS)), config=config, **kwargs
+            )
+            return [build_report(results[name]).text for name in GRID_MEMBERS]
+        campaign = MeasurementCampaign(
+            population_config=config,
+            stream=True,
+            run_sweep=run == "streamed-sweep",
+            **kwargs,
+        )
+        return [build_report(campaign.run()).text]
+
+    @pytest.mark.parametrize("run", ["streamed", "streamed-sweep", "grid"])
+    def test_warm_run_expands_nothing_and_builds_no_ranked_list(
+        self, warm_path_dir, monkeypatch, run
+    ):
+        reference = self._reports(run)  # cache-free
+        reset_stores()
+        reset_cache_counters()
+        tranco_module._generate_tranco_list.cache_clear()
+        expansions = []
+        expand = issuance.expand_deferred_leaf_fields
+
+        def counting_expand(der, record):
+            expansions.append(record[1])
+            return expand(der, record)
+
+        monkeypatch.setattr(issuance, "expand_deferred_leaf_fields", counting_expand)
+        assert self._reports(run, warm_path_dir) == reference
+        counters = cache_counters()
+        # Scanned in this process (the counters would otherwise stay 0),
+        # entirely from the store.
+        assert counters["hits"] > 0 and counters["misses"] == 0
+        assert expansions == []
+        assert tranco_module._generate_tranco_list.cache_info().misses == 0
+
+
+class TestFailingDisk:
+    """A store that cannot be written degrades to uncached, never crashes."""
+
+    @staticmethod
+    def _full_disk(path, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+
+    def test_campaign_finishes_uncached_with_identical_bytes(
+        self, config, references, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(skeleton_store_module, "atomic_write_bytes", self._full_disk)
+        directory = str(tmp_path / "skel")
+        with pytest.warns(RuntimeWarning, match="not writable"):
+            text = _warm_campaign_text(config, directory)
+        assert text == references["plain"]
+        assert not [name for name in os.listdir(directory) if ".skel" in name]
+        assert cache_counters()["write_errors"] > 0
+
+    def test_one_warning_per_store(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(skeleton_store_module, "atomic_write_bytes", self._full_disk)
+        config = PopulationConfig(size=WARM_PATH_SIZE, seed=2022)
+        store = SkeletonStore(str(tmp_path / "skel"))
+        with pytest.warns(RuntimeWarning) as caught:
+            for index in range(shard_count(WARM_PATH_SIZE)):
+                shard, cache = store.load_or_generate(config, index)
+                assert len(shard.skeletons) > 0 and cache
+        assert store.write_errors == shard_count(WARM_PATH_SIZE) > 1
+        assert cache_counters()["write_errors"] == store.write_errors
+        assert len([w for w in caught if "not writable" in str(w.message)]) == 1
+        # The memo still serves the uncached shards in-process.
+        store.load_or_generate(config, 0)
+        assert store.hits == 1
+
+
 class TestDirectoryBinding:
     def test_rebinding_the_same_population_is_fine(self, config, warmed_dir):
         SkeletonStore(warmed_dir).bind(config)
@@ -487,9 +594,9 @@ class TestWarmAndCounters:
         directory = str(tmp_path / "skel")
         assert warm(directory, config) == (0, 1)
         assert warm(directory, config) == (1, 0)
-        assert cache_counters() == {"hits": 1, "misses": 1}
+        assert cache_counters() == {"hits": 1, "misses": 1, "write_errors": 0}
         reset_cache_counters()
-        assert cache_counters() == {"hits": 0, "misses": 0}
+        assert cache_counters() == {"hits": 0, "misses": 0, "write_errors": 0}
 
     def test_warm_strips_scenarios(self, config, tmp_path):
         directory = str(tmp_path / "skel")
@@ -544,3 +651,28 @@ class TestWarmPathObjects:
         assert clone.der == leaf.der
         assert clone.subject == leaf.subject
         assert clone.validity == leaf.validity
+
+    @pytest.mark.parametrize("algorithm", list(KeyAlgorithm), ids=lambda a: a.name)
+    def test_rebuilt_leaf_answers_scan_fields_from_the_record(self, algorithm):
+        """Key algorithm, field sizes and SAN share never expand the record."""
+        sans = ("record.test", "www.record.test", "api.record.test")
+        for label, profile in default_hierarchy().profiles.items():
+            template = leaf_template(profile.issuer, algorithm)
+            fast = issue_leaf_fast(template, "record.test", sans, 90)
+            rebuilt = leaf_from_record(
+                template, "record.test", sans, 90, *leaf_record(fast)
+            )
+            assert rebuilt.key_algorithm is fast.key_algorithm is algorithm, label
+            assert san_byte_share(rebuilt) == san_byte_share(fast), label
+            assert field_size_row(rebuilt) == field_size_row(fast), label
+            assert rebuilt.size == fast.size, label
+            assert "_deferred" in rebuilt.__dict__, label
+
+    def test_memo_probes_do_not_expand(self, config, warmed_dir):
+        _, cache = SkeletonStore(warmed_dir).load_or_generate(config, 0)
+        leaf = next(iter(cache.values())).leaf
+        assert getattr(leaf, "_absent", None) is None
+        assert getattr(leaf, "_field_sizes", None) is None
+        assert "_deferred" in leaf.__dict__
+        leaf.subject  # a postponed field still expands on first read
+        assert "_deferred" not in leaf.__dict__
