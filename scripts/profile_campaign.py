@@ -98,8 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
 def profile_grid_sweep(args: argparse.Namespace) -> dict:
     """Time an N-scenario grid sweep against N independent campaigns.
 
-    The grid pass mirrors :func:`repro.scanners.streaming._scan_and_summarize_grid`
-    with a stopwatch around each stage: *generation* is the once-per-shard
+    The grid pass mirrors the shard visit
+    (:func:`repro.scanners.streaming._summarize_visit`) with a stopwatch around each stage: *generation* is the once-per-shard
     skeleton pass plus every member's transform+materialisation (sharing one
     chain cache), *scan* and *reduce* run once per ``(shard, scenario)`` pair.
     The independent reference runs each member as its own streamed campaign,

@@ -572,7 +572,11 @@ def _run_compare(args: argparse.Namespace) -> int:
 def _run_skeletons(args: argparse.Namespace) -> int:
     from .scanners.skeleton_store import SkeletonStore, SkeletonStoreError, warm
 
-    store = SkeletonStore(args.directory)
+    try:
+        store = SkeletonStore(args.directory)
+    except SkeletonStoreError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     if args.action == "warm":
         config = PopulationConfig(size=args.size, seed=args.seed)
         indices = None

@@ -134,7 +134,12 @@ class CheckpointStore:
 
     def __init__(self, directory: str) -> None:
         self.directory = directory
-        os.makedirs(directory, exist_ok=True)
+        try:
+            os.makedirs(directory, exist_ok=True)
+        except OSError as error:
+            raise CheckpointError(
+                f"checkpoint directory {directory!r} cannot be created ({error})"
+            ) from error
         # Highest retry attempt that has written each filename, for the
         # last-write-safe guard in :meth:`save`.
         self._saved_attempts: Dict[str, int] = {}
@@ -228,10 +233,16 @@ class CheckpointStore:
         else:
             payload = dict(expected)
             payload.update(extra or {})
-            atomic_write_text(
-                self.metadata_path,
-                json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            )
+            try:
+                atomic_write_text(
+                    self.metadata_path,
+                    json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                )
+            except OSError as error:
+                raise CheckpointError(
+                    f"checkpoint directory {self.directory!r} cannot be claimed "
+                    f"({error})"
+                ) from error
 
     # -- save/load -------------------------------------------------------------
 

@@ -337,8 +337,6 @@ class MeasurementCampaign:
             shard_size=self.shard_size if self.shard_size is not None else DEFAULT_SHARD_SIZE,
             run_sweep=self.run_sweep,
             sweep_sample_size=self.sweep_sample_size,
-            analysis_initial_size=self.analysis_initial_size,
-            analysis_compression=self.analysis_compression,
             spec=spec,
             checkpoint_dir=self.checkpoint_dir,
             resume=self.resume,
@@ -352,12 +350,13 @@ class MeasurementCampaign:
     def finalize_streaming(self, scan) -> ReducedCampaignResults:
         """Stage 5 + result assembly over already-reduced stages 1–4.
 
-        Public seam for callers that drive the shard loop themselves — the
-        phase profiler (``scripts/profile_campaign.py --phases``) and, later,
-        checkpoint/resume from persisted ``ShardSummary`` sets.  The
-        reduction's scenario fingerprint must match this campaign's: a
-        persisted what-if reduction finalised under the wrong (or no)
-        scenario would render a silently mislabeled report.
+        The seam every streamed result passes through: single runs (resumed
+        ones included, whose reductions fold persisted ``ShardSummary``
+        checkpoints), each member of :func:`run_grid_campaign`, and the phase
+        profiler (``scripts/profile_campaign.py --phases``), which drives the
+        shard loop itself.  The reduction's scenario fingerprint must match
+        this campaign's: a persisted what-if reduction finalised under the
+        wrong (or no) scenario would render a silently mislabeled report.
         """
         config = self.population_config
         expected = (self.scenario or BASELINE).fingerprint()
@@ -506,11 +505,6 @@ def run_grid_campaign(
     Results are keyed by member name, in grid order.
     """
     config = config or PopulationConfig()
-    if config.scenario is not None:
-        raise ValueError(
-            "grid campaigns take a scenario-free base config; member "
-            "scenarios derive their own configs from it"
-        )
     spec = ReductionSpec(spoof_limit_per_provider=spoofed_targets_per_provider)
     scans = run_streaming_grid_scan(
         config,

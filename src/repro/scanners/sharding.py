@@ -41,6 +41,8 @@ from ..webpki.population import (
     build_resolver_for,
     deployments_for_range,
 )
+from ..webpki.skeleton import materialize_skeletons
+from ..x509.ca import default_hierarchy
 from .compression_scanner import CompressionObservation, CompressionScanner
 from .https_scanner import CertificateRecord, HttpsScanner, ScanFunnel
 from .qscanner import CertificateComparison, QScanner, QuicCertificateRecord
@@ -125,13 +127,14 @@ class ShardTask:
     #: reference stages 1–4 over real fabric objects) or ``"columnar"`` (the
     #: fused arithmetic kernel in :mod:`repro.scanners.columnar`).
     scan_backend: str = "object"
-    #: The scenario sweep riding this worker visit.  When set, the grid worker
-    #: entry (:func:`repro.scanners.streaming._scan_and_summarize_grid`)
-    #: materialises the shard's baseline skeletons once, replays every member
-    #: transform against them, and emits one summary per member — the
-    #: cross-scenario shard-reuse contract.  ``population_config`` then
-    #: carries the *base* (scenario-free) campaign config; each member derives
-    #: its own via :meth:`for_scenario`.
+    #: The member scenarios of this shard visit (``None``: the task itself is
+    #: the visit's one member).  The visit
+    #: (:func:`repro.scanners.streaming._summarize_visit`) builds the shard's
+    #: baseline skeletons once, replays every non-identity member transform
+    #: against them, and emits one summary per member — the cross-scenario
+    #: shard-reuse contract.  ``population_config`` then carries the *base*
+    #: (scenario-free) campaign config; each member derives its own via
+    #: :meth:`for_scenario`.
     grid_scenarios: Optional[Tuple[ScenarioSpec, ...]] = None
     #: Directory of the persistent skeleton-shard store
     #: (:mod:`repro.scanners.skeleton_store`).  When set, regeneration
@@ -164,22 +167,9 @@ class ShardTask:
         )
 
     def resolve_deployments(self) -> Tuple[DomainDeployment, ...]:
-        if self.population_config is None:
-            raise ValueError("shard task carries no population config")
-        # No ranked list is built here: a store hit never needs one, and
-        # every generating path builds (and memoizes) it on demand.
-        if self.skeleton_cache_dir is not None:
-            from .skeleton_store import deployments_for_range as cached_range, store_for
-
-            return tuple(
-                cached_range(
-                    store_for(self.skeleton_cache_dir),
-                    self.population_config,
-                    self.start,
-                    self.stop,
-                )
-            )
-        return tuple(deployments_for_range(self.population_config, self.start, self.stop))
+        chain_cache: Dict = {}
+        skeletons = self.resolve_skeletons(chain_cache)
+        return tuple(materialize_skeletons(skeletons, default_hierarchy(), chain_cache))
 
     def scenario_fingerprint(self) -> str:
         """Fingerprint of the scenario this shard is scanned under.
@@ -195,30 +185,31 @@ class ShardTask:
         )
         return (scenario or BASELINE).fingerprint()
 
-    def resolve_skeletons(self) -> Sequence:
-        """Cheap, count-only view of the shard (no certificate issuance).
+    def resolve_skeletons(self, chain_cache: Optional[Dict] = None) -> Sequence:
+        """Cheap view of the shard: phase-1 skeletons, no certificate issuance.
 
         Runs only the skeleton pass of two-phase generation
         (:mod:`repro.webpki.skeleton`) — the basis of the near-free sweep
-        discovery pass.
+        discovery pass — or reads the skeletons from the skeleton store.  No
+        ranked list is built here: a store hit never needs one, and every
+        generating path builds (and memoizes) it on demand.  A ``chain_cache``
+        is seeded from the store's issued-leaf annexes, so materialising
+        through it issues nothing on a warm store.
         """
         if self.population_config is None:
             raise ValueError("shard task carries no population config")
         if self.skeleton_cache_dir is not None:
             from .skeleton_store import skeletons_for_range, store_for
 
-            return tuple(
-                skeletons_for_range(
-                    store_for(self.skeleton_cache_dir),
-                    self.population_config,
-                    self.start,
-                    self.stop,
-                )
+            return skeletons_for_range(
+                store_for(self.skeleton_cache_dir),
+                self.population_config,
+                self.start,
+                self.stop,
+                chain_cache=chain_cache,
             )
-        return tuple(
-            deployments_for_range(
-                self.population_config, self.start, self.stop, skeleton=True
-            )
+        return deployments_for_range(
+            self.population_config, self.start, self.stop, skeleton=True
         )
 
 

@@ -19,7 +19,7 @@ size over the same population, because
   generation shards exactly like
   :func:`~repro.webpki.population.deployments_for_range`;
 * the cached skeletons are the baseline: scenario transforms are applied
-  *after* load, exactly where the grid dispatch path applies them.
+  *after* load, exactly where the shard visit applies them.
 
 The store reuses the checkpoint store's proven durability shape
 (:mod:`repro.core.ioutil` carries the shared parser):
@@ -76,6 +76,7 @@ from ..webpki.skeleton import (
     SkeletonCodecError,
     decode_skeleton_shard,
     encode_skeleton_shard,
+    materialize_skeletons,
 )
 from ..x509.ca import WebPkiHierarchy, default_hierarchy
 from ..x509.chain import CertificateChain
@@ -451,7 +452,12 @@ class SkeletonStore:
 
     def __init__(self, directory: str) -> None:
         self.directory = directory
-        os.makedirs(directory, exist_ok=True)
+        try:
+            os.makedirs(directory, exist_ok=True)
+        except OSError as error:
+            raise SkeletonStoreError(
+                f"skeleton cache directory {directory!r} cannot be created ({error})"
+            ) from error
         self.hits = 0
         self.misses = 0
         self.write_errors = 0
@@ -538,10 +544,16 @@ class SkeletonStore:
                     "a fresh directory or rerun with the original parameters"
                 )
         else:
-            atomic_write_text(
-                self.metadata_path,
-                json.dumps(expected, indent=2, sort_keys=True) + "\n",
-            )
+            try:
+                atomic_write_text(
+                    self.metadata_path,
+                    json.dumps(expected, indent=2, sort_keys=True) + "\n",
+                )
+            except OSError as error:
+                raise SkeletonStoreError(
+                    f"skeleton cache directory {self.directory!r} cannot be "
+                    f"claimed ({error})"
+                ) from error
 
     # -- save/load -------------------------------------------------------------
 
@@ -809,11 +821,11 @@ def skeletons_for_range(
     slices ``[start, stop)`` exactly like
     :func:`~repro.webpki.population.deployments_for_range`, then applies the
     config's scenario transform to the slice — the same transform-after-
-    baseline order the grid dispatch path uses, so results are byte-identical
+    baseline order the shard visit uses, so results are byte-identical
     to cache-free generation.
 
     Passing ``chain_cache`` additionally decodes the covering shards'
-    issued-leaf annexes into it (the grid worker seeds its shared spec→chain
+    issued-leaf annexes into it (a shard visit seeds its shared spec→chain
     cache this way, so member-scenario materialisation skips issuance for
     every untouched spec).
     """
@@ -858,74 +870,14 @@ def deployments_for_range(
     call materialises without issuing a single certificate; scenario
     transforms are applied to the skeleton slice first and hit the cache
     through spec equality (untouched specs) or the trim-aware fallback.  A
-    caller-supplied ``chain_cache`` is used and extended in place (the grid
-    path shares one across every scenario of a shard visit).
+    caller-supplied ``chain_cache`` is used and extended in place.
     """
-    if isinstance(store, str):
-        store = SkeletonStore(store)
-    if not 0 <= start <= stop <= config.size:
-        raise ValueError(f"range [{start}, {stop}) out of bounds for size {config.size}")
-    base = (
-        config
-        if config.scenario is None
-        else dataclasses.replace(config, scenario=None)
-    )
-    store.bind(base)
     if chain_cache is None:
         chain_cache = {}
-    skeletons: List = []
-    for shard_index in _covering_shards(start, stop):
-        shard, cache = store.load_or_generate(base, shard_index, tranco=tranco)
-        if cache:
-            chain_cache.update(cache)
-        shard_start = shard_index * GENERATION_SHARD_SIZE
-        skeletons.extend(
-            shard.skeletons[max(start - shard_start, 0) : max(stop - shard_start, 0)]
-        )
-    scenario = config.scenario
-    if scenario is not None and not scenario.is_identity:
-        skeletons = list(scenario.transform_skeletons(skeletons))
-    hierarchy = default_hierarchy()
-    # Warm-path materialisation: every spec is normally already in the chain
-    # cache (seeded by the annexes), so deployments are assembled straight
-    # from the skeleton's field dict, bypassing the frozen-dataclass __init__
-    # and the per-call issue() closure of DeploymentSkeleton.materialize.
-    # Any miss (scenario-rewritten spec, trim, cold store) falls back to the
-    # canonical materialize for that skeleton.
-    from ..webpki.deployment import DomainDeployment
-
-    deployment_new = DomainDeployment.__new__
-    cache_get = chain_cache.get
-    deployments = []
-    append = deployments.append
-    for skeleton in skeletons:
-        https_spec = skeleton.https_spec
-        if https_spec is not None:
-            https_chain = cache_get(https_spec)
-            if https_chain is None:
-                append(skeleton.materialize(hierarchy, chain_cache))
-                continue
-        else:
-            https_chain = None
-        if skeleton.quic_shares_https:
-            quic_chain = https_chain
-        else:
-            quic_spec = skeleton.quic_spec
-            if quic_spec is not None:
-                quic_chain = cache_get(quic_spec)
-                if quic_chain is None:
-                    append(skeleton.materialize(hierarchy, chain_cache))
-                    continue
-            else:
-                quic_chain = None
-        fields = dict(skeleton.__dict__)
-        del fields["https_spec"], fields["quic_spec"], fields["quic_shares_https"]
-        fields["https_chain"] = https_chain
-        fields["quic_chain"] = quic_chain
-        deployment = deployment_new(DomainDeployment)
-        deployment.__dict__.update(fields)
-        append(deployment)
-    return deployments
+    skeletons = skeletons_for_range(
+        store, config, start, stop, tranco=tranco, chain_cache=chain_cache
+    )
+    return materialize_skeletons(skeletons, default_hierarchy(), chain_cache)
 
 
 def generate_population_cached(

@@ -59,7 +59,8 @@ from ..tls.cert_compression import (
     compress_certificate_chain,
 )
 from ..webpki.deployment import DomainDeployment, ServiceCategory
-from ..webpki.population import PopulationConfig, deployments_for_range
+from ..webpki.population import PopulationConfig
+from ..webpki.skeleton import materialize_skeletons
 from ..x509.ca import default_hierarchy
 from ..x509.field_sizes import san_byte_share
 from .backscatter import ProviderBackscatter
@@ -427,103 +428,81 @@ def summarize_shard(
     )
 
 
-def _scan_and_summarize(payload: Tuple[ShardTask, ReductionSpec, int, object]) -> ShardSummary:
-    """Worker entry point: resolve, scan and reduce one shard.
+def _summarize_visit(task: ShardTask, spec: ReductionSpec) -> Tuple[ShardSummary, ...]:
+    """Resolve, scan and reduce one shard visit: one summary per member.
 
-    The payload carries the dispatch attempt number and the (optional)
-    :class:`~repro.scanners.faults.FaultPlan`; a scripted fault for this
-    ``(shard, attempt)`` fires before any scanning happens, so an injected
-    crash never leaves a half-observed shard behind.
+    The members are ``task.grid_scenarios``, each derived through
+    :meth:`~repro.scanners.sharding.ShardTask.for_scenario`, or the task
+    itself: a single-scenario run is a one-member visit.  The cross-scenario
+    shard-reuse contract (docs/ARCHITECTURE.md): scenarios are pure post-RNG
+    skeleton transforms, so the shard's *baseline* skeletons are generated
+    once per population config (members whose ``population_overrides``
+    change it get their own), each non-identity member transform is replayed
+    against them, and every member materialises through one shared
+    ``ChainSpec → chain`` cache.  Equal specs materialise byte-identical
+    chains, and specs embed their domain, so no two deployments of one scan
+    share an entry: each summary is byte-identical to the one an independent
+    single-scenario campaign produces for this shard.
     """
+    members = (
+        tuple(task.for_scenario(scenario) for scenario in task.grid_scenarios)
+        if task.grid_scenarios
+        else (task,)
+    )
+    hierarchy = default_hierarchy()
+    chain_cache: Dict = {}
+    baselines: Dict[PopulationConfig, Sequence] = {}
+    summaries = []
+    for member in members:
+        base = dataclasses.replace(member.population_config, scenario=None)
+        if base not in baselines:
+            # With a skeleton store, the issued-leaf annexes also seed the
+            # chain cache, so untouched specs materialise without issuance.
+            baselines[base] = dataclasses.replace(
+                member, population_config=base
+            ).resolve_skeletons(chain_cache)
+        skeletons = baselines[base]
+        scenario = member.population_config.scenario
+        if scenario is not None and not scenario.is_identity:
+            skeletons = scenario.transform_skeletons(skeletons)
+        deployments = tuple(materialize_skeletons(skeletons, hierarchy, chain_cache))
+        if member.scan_backend == "columnar":
+            # Imported lazily: columnar imports this module at top level.
+            from .columnar import summarize_shard_columnar
+
+            summaries.append(summarize_shard_columnar(member, deployments, spec))
+        else:
+            scan = scan_shard(member, deployments=deployments)
+            summaries.append(summarize_shard(member, deployments, scan, spec))
+    return tuple(summaries)
+
+
+# The two worker entries stay distinct module-level functions, not aliases of
+# one another: per-entry tracing wraps each module global, so an alias would
+# be wrapped twice and count every shard twice.  A scripted fault for
+# ``(shard, attempt)`` fires before any scanning happens, so an injected
+# crash never leaves a half-observed shard.
+
+def _scan_and_summarize(
+    payload: Tuple[ShardTask, ReductionSpec, int, object]
+) -> Tuple[ShardSummary, ...]:
+    """Worker entry of single-scenario runs: a one-member shard visit."""
     task, spec, attempt, fault_plan = payload
     if fault_plan is not None:
         fault_plan.inject_worker_fault(task.index, attempt)
-    deployments = tuple(task.resolve_deployments())
-    if task.scan_backend == "columnar":
-        # Imported lazily: columnar imports this module at top level.
-        from .columnar import summarize_shard_columnar
-
-        return summarize_shard_columnar(task, deployments, spec)
-    scan = scan_shard(task, deployments=deployments)
-    return summarize_shard(task, deployments, scan, spec)
+    return _summarize_visit(task, spec)
 
 
 def _scan_and_summarize_grid(
     payload: Tuple[ShardTask, ReductionSpec, int, object]
 ) -> Tuple[ShardSummary, ...]:
-    """Grid worker entry point: one generation pass, one summary per scenario.
-
-    The cross-scenario shard-reuse contract (docs/ARCHITECTURE.md): scenarios
-    are pure post-RNG skeleton transforms, so the shard's *baseline* skeletons
-    are generated once per population-config group (members whose
-    ``population_overrides`` change the config before generation get their own
-    group), every member transform is replayed against them, and chains whose
-    specs a transform left untouched are issued once via a shared
-    ``ChainSpec → chain`` cache — equal specs materialise byte-identical
-    chains, so reuse cannot change any scan result.  Within one scenario's
-    scan the object-identity structure matches an independent run exactly
-    (chain specs embed their domain, so no two deployments of a scan ever
-    share a cache entry), keeping identity-keyed scan caches honest.
-
-    Summaries come back in ``task.grid_scenarios`` order, each byte-identical
-    to the summary an independent single-scenario campaign produces for this
-    shard.
-    """
+    """Grid worker entry: one generation pass, one summary per member scenario."""
     task, spec, attempt, fault_plan = payload
     if fault_plan is not None:
         fault_plan.inject_worker_fault(task.index, attempt)
     if not task.grid_scenarios:
         raise ValueError("grid worker dispatched a task without grid_scenarios")
-    hierarchy = default_hierarchy()
-    chain_cache: Dict = {}
-    member_tasks = {
-        scenario.name: task.for_scenario(scenario) for scenario in task.grid_scenarios
-    }
-    groups: Dict[PopulationConfig, List] = {}
-    for scenario in task.grid_scenarios:
-        base_config = dataclasses.replace(
-            member_tasks[scenario.name].population_config, scenario=None
-        )
-        groups.setdefault(base_config, []).append(scenario)
-    summaries: Dict[str, ShardSummary] = {}
-    for base_config, members in groups.items():
-        if task.skeleton_cache_dir is not None:
-            # Warm path: the persistent store supplies the baseline skeletons
-            # and seeds the shared spec→chain cache from the issued-leaf
-            # annexes, so untouched specs materialise without issuance.
-            from .skeleton_store import skeletons_for_range as cached_skeletons
-            from .skeleton_store import store_for
-
-            skeletons = cached_skeletons(
-                store_for(task.skeleton_cache_dir),
-                base_config,
-                task.start,
-                task.stop,
-                chain_cache=chain_cache,
-            )
-        else:
-            skeletons = deployments_for_range(
-                base_config, task.start, task.stop, skeleton=True
-            )
-        for scenario in members:
-            member_task = member_tasks[scenario.name]
-            deployments = tuple(
-                skeleton.materialize(hierarchy, chain_cache=chain_cache)
-                for skeleton in scenario.transform_skeletons(skeletons)
-            )
-            if member_task.scan_backend == "columnar":
-                # Imported lazily: columnar imports this module at top level.
-                from .columnar import summarize_shard_columnar
-
-                summaries[scenario.name] = summarize_shard_columnar(
-                    member_task, deployments, spec
-                )
-            else:
-                scan = scan_shard(member_task, deployments=deployments)
-                summaries[scenario.name] = summarize_shard(
-                    member_task, deployments, scan, spec
-                )
-    return tuple(summaries[scenario.name] for scenario in task.grid_scenarios)
+    return _summarize_visit(task, spec)
 
 
 def _count_quic_targets(task: ShardTask) -> Tuple[int, int]:
@@ -687,7 +666,7 @@ class CampaignReducer:
 
     def add(self, summary: ShardSummary) -> None:
         """Fold one shard summary in (via :meth:`merge`, the single fold path)."""
-        delta = CampaignReducer(
+        delta = type(self)(
             spec=self._spec,
             run_sweep=self._run_sweep,
             sweep_initial_sizes=self._sweep_initial_sizes,
@@ -1070,15 +1049,162 @@ class ReducedCampaignResults:
 # Driving a streamed scan
 # ---------------------------------------------------------------------------
 
+def _stream_shards(
+    config: PopulationConfig,
+    members: Mapping[object, PopulationConfig],
+    make_task: Callable[[ShardTask, Tuple], ShardTask],
+    worker: Callable,
+    bind: Callable[[CheckpointStore], None],
+    progress: Optional[Callable[[str], None]],
+    *,
+    workers: int,
+    shard_size: int,
+    spec: Optional[ReductionSpec],
+    checkpoint_dir: Optional[str],
+    resume: bool,
+    retry_policy: Optional[RetryPolicy],
+    fault_plan: Optional[FaultPlan],
+    scan_backend: Optional[str],
+    skeleton_cache_dir: Optional[str],
+    run_sweep: bool = False,
+    sweep_sample_size: Optional[int] = None,
+) -> Dict[object, ReducedScanResults]:
+    """The one streamed shard driver behind single-scenario and grid runs.
+
+    ``members`` maps each member key to the population config its summaries
+    are checkpointed under (``{None: config}`` for a single run).  Every
+    shard is one visit: ``make_task(task, missing)`` turns the shard's plain
+    task into the dispatched one for the member keys still ``missing`` from
+    the checkpoint store, and ``worker`` returns one summary per member, in
+    that order.  Each member folds into its own :class:`CampaignReducer`.
+    """
+    if workers <= 0:
+        raise ValueError("workers must be positive")
+    if resume and checkpoint_dir is None:
+        raise CheckpointError("resume requires a checkpoint directory")
+    if skeleton_cache_dir is not None:
+        # Bind (or verify) the directory in the parent so a mismatched cache
+        # fails fast with one actionable error instead of once per worker.
+        from .skeleton_store import store_for
+
+        store_for(skeleton_cache_dir).bind(dataclasses.replace(config, scenario=None))
+    from .columnar import resolve_scan_backend  # lazy: columnar imports us
+
+    scan_backend = resolve_scan_backend(scan_backend)
+    spec = spec or ReductionSpec()
+    shard_specs = plan_shards(config.size, shard_size)
+    indices = [shard.index for shard in shard_specs]
+    multiprocess = workers > 1 and len(shard_specs) > 1
+
+    store: Optional[CheckpointStore] = None
+    if checkpoint_dir is not None:
+        store = CheckpointStore(checkpoint_dir)
+        bind(store)
+
+    tasks = [
+        ShardTask(
+            index=shard.index,
+            population_config=config,
+            start=shard.start,
+            stop=shard.stop,
+            run_sweep=run_sweep,
+            scan_backend=scan_backend,
+            skeleton_cache_dir=skeleton_cache_dir,
+        )
+        for shard in shard_specs
+    ]
+    if run_sweep:
+        # An unsampled sweep has stride 1 whatever the QUIC-target count, so
+        # it skips the discovery pass entirely.
+        counts = [0] * len(tasks)
+        if sweep_sample_size is not None and multiprocess:
+            with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+                counts = [count for _, count in pool.map(_count_quic_targets, tasks)]
+        elif sweep_sample_size is not None:
+            counts = [count for _, count in map(_count_quic_targets, tasks)]
+        stride = sweep_sample_stride(sum(counts), sweep_sample_size)
+        offset = 0
+        for index, count in enumerate(counts):
+            tasks[index] = dataclasses.replace(
+                tasks[index], sweep_local_selection=(offset, stride)
+            )
+            offset += count
+
+    reducers = {key: CampaignReducer(spec=spec, run_sweep=run_sweep) for key in members}
+    # Members still to scan, per shard; resume drains (shard, member) pairs
+    # out of this map so a visit only carries its missing members.  The
+    # reducer re-checks scenario fingerprints on every fold, and
+    # finalize_streaming re-checks once more at the resume seam.
+    pending: Dict[int, List] = {index: list(members) for index in indices}
+    if resume and store is not None:
+        for key, member_config in members.items():
+            resumed = store.load_valid(member_config, shard_size, indices)
+            for index in sorted(resumed):
+                reducers[key].add(resumed[index])
+                pending[index].remove(key)
+        if progress is not None:
+            folded = sum(len(members) - len(missing) for missing in pending.values())
+            progress(
+                f"resumed {folded}/{len(indices) * len(members)} "
+                f"(shard, scenario) checkpoints"
+            )
+    to_run = [index for index in indices if pending[index]]
+    total_pairs = sum(len(pending[index]) for index in to_run)
+    reduced_pairs = 0
+
+    def make_payload(index: int, attempt: int):
+        return (make_task(tasks[index], tuple(pending[index])), spec, attempt, fault_plan)
+
+    def on_result(index: int, summaries: Tuple[ShardSummary, ...], attempt: int = 0) -> None:
+        nonlocal reduced_pairs
+        keys = pending[index]
+        if len(summaries) != len(keys):
+            raise ValueError(
+                f"shard visit returned {len(summaries)} summaries for "
+                f"{len(keys)} scenarios on shard {index}"
+            )
+        for key, summary in zip(keys, summaries):
+            if store is not None:
+                path = store.save(
+                    CheckpointKey.for_campaign(members[key], shard_size, index),
+                    summary,
+                    attempt=attempt,
+                )
+                if fault_plan is not None:
+                    fault_plan.apply_checkpoint_faults(index, path, attempt)
+            reducers[key].add(summary)
+        reduced_pairs += len(keys)
+        if progress is not None:
+            progress(
+                f"shard {index}: {len(keys)} scenario(s) reduced "
+                f"({reduced_pairs}/{total_pairs} pairs)"
+            )
+
+    try:
+        dispatch_with_retry(
+            to_run,
+            make_payload,
+            worker,
+            workers if multiprocess else 1,
+            retry_policy,
+            on_result,
+        )
+    except ShardDispatchError as error:
+        if store is not None:
+            completed = sorted(set(indices) - set(error.incomplete))
+            store.write_incomplete_manifest(completed, error.incomplete)
+        raise
+    if store is not None:
+        store.clear_incomplete_manifest()
+    return {key: reducer.reduced_scan() for key, reducer in reducers.items()}
+
+
 def run_streaming_scan(
     config: PopulationConfig,
     workers: int = 1,
     shard_size: int = DEFAULT_SHARD_SIZE,
     run_sweep: bool = False,
     sweep_sample_size: Optional[int] = 2000,
-    sweep_initial_sizes: Sequence[int] = SWEEP_INITIAL_SIZES,
-    analysis_initial_size: int = DEFAULT_ANALYSIS_INITIAL_SIZE,
-    analysis_compression: Sequence[CertificateCompressionAlgorithm] = (),
     spec: Optional[ReductionSpec] = None,
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
@@ -1096,7 +1222,9 @@ def run_streaming_scan(
     can select their slice of the globally-strided sweep sample locally; the
     count comes from phase-1 skeletons (two-phase generation), so the
     population's certificate chains are generated once — by the scan pass —
-    not twice.
+    not twice.  The scan side of ``config.scenario`` (analysis Initial size,
+    client compression offer) is derived per task by
+    :meth:`~repro.scanners.sharding.ShardTask.for_scenario`.
 
     Durability (see docs/ARCHITECTURE.md, "Durable campaigns"):
 
@@ -1126,132 +1254,26 @@ def run_streaming_scan(
     populates the store (cold), byte-identical either way.  Composes freely
     with checkpoints, resume, retries and both backends.
     """
-    if workers <= 0:
-        raise ValueError("workers must be positive")
-    if resume and checkpoint_dir is None:
-        raise CheckpointError("resume requires a checkpoint directory")
-    if skeleton_cache_dir is not None:
-        # Bind (or verify) the directory in the parent so a mismatched cache
-        # fails fast with one actionable error instead of once per worker.
-        from .skeleton_store import store_for
-
-        base = (
-            config
-            if config.scenario is None
-            else dataclasses.replace(config, scenario=None)
-        )
-        store_for(skeleton_cache_dir).bind(base)
-    from .columnar import resolve_scan_backend  # lazy: columnar imports us
-
-    scan_backend = resolve_scan_backend(scan_backend)
-    spec = spec or ReductionSpec()
-    shard_specs = plan_shards(config.size, shard_size)
-    multiprocess = workers > 1 and len(shard_specs) > 1
-
-    store: Optional[CheckpointStore] = None
-    if checkpoint_dir is not None:
-        store = CheckpointStore(checkpoint_dir)
-        store.bind_campaign(config, shard_size)
-
-    selections: List[Optional[Tuple[int, int]]] = [None] * len(shard_specs)
-    if run_sweep and sweep_sample_size is None:
-        # Unsampled sweep: the stride is 1 whatever the QUIC-target count, so
-        # skip the discovery pass entirely (even skeleton counts cannot
-        # affect the result).
-        selections = [(0, 1)] * len(shard_specs)
-    elif run_sweep:
-        count_tasks = [
-            ShardTask(
-                index=shard.index,
-                population_config=config,
-                start=shard.start,
-                stop=shard.stop,
-                skeleton_cache_dir=skeleton_cache_dir,
-            )
-            for shard in shard_specs
-        ]
-        counts = [0] * len(shard_specs)
-        if multiprocess:
-            with ProcessPoolExecutor(max_workers=min(workers, len(count_tasks))) as pool:
-                for index, count in pool.map(_count_quic_targets, count_tasks):
-                    counts[index] = count
-        else:
-            for task in count_tasks:
-                index, count = _count_quic_targets(task)
-                counts[index] = count
-        stride = sweep_sample_stride(sum(counts), sweep_sample_size)
-        offset = 0
-        for index, count in enumerate(counts):
-            selections[index] = (offset, stride)
-            offset += count
-
-    tasks = [
-        ShardTask(
-            index=shard.index,
-            population_config=config,
-            start=shard.start,
-            stop=shard.stop,
-            analysis_initial_size=analysis_initial_size,
-            analysis_compression=tuple(analysis_compression),
-            run_sweep=run_sweep,
-            sweep_local_selection=selections[shard.index],
-            sweep_initial_sizes=tuple(sweep_initial_sizes),
-            scan_backend=scan_backend,
-            skeleton_cache_dir=skeleton_cache_dir,
-        )
-        for shard in shard_specs
-    ]
-    reducer = CampaignReducer(
-        spec=spec, run_sweep=run_sweep, sweep_initial_sizes=sweep_initial_sizes
-    )
-
-    # Resume: fold every valid persisted summary first (invalid files are
-    # quarantined by the store and their shards land back in the dispatch
-    # set).  The reducer re-checks scenario fingerprints on every fold, and
-    # finalize_streaming re-checks once more at the resume seam.
-    resumed_indices: frozenset = frozenset()
-    if resume and store is not None:
-        resumed = store.load_valid(
-            config, shard_size, [shard.index for shard in shard_specs]
-        )
-        for index in sorted(resumed):
-            reducer.add(resumed[index])
-        resumed_indices = frozenset(resumed)
-
-    tasks_by_index = {task.index: task for task in tasks}
-    to_run = sorted(set(tasks_by_index) - resumed_indices)
-
-    def make_payload(index: int, attempt: int):
-        return (tasks_by_index[index], spec, attempt, fault_plan)
-
-    def on_result(index: int, summary: ShardSummary, attempt: int = 0) -> None:
-        if store is not None:
-            path = store.save(
-                CheckpointKey.for_campaign(config, shard_size, index),
-                summary,
-                attempt=attempt,
-            )
-            if fault_plan is not None:
-                fault_plan.apply_checkpoint_faults(index, path, attempt)
-        reducer.add(summary)
-
-    try:
-        dispatch_with_retry(
-            to_run,
-            make_payload,
-            _scan_and_summarize,
-            workers if multiprocess else 1,
-            retry_policy,
-            on_result,
-        )
-    except ShardDispatchError as error:
-        if store is not None:
-            completed = sorted(set(tasks_by_index) - set(error.incomplete))
-            store.write_incomplete_manifest(completed, error.incomplete)
-        raise
-    if store is not None:
-        store.clear_incomplete_manifest()
-    return reducer.reduced_scan()
+    scenario = config.scenario
+    return _stream_shards(
+        config,
+        {None: config},
+        lambda task, _: task if scenario is None else task.for_scenario(scenario),
+        _scan_and_summarize,
+        lambda store: store.bind_campaign(config, shard_size),
+        None,
+        workers=workers,
+        shard_size=shard_size,
+        run_sweep=run_sweep,
+        sweep_sample_size=sweep_sample_size,
+        spec=spec,
+        checkpoint_dir=checkpoint_dir,
+        resume=resume,
+        retry_policy=retry_policy,
+        fault_plan=fault_plan,
+        scan_backend=scan_backend,
+        skeleton_cache_dir=skeleton_cache_dir,
+    )[None]
 
 
 def run_streaming_grid_scan(
@@ -1273,7 +1295,7 @@ def run_streaming_grid_scan(
     The amortized counterpart of N :func:`run_streaming_scan` calls: every
     worker visit to a shard generates the baseline skeletons once, replays
     all requested scenario transforms against them and scans each
-    (:func:`_scan_and_summarize_grid`), so the sweep costs ``1×generation +
+    (:func:`_summarize_visit`), so the sweep costs ``1×generation +
     N×scan`` instead of ``N×(generation + scan)``.  Results fan into one
     :class:`CampaignReducer` per member scenario — each reducer still sees
     exactly one fingerprint, so the mixed-scenario rejection of single runs
@@ -1300,123 +1322,27 @@ def run_streaming_grid_scan(
     discovery is a per-campaign global pass, so sweeping members would cost
     the very duplication this runner removes.
     """
-    if workers <= 0:
-        raise ValueError("workers must be positive")
-    if resume and checkpoint_dir is None:
-        raise CheckpointError("resume requires a checkpoint directory")
     if config.scenario is not None:
         raise ValueError(
             "grid scans take a scenario-free base config; member scenarios "
             "derive their own configs from it"
         )
-    from .columnar import resolve_scan_backend  # lazy: columnar imports us
-
-    scan_backend = resolve_scan_backend(scan_backend)
-    if skeleton_cache_dir is not None:
-        # Fail fast in the parent on a mismatched cache directory; the base
-        # config is already scenario-free here (checked above).
-        from .skeleton_store import store_for
-
-        store_for(skeleton_cache_dir).bind(config)
-    spec = spec or ReductionSpec()
     scenarios = tuple(grid)
-    member_configs = {
-        scenario.name: scenario.population_config(base=config) for scenario in scenarios
-    }
-    shard_specs = plan_shards(config.size, shard_size)
-    multiprocess = workers > 1 and len(shard_specs) > 1
-
-    store: Optional[CheckpointStore] = None
-    if checkpoint_dir is not None:
-        store = CheckpointStore(checkpoint_dir)
-        store.bind_grid(config, shard_size, grid)
-
-    reducers = {
-        scenario.name: CampaignReducer(spec=spec, run_sweep=False)
-        for scenario in scenarios
-    }
-
-    indices = [shard.index for shard in shard_specs]
-    # Scenarios still to scan, per shard; resume drains (shard, scenario)
-    # pairs out of this map so a task only carries its missing members.
-    pending: Dict[int, List] = {index: list(scenarios) for index in indices}
-    if resume and store is not None:
-        for scenario in scenarios:
-            resumed = store.load_valid(
-                member_configs[scenario.name], shard_size, indices
-            )
-            for index in sorted(resumed):
-                reducers[scenario.name].add(resumed[index])
-                pending[index].remove(scenario)
-        if progress is not None:
-            folded = sum(len(scenarios) - len(missing) for missing in pending.values())
-            progress(
-                f"resumed {folded}/{len(indices) * len(scenarios)} "
-                f"(shard, scenario) checkpoints"
-            )
-
-    tasks_by_index: Dict[int, ShardTask] = {}
-    for shard in shard_specs:
-        missing = pending[shard.index]
-        if not missing:
-            continue
-        tasks_by_index[shard.index] = ShardTask(
-            index=shard.index,
-            population_config=config,
-            start=shard.start,
-            stop=shard.stop,
-            scan_backend=scan_backend,
-            grid_scenarios=tuple(missing),
-            skeleton_cache_dir=skeleton_cache_dir,
-        )
-    to_run = sorted(tasks_by_index)
-    total_pairs = sum(len(task.grid_scenarios) for task in tasks_by_index.values())
-    reduced_pairs = 0
-
-    def make_payload(index: int, attempt: int):
-        return (tasks_by_index[index], spec, attempt, fault_plan)
-
-    def on_result(index: int, summaries: Tuple[ShardSummary, ...], attempt: int = 0) -> None:
-        nonlocal reduced_pairs
-        members = tasks_by_index[index].grid_scenarios
-        if len(summaries) != len(members):
-            raise ValueError(
-                f"grid worker returned {len(summaries)} summaries for "
-                f"{len(members)} scenarios on shard {index}"
-            )
-        for scenario, summary in zip(members, summaries):
-            if store is not None:
-                path = store.save(
-                    CheckpointKey.for_campaign(
-                        member_configs[scenario.name], shard_size, index
-                    ),
-                    summary,
-                    attempt=attempt,
-                )
-                if fault_plan is not None:
-                    fault_plan.apply_checkpoint_faults(index, path, attempt)
-            reducers[scenario.name].add(summary)
-        reduced_pairs += len(members)
-        if progress is not None:
-            progress(
-                f"shard {index}: {len(members)} scenario(s) reduced "
-                f"({reduced_pairs}/{total_pairs} pairs)"
-            )
-
-    try:
-        dispatch_with_retry(
-            to_run,
-            make_payload,
-            _scan_and_summarize_grid,
-            workers if multiprocess else 1,
-            retry_policy,
-            on_result,
-        )
-    except ShardDispatchError as error:
-        if store is not None:
-            completed = sorted(set(indices) - set(error.incomplete))
-            store.write_incomplete_manifest(completed, error.incomplete)
-        raise
-    if store is not None:
-        store.clear_incomplete_manifest()
-    return {scenario.name: reducers[scenario.name].reduced_scan() for scenario in scenarios}
+    scans = _stream_shards(
+        config,
+        {scenario: scenario.population_config(base=config) for scenario in scenarios},
+        lambda task, missing: dataclasses.replace(task, grid_scenarios=missing),
+        _scan_and_summarize_grid,
+        lambda store: store.bind_grid(config, shard_size, grid),
+        progress,
+        workers=workers,
+        shard_size=shard_size,
+        spec=spec,
+        checkpoint_dir=checkpoint_dir,
+        resume=resume,
+        retry_policy=retry_policy,
+        fault_plan=fault_plan,
+        scan_backend=scan_backend,
+        skeleton_cache_dir=skeleton_cache_dir,
+    )
+    return {scenario.name: scans[scenario] for scenario in scenarios}

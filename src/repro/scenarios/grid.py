@@ -4,10 +4,11 @@ A :class:`ScenarioGrid` names an ordered collection of :class:`ScenarioSpec`s
 that are meant to run over the *same* ``(seed, size)`` population — the shape
 of every counterfactual sweep the paper gestures at ("how much RFC 8879
 adoption until median amplification drops below 3×?").  Because scenarios are
-pure post-RNG skeleton transforms, the streaming runner can materialise each
-shard's baseline skeletons once and replay every member transform against
-them (:func:`repro.scanners.streaming.run_streaming_grid_scan`): an N-member
-grid costs one generation plus N scans instead of N of each.
+pure post-RNG skeleton transforms, one shard visit builds the shard's
+baseline skeletons once and replays every non-identity member transform
+against them (:func:`repro.scanners.streaming.run_streaming_grid_scan`, on
+the same shard driver as single-scenario runs): an N-member grid costs one
+generation plus N scans instead of N of each.
 
 Grids are built three ways, all JSON-round-trippable:
 

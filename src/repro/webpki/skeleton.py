@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 import struct
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..netsim.address import IPv4Address
 from ..netsim.dns import DnsRcode
@@ -293,6 +293,56 @@ class DeploymentSkeleton:
             encapsulation_overhead=self.encapsulation_overhead,
             redirect_to=self.redirect_to,
         )
+
+
+def materialize_skeletons(
+    skeletons: Sequence[DeploymentSkeleton],
+    hierarchy: Optional[WebPkiHierarchy],
+    chain_cache: Dict[ChainSpec, CertificateChain],
+) -> List[DomainDeployment]:
+    """Materialise a slice of skeletons through one shared chain cache.
+
+    Equal to ``[s.materialize(hierarchy, chain_cache) for s in skeletons]``.
+    A skeleton whose specs are all cached (the warm path: the skeleton
+    store's issued-leaf annexes seed the cache, and a multi-scenario visit
+    re-uses every chain a transform left untouched) is assembled straight
+    from its field dict, bypassing the frozen-dataclass ``__init__`` and the
+    per-call ``issue()`` closure of :meth:`DeploymentSkeleton.materialize`.
+    Any miss (scenario-rewritten spec, trim, cold cache) falls back to the
+    canonical ``materialize`` for that skeleton.
+    """
+    deployment_new = DomainDeployment.__new__
+    cache_get = chain_cache.get
+    deployments: List[DomainDeployment] = []
+    append = deployments.append
+    for skeleton in skeletons:
+        https_spec = skeleton.https_spec
+        if https_spec is not None:
+            https_chain = cache_get(https_spec)
+            if https_chain is None:
+                append(skeleton.materialize(hierarchy, chain_cache))
+                continue
+        else:
+            https_chain = None
+        if skeleton.quic_shares_https:
+            quic_chain = https_chain
+        else:
+            quic_spec = skeleton.quic_spec
+            if quic_spec is not None:
+                quic_chain = cache_get(quic_spec)
+                if quic_chain is None:
+                    append(skeleton.materialize(hierarchy, chain_cache))
+                    continue
+            else:
+                quic_chain = None
+        fields = dict(skeleton.__dict__)
+        del fields["https_spec"], fields["quic_spec"], fields["quic_shares_https"]
+        fields["https_chain"] = https_chain
+        fields["quic_chain"] = quic_chain
+        deployment = deployment_new(DomainDeployment)
+        deployment.__dict__.update(fields)
+        append(deployment)
+    return deployments
 
 
 def category_counts(skeletons) -> Dict[ServiceCategory, int]:

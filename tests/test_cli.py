@@ -329,6 +329,28 @@ class TestDurabilityFlags:
         assert checkpointed.read_bytes() == plain.read_bytes()
         assert resumed.read_bytes() == plain.read_bytes()
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["campaign", "--stream", "--skeleton-cache", "DIR"],
+            ["campaign", "--stream", "--checkpoint-dir", "DIR"],
+            ["campaign", "--skeleton-cache", "DIR"],
+            ["campaign", "--scenario-grid", "what-ifs", "--skeleton-cache", "DIR"],
+            ["skeletons", "warm", "DIR"],
+        ],
+        ids=["stream-cache", "stream-checkpoint", "serial-cache", "grid-cache", "warm"],
+    )
+    def test_unusable_directory_exits_2_with_one_line(self, command, tmp_path, capsys):
+        regular_file = tmp_path / "f"
+        regular_file.write_text("", encoding="utf-8")
+        unusable = str(regular_file / "sub")
+        argv = [unusable if part == "DIR" else part for part in command]
+        assert main([*argv, "--size", "300"]) == 2
+        error = capsys.readouterr().err
+        assert error.count("\n") == 1
+        assert unusable in error
+        assert "Traceback" not in error
+
 
 class TestScanBackendFlag:
     def test_scan_backend_flag_parses(self):

@@ -23,7 +23,7 @@ import pytest
 
 from repro.analysis.export import export_evaluation
 from repro.analysis.report import build_report
-from repro.scanners import MeasurementCampaign, run_grid_campaign
+from repro.scanners import MeasurementCampaign, run_grid_campaign, streaming
 from repro.scanners.checkpoint import CheckpointError
 from repro.scanners.faults import CheckpointFault, FaultPlan
 from repro.scenarios import ScenarioError, ScenarioSpec, load_scenario
@@ -131,6 +131,72 @@ class TestGridMatchesIndependentCampaigns:
         )
         with pytest.raises(ValueError, match="scenario-free base config"):
             run_grid_campaign(grid, config=carrying)
+
+
+class TestShardVisitContract:
+    """Single runs and grids share one shard visit; pin who calls what.
+
+    Counting wrappers replace the two worker entries by module global (the
+    way per-entry tracing binds them) and count every
+    ``ScenarioSpec.transform_skeletons`` call, in process (``workers=1``).
+    """
+
+    SHARDS = POPULATION_SIZE // SHARD_SIZE
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        transforms, entries = [], []
+        transform = ScenarioSpec.transform_skeletons
+
+        def counting_transform(spec, skeletons):
+            transforms.append(spec.name)
+            return transform(spec, skeletons)
+
+        monkeypatch.setattr(ScenarioSpec, "transform_skeletons", counting_transform)
+        for name in ("_scan_and_summarize", "_scan_and_summarize_grid"):
+            entry = getattr(streaming, name)
+
+            def counting_entry(payload, entry=entry, name=name):
+                entries.append((name, payload[0].index))
+                return entry(payload)
+
+            monkeypatch.setattr(streaming, name, counting_entry)
+        return transforms, entries
+
+    @pytest.mark.parametrize("scenario", [None, "baseline-2022"])
+    def test_single_runs_make_no_transform_call(self, config, calls, scenario):
+        transforms, entries = calls
+        if scenario is not None:
+            config = load_scenario(scenario).population_config(base=config)
+        MeasurementCampaign(
+            population_config=config,
+            stream=True,
+            shard_size=SHARD_SIZE,
+            spoofed_targets_per_provider=SPOOFED,
+            scan_backend="columnar",
+        ).run()
+        assert transforms == []
+        assert sorted(entries) == [
+            ("_scan_and_summarize", index) for index in range(self.SHARDS)
+        ]
+
+    def test_grid_transforms_each_non_identity_member_once_per_shard(
+        self, config, grid, calls
+    ):
+        transforms, entries = calls
+        run_grid_campaign(
+            grid,
+            config=config,
+            shard_size=SHARD_SIZE,
+            spoofed_targets_per_provider=SPOOFED,
+            scan_backend="columnar",
+        )
+        non_identity = [scenario.name for scenario in grid if not scenario.is_identity]
+        assert "baseline-2022" not in non_identity and len(non_identity) == 2
+        assert sorted(transforms) == sorted(non_identity * self.SHARDS)
+        assert sorted(entries) == [
+            ("_scan_and_summarize_grid", index) for index in range(self.SHARDS)
+        ]
 
 
 class TestGridCheckpointResume:

@@ -50,6 +50,7 @@ from repro.scenarios.grid import load_grid
 from repro.webpki import population as population_module
 from repro.webpki import tranco as tranco_module
 from repro.webpki.population import PopulationConfig, generate_population
+from repro.webpki.skeleton import materialize_skeletons
 from repro.x509 import issuance
 from repro.x509.ca import default_hierarchy
 from repro.x509.field_sizes import field_size_row, san_byte_share
@@ -676,3 +677,30 @@ class TestWarmPathObjects:
         assert "_deferred" in leaf.__dict__
         leaf.subject  # a postponed field still expands on first read
         assert "_deferred" not in leaf.__dict__
+
+
+class TestMaterializeSkeletons:
+    """The one warm materialiser equals per-skeleton ``materialize``."""
+
+    @pytest.mark.parametrize("case", ["warm-seeded", "empty-cache", "trimmed-chains"])
+    def test_equals_per_skeleton_materialize(self, config, warmed_dir, case):
+        seeded = {}
+        skeletons = skeletons_for_range(
+            SkeletonStore(warmed_dir), config, 0, POPULATION_SIZE, chain_cache=seeded
+        )
+        assert seeded  # the annexes seeded one chain per spec
+        if case == "trimmed-chains":
+            skeletons = load_scenario(case).transform_skeletons(skeletons)
+        cache = {} if case == "empty-cache" else seeded
+        hierarchy = default_hierarchy()
+        fast_cache, reference_cache = dict(cache), dict(cache)
+        fast = materialize_skeletons(skeletons, hierarchy, fast_cache)
+        reference = [
+            skeleton.materialize(hierarchy, reference_cache) for skeleton in skeletons
+        ]
+        assert len(fast) == len(skeletons) == POPULATION_SIZE
+        assert fast == reference
+        assert fast_cache.keys() == reference_cache.keys()
+        # Warm: every spec hit, nothing issued.  Otherwise misses fell back
+        # to ``materialize`` and extended the cache like the reference did.
+        assert (len(fast_cache) == len(cache)) is (case == "warm-seeded")
