@@ -13,6 +13,7 @@ import os
 import pytest
 
 from repro.scanners.orchestrator import CampaignResults, MeasurementCampaign
+from repro.scanners.streaming import ReducedScanResults
 from repro.webpki.population import InternetPopulation, PopulationConfig, generate_population
 
 #: Population size used by the benchmark harness.  Overridable so CI smoke
@@ -37,3 +38,9 @@ def campaign_results(population: InternetPopulation) -> CampaignResults:
         spoofed_targets_per_provider=40,
     )
     return campaign.run()
+
+
+@pytest.fixture(scope="session")
+def reduced_scan(campaign_results: CampaignResults) -> ReducedScanResults:
+    """The shared campaign in the reduced contract the figure benchmarks time."""
+    return campaign_results.reduced().scan

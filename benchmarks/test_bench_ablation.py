@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md.
+"""Ablation benchmarks for the design choices the paper calls out.
 
 Each ablation answers one "what would change if ..." question with the same
 simulation machinery used for the main figures:

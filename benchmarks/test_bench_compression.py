@@ -1,13 +1,20 @@
 """Benchmark: the §4.2 certificate-compression experiment (synthetic + wild)."""
 
 from repro.analysis.figures import compression
+from repro.tls.cert_compression import CertificateCompressionAlgorithm
 
 
-def test_bench_compression(benchmark, campaign_results):
+def test_bench_compression(benchmark, reduced_scan):
+    brotli = CertificateCompressionAlgorithm.BROTLI
     result = benchmark(
-        compression.compute,
-        campaign_results.quic_deployments(),
-        campaign_results.compression,
+        compression.compute_from_reduction,
+        reduced_scan.synth_rates,
+        reduced_scan.synth_below_uncompressed,
+        reduced_scan.synth_below_compressed,
+        reduced_scan.synth_count,
+        reduced_scan.wild_rates[brotli],
+        reduced_scan.wild_support_counts[brotli],
+        reduced_scan.wild_count,
     )
     print()
     print(result.render_text())

@@ -3,11 +3,11 @@
 from repro.analysis.figures import figure06
 
 
-def test_bench_figure06(benchmark, campaign_results):
+def test_bench_figure06(benchmark, reduced_scan):
     result = benchmark(
-        figure06.compute,
-        campaign_results.quic_deployments(),
-        campaign_results.https_only_deployments(),
+        figure06.compute_from_counts,
+        reduced_scan.quic_chain_size_counts,
+        reduced_scan.https_chain_size_counts,
     )
     print()
     print(result.render_text())

@@ -3,17 +3,25 @@
 from repro.analysis.figures import figure07
 
 
-def test_bench_figure07a(benchmark, campaign_results):
-    result = benchmark(figure07.compute, campaign_results.quic_deployments(), "QUIC services")
+def test_bench_figure07a(benchmark, reduced_scan):
+    result = benchmark(
+        figure07.compute_from_groups,
+        reduced_scan.parent_chain_groups["QUIC"],
+        "QUIC services",
+        reduced_scan.parent_chain_totals["QUIC"],
+    )
     print()
     print(result.render_text())
     assert result.top10_coverage > 0.9
     assert "Cloudflare" in result.rows[0].label
 
 
-def test_bench_figure07b(benchmark, campaign_results):
+def test_bench_figure07b(benchmark, reduced_scan):
     result = benchmark(
-        figure07.compute, campaign_results.https_only_deployments(), "HTTPS-only services"
+        figure07.compute_from_groups,
+        reduced_scan.parent_chain_groups["HTTPS-only"],
+        "HTTPS-only services",
+        reduced_scan.parent_chain_totals["HTTPS-only"],
     )
     print()
     print(result.render_text())

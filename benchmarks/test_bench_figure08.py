@@ -3,8 +3,10 @@
 from repro.analysis.figures import figure08
 
 
-def test_bench_figure08(benchmark, campaign_results):
-    result = benchmark(figure08.compute, campaign_results.quic_deployments())
+def test_bench_figure08(benchmark, reduced_scan):
+    result = benchmark(
+        figure08.compute_from_sums, reduced_scan.field_sums, reduced_scan.field_counts
+    )
     print()
     print(result.render_text())
     assert result.large_chain_nonleaf_heaviest

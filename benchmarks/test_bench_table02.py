@@ -3,11 +3,11 @@
 from repro.analysis.figures import table02
 
 
-def test_bench_table02(benchmark, campaign_results):
+def test_bench_table02(benchmark, reduced_scan):
     result = benchmark(
-        table02.compute,
-        campaign_results.quic_deployments(),
-        campaign_results.https_only_deployments(),
+        table02.compute_from_counters,
+        reduced_scan.key_alg_counters,
+        reduced_scan.key_alg_totals,
     )
     print()
     print(result.render_text())

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import sys
 
-from repro.analysis.figures import figure06, funnel
-from repro.analysis.report import class_shares
+from repro.analysis.report import build_report, class_shares
 from repro.scanners import MeasurementCampaign
 from repro.webpki import PopulationConfig, generate_population
 
@@ -29,9 +28,10 @@ def main() -> None:
     print("Running the measurement campaign (HTTPS scan, QUIC scans, telescope) ...")
     campaign = MeasurementCampaign(population=population, run_sweep=False)
     results = campaign.run()
+    report = build_report(results)
 
     print()
-    print(funnel.compute(results.https_scan.funnel, len(results.quic_deployments())).render_text())
+    print(report["funnel"].render_text())
 
     print()
     print("Handshake classes at a 1362-byte client Initial (paper §4.1):")
@@ -41,8 +41,7 @@ def main() -> None:
         print(f"  {handshake_class.value:<14s} {share:6.2%}")
 
     print()
-    chains = figure06.compute(results.quic_deployments(), results.https_only_deployments())
-    print(chains.render_text())
+    print(report["figure06"].render_text())
 
     print()
     print("Done.  See examples/full_evaluation.py for every figure and table.")

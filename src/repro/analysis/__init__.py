@@ -1,10 +1,10 @@
 """Analysis layer: datasets, CDFs, statistics and per-figure reproductions.
 
 Every table and figure of the paper's evaluation has a module under
-:mod:`repro.analysis.figures` exposing a ``compute(results)`` function that
-takes a :class:`repro.scanners.orchestrator.CampaignResults` (or the relevant
-slice of it) and returns a structured result with a ``render_text()`` method,
-so the whole evaluation can be regenerated as text tables / data series.
+:mod:`repro.analysis.figures` that builds a structured result with a
+``render_text()`` method from the reduced campaign contract
+(:class:`repro.scanners.streaming.ReducedCampaignResults`), so the whole
+evaluation can be regenerated as text tables / data series.
 """
 
 from .cdf import EmpiricalCdf

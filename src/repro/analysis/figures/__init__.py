@@ -1,9 +1,12 @@
 """Per-figure and per-table reproduction modules.
 
 Naming follows the paper: ``figure03`` reproduces Figure 3, ``table02``
-Table 2, and so on.  Each module exposes a ``compute`` function returning a
-result object with ``render_text()`` plus the raw series, so benchmarks and
-reports share the same code path.
+Table 2, and so on.  Each module builds a result object with
+``render_text()`` plus the raw series from the reduced campaign contract
+(:class:`~repro.scanners.streaming.ReducedScanResults`): a ``compute_from_*``
+over its accumulators, or a plain ``compute`` where the input travels
+unreduced (the funnel, the Figure 3 sweep, stage 5 and the static Table 3).
+Reports, exports and benchmarks all call the same functions.
 """
 
 from . import (

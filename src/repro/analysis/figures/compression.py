@@ -9,17 +9,11 @@ against real deployments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
-from ...core.compression_study import (
-    CompressionStudyResult,
-    run_compression_study,
-    study_from_reduction,
-)
+from ...core.compression_study import CompressionStudyResult, study_from_reduction
 from ...core.limits import LARGER_COMMON_LIMIT
-from ...scanners.compression_scanner import CompressionObservation, CompressionScanner
 from ...tls.cert_compression import CertificateCompressionAlgorithm
-from ...webpki.deployment import DomainDeployment
 
 
 @dataclass(frozen=True)
@@ -54,24 +48,6 @@ class CompressionExperiment:
         )
 
 
-def compute(
-    deployments: Sequence[DomainDeployment],
-    observations: Sequence[CompressionObservation],
-    algorithm: CertificateCompressionAlgorithm = CertificateCompressionAlgorithm.BROTLI,
-    limit_bytes: int = LARGER_COMMON_LIMIT,
-) -> CompressionExperiment:
-    chains = [d.delivered_chain for d in deployments if d.delivered_chain is not None]
-    synthetic = run_compression_study(chains, algorithm, limit_bytes)
-    wild_rate = CompressionScanner.mean_compression_rate(observations, algorithm)
-    support = CompressionScanner.support_share(observations, algorithm)
-    return CompressionExperiment(
-        synthetic=synthetic,
-        wild_mean_rate=wild_rate,
-        wild_support_share=support,
-        limit_bytes=limit_bytes,
-    )
-
-
 def compute_from_reduction(
     synthetic_rates: Sequence[float],
     synthetic_below_limit_uncompressed: int,
@@ -83,7 +59,12 @@ def compute_from_reduction(
     algorithm: CertificateCompressionAlgorithm = CertificateCompressionAlgorithm.BROTLI,
     limit_bytes: int = LARGER_COMMON_LIMIT,
 ) -> CompressionExperiment:
-    """Reduced-contract equivalent of :func:`compute` (byte-identical output)."""
+    """The experiment from the reduced synthetic-study and wild accumulators.
+
+    ``synthetic_rates`` and ``wild_rates`` are in deployment order, so the
+    synthetic median and the wild mean are independent of how the campaign
+    was sharded.
+    """
     synthetic = study_from_reduction(
         algorithm,
         synthetic_rates,

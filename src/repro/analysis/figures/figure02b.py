@@ -8,7 +8,7 @@ signature and public key are the most space-consuming fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List
 
 from ...x509.certificate import Certificate
 from ...x509.field_sizes import measure_field_sizes
@@ -43,32 +43,14 @@ class FieldSizeDistributions:
         return "\n".join(lines)
 
 
-def compute(certificates: Iterable[Certificate]) -> FieldSizeDistributions:
-    """Measure every certificate and build per-field CDFs."""
-    per_field: Dict[str, List[float]] = {name: [] for name in FIELD_NAMES}
-    count = 0
-    for certificate in certificates:
-        sizes = measure_field_sizes(certificate)
-        per_field["Subject"].append(sizes.subject)
-        per_field["Issuer"].append(sizes.issuer)
-        per_field["PublicKeyInfo"].append(sizes.public_key_info)
-        per_field["Extensions"].append(sizes.extensions)
-        per_field["Signature"].append(sizes.signature)
-        count += 1
-    return FieldSizeDistributions(
-        cdfs={name: EmpiricalCdf.from_values(values) for name, values in per_field.items()},
-        certificate_count=count,
-    )
-
-
 def accumulate_field_sizes(
     certificates: Iterable[Certificate], counts: Dict[str, Dict[int, int]]
 ) -> int:
     """Fold certificates into per-field ``size -> multiplicity`` accumulators.
 
-    The streaming reducer calls this in the worker; ``compute_from_counts``
-    over the merged accumulators equals ``compute`` over the certificates.
-    Returns the number of certificates folded in.
+    The shard reduction calls this in the worker; ``compute_from_counts``
+    builds the CDFs from the merged accumulators.  Returns the number of
+    certificates folded in.
     """
     folded = 0
     for certificate in certificates:
@@ -110,18 +92,8 @@ def accumulate_row_counts(
 def compute_from_counts(
     counts: Dict[str, Dict[int, int]], certificate_count: int
 ) -> FieldSizeDistributions:
-    """Reduced-contract equivalent of :func:`compute` (byte-identical output)."""
+    """Per-field CDFs from merged ``size -> multiplicity`` accumulators."""
     return FieldSizeDistributions(
         cdfs={name: EmpiricalCdf.from_counts(counts[name]) for name in FIELD_NAMES},
         certificate_count=certificate_count,
     )
-
-
-def certificates_from_results(results) -> List[Certificate]:
-    """All certificates delivered by the population (leaves and CA certs)."""
-    certificates: List[Certificate] = []
-    for deployment in results.population.deployments:
-        chain = deployment.delivered_chain
-        if chain is not None:
-            certificates.extend(chain.certificates)
-    return certificates

@@ -7,9 +7,7 @@ limit; the paper observes that factors remain relatively small, below ≈6×.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
 
-from ...scanners.quicreach import HandshakeObservation
 from ..cdf import EmpiricalCdf
 
 
@@ -44,24 +42,11 @@ class FirstRttAmplificationFigure:
         )
 
 
-def compute(observations: Sequence[HandshakeObservation]) -> FirstRttAmplificationFigure:
-    """Build the CDF from complete-handshake observations."""
-    factors: List[float] = [
-        o.amplification_factor
-        for o in observations
-        if o.reachable and o.exceeds_limit
-    ]
-    return FirstRttAmplificationFigure(
-        cdf=EmpiricalCdf.from_values(factors), service_count=len(factors)
-    )
-
-
 def compute_from_counts(factor_counts) -> FirstRttAmplificationFigure:
-    """Reduced-contract equivalent of :func:`compute`.
+    """Build the CDF from the reduced amplification-factor counts.
 
     ``factor_counts`` maps an amplification factor to how often limit-exceeding
-    reachable handshakes produced it; the merged streaming accumulators carry
-    the same multiset the eager path collects, so the CDF is identical.
+    reachable handshakes produced it.
     """
     return FirstRttAmplificationFigure(
         cdf=EmpiricalCdf.from_counts(factor_counts),

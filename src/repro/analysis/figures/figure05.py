@@ -10,11 +10,7 @@ contribute thousands of bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
-
-from ...quic.handshake import HandshakeClass
-from ...scanners.quicreach import HandshakeObservation
-from ..stats import share
+from typing import Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -44,37 +40,16 @@ class MultiRttPayloadFigure:
         return "\n".join(lines)
 
 
-def compute(observations: Sequence[HandshakeObservation]) -> MultiRttPayloadFigure:
-    """Aggregate multi-RTT observations into the Figure 5 series."""
-    multi_rtt = [
-        o
-        for o in observations
-        if o.reachable and o.handshake_class is HandshakeClass.MULTI_RTT
-    ]
-    multi_rtt.sort(key=lambda o: o.total_bytes)
-    entries = tuple(
-        (o.tls_payload_bytes, o.total_bytes, 3 * o.initial_size) for o in multi_rtt
-    )
-    exceeds = share(multi_rtt, lambda o: o.tls_payload_bytes > 3 * o.initial_size)
-    max_overhead = max((o.quic_overhead_bytes for o in multi_rtt), default=0)
-    return MultiRttPayloadFigure(
-        entries=entries,
-        share_tls_alone_exceeds=exceeds,
-        max_quic_overhead=max_overhead,
-    )
-
-
 def compute_from_rows(
     rows: Sequence[Tuple[int, int, int]],
     exceeds_count: int,
     max_overhead: int,
 ) -> MultiRttPayloadFigure:
-    """Reduced-contract equivalent of :func:`compute`.
+    """Rank the multi-RTT handshakes by total received bytes.
 
     ``rows`` are the per-multi-RTT-handshake ``(tls_bytes, total_bytes,
     limit_bytes)`` triples in observation (= shard concatenation) order; the
-    stable sort by total bytes therefore breaks ties exactly like the eager
-    path sorting the observations themselves.
+    stable sort by total bytes breaks ties in observation order.
     """
     entries = tuple(sorted(rows, key=lambda row: row[1]))
     exceeds = exceeds_count / len(rows) if rows else 0.0

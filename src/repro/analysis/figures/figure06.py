@@ -9,10 +9,7 @@ common amplification limit of 3×1357 bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
-
 from ...core.limits import LARGER_COMMON_LIMIT
-from ...webpki.deployment import DomainDeployment
 from ..cdf import EmpiricalCdf
 
 
@@ -63,30 +60,12 @@ class ChainSizeDistributions:
         )
 
 
-def compute(
-    quic_deployments: Sequence[DomainDeployment],
-    https_only_deployments: Sequence[DomainDeployment],
-    limit_bytes: int = LARGER_COMMON_LIMIT,
-) -> ChainSizeDistributions:
-    quic_sizes: List[int] = [
-        d.delivered_chain.total_size for d in quic_deployments if d.delivered_chain is not None
-    ]
-    https_sizes: List[int] = [
-        d.https_chain.total_size for d in https_only_deployments if d.https_chain is not None
-    ]
-    return ChainSizeDistributions(
-        quic_cdf=EmpiricalCdf.from_values(quic_sizes),
-        https_only_cdf=EmpiricalCdf.from_values(https_sizes),
-        limit_bytes=limit_bytes,
-    )
-
-
 def compute_from_counts(
     quic_size_counts,
     https_only_size_counts,
     limit_bytes: int = LARGER_COMMON_LIMIT,
 ) -> ChainSizeDistributions:
-    """Reduced-contract equivalent of :func:`compute` over size accumulators."""
+    """The two CDFs from ``chain size -> multiplicity`` accumulators."""
     return ChainSizeDistributions(
         quic_cdf=EmpiricalCdf.from_counts(quic_size_counts),
         https_only_cdf=EmpiricalCdf.from_counts(https_only_size_counts),

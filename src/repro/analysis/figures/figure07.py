@@ -10,9 +10,8 @@ HTTPS-only services (72 %).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ...core.limits import COMMON_AMPLIFICATION_LIMITS
 from ...webpki.deployment import DomainDeployment
@@ -79,49 +78,13 @@ class TopParentChainsFigure:
         return "\n".join(lines)
 
 
-def compute(
-    deployments: Sequence[DomainDeployment],
-    group_label: str,
-    top_n: int = 10,
-) -> TopParentChainsFigure:
-    """Group deployments by parent chain and build the top-N rows."""
-    groups: Dict[Tuple[str, ...], List[DomainDeployment]] = defaultdict(list)
-    total = 0
-    for deployment in deployments:
-        chain = deployment.delivered_chain
-        if chain is None:
-            continue
-        if not chain.is_correctly_ordered():
-            continue  # the paper excludes incorrectly ordered chains here
-        groups[chain.parent_chain_key()].append(deployment)
-        total += 1
-
-    ranked = sorted(groups.items(), key=lambda item: len(item[1]), reverse=True)[:top_n]
-    rows: List[ParentChainRow] = []
-    for key, members in ranked:
-        leaf_sizes = [d.delivered_chain.leaf_size for d in members]
-        parent_sizes = members[0].delivered_chain.sizes_by_depth()[1:]
-        rows.append(
-            ParentChainRow(
-                parent_chain=key,
-                share=len(members) / total if total else 0.0,
-                service_count=len(members),
-                parent_sizes_by_depth=tuple(parent_sizes),
-                median_leaf_size=int(median(leaf_sizes)),
-                max_leaf_size=max(leaf_sizes),
-            )
-        )
-    return TopParentChainsFigure(group_label=group_label, rows=tuple(rows), total_services=total)
-
-
 @dataclass
 class ParentChainStats:
     """Mergeable per-parent-chain aggregate for the streaming reduction.
 
     ``first_index`` is the global deployment index of the group's first member
     — merging keeps the minimum, so the merged ``parent_sizes_by_depth`` and
-    the ranking's tie-break both follow the eager path's first-occurrence
-    (deployment-order) semantics.
+    the ranking's tie-break both follow first occurrence in deployment order.
     """
 
     count: int
@@ -204,7 +167,12 @@ def compute_from_groups(
     total: int,
     top_n: int = 10,
 ) -> TopParentChainsFigure:
-    """Reduced-contract equivalent of :func:`compute` (byte-identical output)."""
+    """Rank the parent-chain groups and build the top-N rows.
+
+    Groups rank by service count; ties keep first occurrence in deployment
+    order (the paper excludes incorrectly ordered chains, which
+    :func:`accumulate_groups` never folds in).
+    """
     ordered = sorted(groups.items(), key=lambda item: item[1].first_index)
     ranked = sorted(ordered, key=lambda item: item[1].count, reverse=True)[:top_n]
     rows: List[ParentChainRow] = []

@@ -9,15 +9,10 @@ public-key and signature sections of *non-leaf* certificates dominate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from ...x509.certificate import Certificate
-from ...x509.field_sizes import (
-    CertificateFieldSizes,
-    mean_field_sizes,
-    mean_from_sums,
-    measure_field_sizes,
-)
+from ...x509.field_sizes import CertificateFieldSizes, mean_from_sums, measure_field_sizes
 from ...webpki.deployment import DomainDeployment
 
 #: The chain-size threshold the paper uses to separate "large" chains.
@@ -67,26 +62,6 @@ class FieldSizesByCertType:
                 f"ext={sizes.extensions:4d}  sig={sizes.signature:4d}  total={sizes.total:5d}"
             )
         return "\n".join(lines)
-
-
-def compute(quic_deployments: Sequence[DomainDeployment]) -> FieldSizesByCertType:
-    """Split certificates into the four groups and average their field sizes."""
-    buckets: Dict[str, List[Certificate]] = {label: [] for label, _, _ in GROUPS}
-    for deployment in quic_deployments:
-        chain = deployment.delivered_chain
-        if chain is None:
-            continue
-        is_large = chain.total_size > CHAIN_SIZE_THRESHOLD
-        for index, certificate in enumerate(chain):
-            is_leaf = index == 0
-            for label, wants_leaf, wants_large in GROUPS:
-                if wants_leaf == is_leaf and wants_large == is_large:
-                    buckets[label].append(certificate)
-                    break
-    return FieldSizesByCertType(
-        means={label: mean_field_sizes(certs) for label, certs in buckets.items()},
-        counts={label: len(certs) for label, certs in buckets.items()},
-    )
 
 
 FIELD_SUM_KEYS = (
@@ -148,7 +123,7 @@ def empty_field_sums() -> Tuple[Dict[str, Dict[str, int]], Dict[str, int]]:
 def compute_from_sums(
     sums: Dict[str, Dict[str, int]], counts: Dict[str, int]
 ) -> FieldSizesByCertType:
-    """Reduced-contract equivalent of :func:`compute` (byte-identical output)."""
+    """Mean field sizes per group from the integer field-size sums."""
     return FieldSizesByCertType(
         means={label: mean_from_sums(sums[label], counts[label]) for label, _, _ in GROUPS},
         counts=dict(counts),

@@ -58,57 +58,53 @@ class RankGroupShares:
         )
 
 
-def compute(
-    deployments: Sequence[DomainDeployment],
-    group_count: int = 10,
-) -> RankGroupShares:
-    """Split the population into ``group_count`` equal rank groups."""
-    if not deployments:
-        return RankGroupShares((), (), (), ())
-    max_rank = max(d.rank for d in deployments)
-    group_size = max(1, math.ceil(max_rank / group_count))
-
-    labels: List[str] = []
-    quic_shares: List[float] = []
-    https_shares: List[float] = []
-    sizes: List[int] = []
-    for group_index in range(group_count):
-        start = group_index * group_size + 1
-        end = (group_index + 1) * group_size + 1
-        members = [d for d in deployments if start <= d.rank < end]
-        if not members:
-            continue
-        labels.append(f"[{start}, {end})")
-        sizes.append(len(members))
-        quic_shares.append(
-            sum(1 for d in members if d.category is ServiceCategory.QUIC) / len(members)
-        )
-        https_shares.append(
-            sum(1 for d in members if d.category is ServiceCategory.HTTPS_ONLY) / len(members)
-        )
-    return RankGroupShares(
-        group_labels=tuple(labels),
-        quic_shares=tuple(quic_shares),
-        https_only_shares=tuple(https_shares),
-        group_sizes=tuple(sizes),
-    )
-
-
 #: Stable wire codes for :class:`ServiceCategory` in streaming reductions.
 CATEGORY_CODES: Dict[ServiceCategory, int] = {
     category: index for index, category in enumerate(ServiceCategory)
 }
+
+#: Code that pads a rank a category run does not hold (a gap in a
+#: hand-assembled population); :func:`compute_from_category_runs` skips it.
+RANK_GAP_CODE = 0xFF
+
+
+def encode_category_run(
+    deployments: Sequence[DomainDeployment], empty_start: int
+) -> Tuple[int, bytes]:
+    """One ``(start_rank, category_codes)`` run over a shard's deployments.
+
+    A generated shard holds consecutive ascending ranks and encodes as one
+    code per deployment, in order.  Any other deployment list (a
+    hand-assembled population with sparse or unordered ranks) is laid out by
+    rank, with :data:`RANK_GAP_CODE` at every rank it does not hold.  An empty
+    shard encodes as ``(empty_start, b"")``.
+    """
+    if not deployments:
+        return empty_start, b""
+    ranks = [d.rank for d in deployments]
+    codes = [CATEGORY_CODES[d.category] for d in deployments]
+    start = ranks[0]
+    if ranks == list(range(start, start + len(ranks))):
+        return start, bytes(codes)
+    start = min(ranks)
+    laid_out = bytearray([RANK_GAP_CODE]) * (max(ranks) - start + 1)
+    for rank, code in zip(ranks, codes):
+        if laid_out[rank - start] != RANK_GAP_CODE:
+            raise ValueError(f"rank {rank} is held by more than one deployment")
+        laid_out[rank - start] = code
+    return start, bytes(laid_out)
 
 
 def compute_from_category_runs(
     runs: Sequence[Tuple[int, bytes]],
     group_count: int = 10,
 ) -> RankGroupShares:
-    """Reduced-contract equivalent of :func:`compute`.
+    """Split the ranks into ``group_count`` equal rank groups.
 
-    ``runs`` are rank-contiguous ``(start_rank, category_codes)`` byte strings
-    (one per scan shard, in shard order), one code per deployment — the shape
-    streaming workers ship instead of the deployments themselves.
+    ``runs`` are ``(start_rank, category_codes)`` byte strings as
+    :func:`encode_category_run` lays them out (one per scan shard, in shard
+    order), one code per rank from ``start_rank`` on — the shape shard
+    summaries carry instead of the deployments themselves.
     """
     if not runs or all(not codes for _, codes in runs):
         return RankGroupShares((), (), (), ())
@@ -131,7 +127,7 @@ def compute_from_category_runs(
             if hi <= lo:
                 continue
             window = codes[lo:hi]
-            members += len(window)
+            members += len(window) - window.count(RANK_GAP_CODE)
             quic += window.count(quic_code)
             https_only += window.count(https_only_code)
         if not members:

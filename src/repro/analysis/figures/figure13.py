@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from ...quic.handshake import HandshakeClass
-from ...scanners.quicreach import HandshakeObservation
 from ..dataset import Column, Table
 
 CLASS_ORDER = (
@@ -73,38 +72,6 @@ class RankGroupHandshakeClasses:
         return self.as_table().render_text("Figure 13: handshake classification per rank group")
 
 
-def compute(
-    observations: Sequence[HandshakeObservation],
-    group_count: int = 10,
-) -> RankGroupHandshakeClasses:
-    reachable = [o for o in observations if o.reachable and o.handshake_class is not None]
-    if not reachable:
-        return RankGroupHandshakeClasses((), {}, {})
-    max_rank = max(o.rank for o in reachable)
-    group_size = max(1, math.ceil(max_rank / group_count))
-
-    labels: List[str] = []
-    shares: Dict[str, Dict[HandshakeClass, float]] = {}
-    counts: Dict[str, int] = {}
-    for group_index in range(group_count):
-        start = group_index * group_size + 1
-        end = (group_index + 1) * group_size + 1
-        members = [o for o in reachable if start <= o.rank < end]
-        if not members:
-            continue
-        label = f"[{start}, {end})"
-        labels.append(label)
-        counts[label] = len(members)
-        shares[label] = {
-            handshake_class: sum(1 for o in members if o.handshake_class is handshake_class)
-            / len(members)
-            for handshake_class in CLASS_ORDER
-        }
-    return RankGroupHandshakeClasses(
-        group_labels=tuple(labels), shares=shares, group_counts=counts
-    )
-
-
 #: Stable wire codes for the four reachable handshake classes.
 CLASS_CODES: Dict[HandshakeClass, int] = {
     handshake_class: index for index, handshake_class in enumerate(CLASS_ORDER)
@@ -116,14 +83,19 @@ def compute_from_series(
     class_codes: bytes,
     group_count: int = 10,
 ) -> RankGroupHandshakeClasses:
-    """Reduced-contract equivalent of :func:`compute`.
+    """Split the classified handshakes into ``group_count`` rank groups.
 
-    ``ranks`` (ascending — observations are collected in rank order) and
-    ``class_codes`` are the parallel compact series of the reachable,
-    classified handshake observations.
+    ``ranks`` and ``class_codes`` are the parallel compact series of the
+    reachable, classified handshake observations, in observation order.
+    Generated populations are scanned in ascending rank order; any other
+    order (a hand-assembled population) is sorted by rank first.
     """
     from bisect import bisect_left
 
+    if any(later < earlier for earlier, later in zip(ranks, ranks[1:])):
+        order = sorted(range(len(ranks)), key=ranks.__getitem__)
+        ranks = [ranks[index] for index in order]
+        class_codes = bytes(class_codes[index] for index in order)
     if not ranks:
         return RankGroupHandshakeClasses((), {}, {})
     max_rank = max(ranks)

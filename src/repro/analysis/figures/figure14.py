@@ -9,11 +9,9 @@ a high SAN share with a size above a common amplification limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from ...core.limits import LARGER_COMMON_LIMIT
-from ...webpki.deployment import DomainDeployment
-from ...x509.field_sizes import san_byte_share
 from ..stats import percentile, share
 
 
@@ -44,41 +42,14 @@ class CruiseLinerFigure:
         )
 
 
-def compute(
-    quic_deployments: Sequence[DomainDeployment],
-    limit_bytes: int = LARGER_COMMON_LIMIT,
-) -> CruiseLinerFigure:
-    points: List[Tuple[int, float]] = []
-    for deployment in quic_deployments:
-        chain = deployment.delivered_chain
-        if chain is None:
-            continue
-        leaf = chain.leaf
-        points.append((leaf.size, san_byte_share(leaf)))
-    if not points:
-        return CruiseLinerFigure((), 0.0, 0.0, limit_bytes)
-    san_shares = [p[1] for p in points]
-    threshold = percentile(san_shares, 0.99)
-    high_and_large = share(
-        points, lambda p: p[1] >= threshold and p[0] > limit_bytes
-    )
-    return CruiseLinerFigure(
-        points=tuple(points),
-        top1pct_san_share_threshold=threshold,
-        share_high_san_and_over_limit=high_and_large,
-        limit_bytes=limit_bytes,
-    )
-
-
 def compute_from_points(
     leaf_sizes: Sequence[int],
     san_shares: Sequence[float],
     limit_bytes: int = LARGER_COMMON_LIMIT,
 ) -> CruiseLinerFigure:
-    """Reduced-contract equivalent of :func:`compute` over the compact series.
+    """The scatter and headline shares from the compact per-leaf series.
 
-    ``leaf_sizes`` / ``san_shares`` are parallel, in deployment order — the
-    same order the eager path collects its points in.
+    ``leaf_sizes`` / ``san_shares`` are parallel, in deployment order.
     """
     points = tuple(zip(leaf_sizes, san_shares))
     if not points:

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from ...core.limits import BROWSER_PROFILES, BrowserProfile
-from ...scanners.compression_scanner import CompressionObservation, CompressionScanner
 from ...tls.cert_compression import CertificateCompressionAlgorithm
 from ..dataset import Column, Table
 
@@ -66,40 +65,17 @@ class BrowserCompressionTable:
         )
 
 
-def compute(observations: Sequence[CompressionObservation]) -> BrowserCompressionTable:
-    support_shares = {
-        algorithm: CompressionScanner.support_share(observations, algorithm)
-        for algorithm in CertificateCompressionAlgorithm
-    }
-    mean_rates = {
-        algorithm: CompressionScanner.mean_compression_rate(observations, algorithm)
-        for algorithm in CertificateCompressionAlgorithm
-    }
-    all_three = (
-        sum(1 for o in observations if o.supports_all_three) / len(observations)
-        if observations
-        else 0.0
-    )
-    return BrowserCompressionTable(
-        browsers=dict(BROWSER_PROFILES),
-        support_shares=support_shares,
-        mean_rates=mean_rates,
-        all_three_share=all_three,
-        scanned_services=len(observations),
-    )
-
-
 def compute_from_reduction(
     support_counts: Dict[CertificateCompressionAlgorithm, int],
     rates: Dict[CertificateCompressionAlgorithm, Sequence[float]],
     all_three_count: int,
     scanned_services: int,
 ) -> BrowserCompressionTable:
-    """Reduced-contract equivalent of :func:`compute`.
+    """The table from the reduced compression-scan accumulators.
 
     ``rates`` holds each algorithm's measured compression rates in observation
     (= shard concatenation) order, so the mean is the same left-to-right float
-    sum the eager path computes.
+    sum however the campaign was sharded.
     """
     support_shares = {
         algorithm: (support_counts.get(algorithm, 0) / scanned_services if scanned_services else 0.0)

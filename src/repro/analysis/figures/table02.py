@@ -9,7 +9,7 @@ predominantly ECDSA P-256.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from ...webpki.deployment import DomainDeployment
 from ...x509.keys import KeyAlgorithm
@@ -70,35 +70,6 @@ class CryptoAlgorithmShares:
         return self.as_table().render_text("Table 2: crypto algorithms and key lengths in use")
 
 
-def compute(
-    quic_deployments: Sequence[DomainDeployment],
-    https_only_deployments: Sequence[DomainDeployment],
-) -> CryptoAlgorithmShares:
-    counters: Dict[Tuple[str, str, KeyAlgorithm], int] = {}
-    totals: Dict[Tuple[str, str], int] = {}
-
-    def account(service_group: str, deployments: Sequence[DomainDeployment]) -> None:
-        for deployment in deployments:
-            chain = deployment.delivered_chain
-            if chain is None:
-                continue
-            for index, certificate in enumerate(chain):
-                cert_type = "Leaf" if index == 0 else "Non-leaf"
-                key = (service_group, cert_type)
-                totals[key] = totals.get(key, 0) + 1
-                algo_key = (service_group, cert_type, certificate.key_algorithm)
-                counters[algo_key] = counters.get(algo_key, 0) + 1
-
-    account("QUIC", quic_deployments)
-    account("HTTPS-only", https_only_deployments)
-
-    shares: Dict[Tuple[str, str, KeyAlgorithm], float] = {}
-    for (service_group, cert_type, algorithm), count in counters.items():
-        total = totals[(service_group, cert_type)]
-        shares[(service_group, cert_type, algorithm)] = count / total if total else 0.0
-    return CryptoAlgorithmShares(shares=shares, counts=totals)
-
-
 def accumulate_key_algorithms(
     service_group: str,
     deployments: Sequence[DomainDeployment],
@@ -150,7 +121,7 @@ def compute_from_counters(
     counters: Dict[Tuple[str, str, KeyAlgorithm], int],
     totals: Dict[Tuple[str, str], int],
 ) -> CryptoAlgorithmShares:
-    """Reduced-contract equivalent of :func:`compute` (byte-identical output)."""
+    """Shares per (service group, certificate type) from the merged counters."""
     shares: Dict[Tuple[str, str, KeyAlgorithm], float] = {}
     for (service_group, cert_type, algorithm), count in counters.items():
         total = totals[(service_group, cert_type)]

@@ -4,17 +4,18 @@
 and returns a single text report (also used to generate EXPERIMENTS.md), so
 "regenerate the paper's evaluation" is one function call.
 
-It accepts either an eager :class:`~repro.scanners.orchestrator.CampaignResults`
-or a streamed :class:`~repro.scanners.streaming.ReducedCampaignResults`; the
-two render byte-identical reports (pinned by
-``tests/test_streaming_reduction.py``), so the streaming pipeline is a drop-in
-for every report/export consumer.
+Every section is computed from one contract, the reduced
+:class:`~repro.scanners.streaming.ReducedCampaignResults`.  A serial
+:class:`~repro.scanners.orchestrator.CampaignResults` is accepted too and
+reduced first through :meth:`~repro.scanners.orchestrator.CampaignResults.reduced`,
+so serial and streamed campaigns render byte-identical reports (pinned by
+``tests/test_streaming_reduction.py`` and the golden digests).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Union
 
 from ..quic.handshake import HandshakeClass
 from ..scanners.orchestrator import CampaignResults
@@ -59,69 +60,25 @@ class EvaluationReport:
 AnyCampaignResults = Union[CampaignResults, ReducedCampaignResults]
 
 
+def _reduced(results: AnyCampaignResults) -> ReducedCampaignResults:
+    """Serial object results reduce through :meth:`CampaignResults.reduced`."""
+    return results.reduced() if isinstance(results, CampaignResults) else results
+
+
 def class_shares(results: AnyCampaignResults) -> Dict[HandshakeClass, float]:
     """Convenience: handshake class shares at the default Initial size."""
-    if isinstance(results, ReducedCampaignResults):
-        reachable_count = results.scan.reachable_count
-        if not reachable_count:
-            return {}
-        return {
-            handshake_class: results.scan.class_counts.get(handshake_class, 0)
-            / reachable_count
-            for handshake_class in HandshakeClass
-            if handshake_class is not HandshakeClass.UNREACHABLE
-        }
-    reachable = results.reachable_handshakes()
-    if not reachable:
+    scan = _reduced(results).scan
+    if not scan.reachable_count:
         return {}
-    shares: Dict[HandshakeClass, float] = {}
-    for handshake_class in HandshakeClass:
-        if handshake_class is HandshakeClass.UNREACHABLE:
-            continue
-        shares[handshake_class] = sum(
-            1 for o in reachable if o.handshake_class is handshake_class
-        ) / len(reachable)
-    return shares
+    return {
+        handshake_class: scan.class_counts.get(handshake_class, 0) / scan.reachable_count
+        for handshake_class in HandshakeClass
+        if handshake_class is not HandshakeClass.UNREACHABLE
+    }
 
 
-def _eager_sections(results: CampaignResults, include_sweep: bool) -> Dict[str, object]:
-    quic = results.quic_deployments()
-    https_only = results.https_only_deployments()
-    observations = results.handshakes
-
-    sections: Dict[str, object] = {}
-    sections["funnel"] = funnel.compute(results.https_scan.funnel, len(quic))
-    sections["figure02b"] = figure02b.compute(figure02b.certificates_from_results(results))
-    if include_sweep and results.sweep is not None:
-        sections["figure03"] = figure03.compute(results.sweep)
-    sections["table01"] = table01.compute(results.compression)
-    sections["figure04"] = figure04.compute(observations)
-    sections["figure05"] = figure05.compute(observations)
-    sections["figure06"] = figure06.compute(quic, https_only)
-    sections["figure07a"] = figure07.compute(quic, "QUIC services")
-    sections["figure07b"] = figure07.compute(https_only, "HTTPS-only services")
-    sections["figure08"] = figure08.compute(quic)
-    sections["table02"] = table02.compute(quic, https_only)
-    sections["compression"] = compression.compute(quic, results.compression)
-    sections["figure09"] = figure09.compute(results.backscatter)
-    sections["meta_prefix"] = meta_prefix.compute(results.meta_probe_before)
-    sections["figure11"] = figure11.compute(results.meta_probe_before, results.meta_probe_after)
-    sections["figure12"] = figure12.compute(list(results.population.deployments))
-    sections["figure13"] = figure13.compute(observations)
-    sections["figure14"] = figure14.compute(quic)
-    sections["table03"] = table03.compute()
-    return sections
-
-
-def _reduced_sections(
-    results: ReducedCampaignResults, include_sweep: bool
-) -> Dict[str, object]:
-    """The same sections, computed from the streaming reduction contract.
-
-    Section names, order and rendered bytes match :func:`_eager_sections`
-    exactly; every figure module's ``compute_from_*`` companion reproduces its
-    eager ``compute``.
-    """
+def _sections(results: ReducedCampaignResults, include_sweep: bool) -> Dict[str, object]:
+    """Every figure/table section, in report order, from the reduced contract."""
     scan = results.scan
     brotli = CertificateCompressionAlgorithm.BROTLI
 
@@ -177,16 +134,14 @@ def _reduced_sections(
 
 def build_report(results: AnyCampaignResults, include_sweep: bool = True) -> EvaluationReport:
     """Compute every experiment of the evaluation and render a text report."""
-    if isinstance(results, ReducedCampaignResults):
-        sections = _reduced_sections(results, include_sweep)
-    else:
-        sections = _eager_sections(results, include_sweep)
+    results = _reduced(results)
+    sections = _sections(results, include_sweep)
 
     parts: List[str] = ["QUIC / TLS certificate interplay — reproduced evaluation", "=" * 60]
     # Scenario stamp: any non-identity what-if scenario announces itself in the
     # header.  The identity baseline renders the legacy header so the golden
     # artefact digests stay byte-for-byte pinned.
-    scenario = getattr(results, "scenario", None)
+    scenario = results.scenario
     if scenario is not None and not scenario.is_identity:
         parts.append(f"scenario: {scenario.name} [{scenario.fingerprint()[:12]}]")
         if scenario.description:

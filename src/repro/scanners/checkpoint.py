@@ -256,12 +256,21 @@ class CheckpointStore:
         can never clobber the newer ones.  Equal or newer attempts overwrite
         as before — shard summaries are deterministic per attempt, so the
         guard only suppresses genuinely out-of-order writes.
+
+        A write that fails (a full or read-only disk) raises
+        :class:`CheckpointError` naming the file; checkpoints written before
+        it stay valid, so a later ``--resume`` picks up from them.
         """
         path = self.path_for(key)
         persisted = self._saved_attempts.get(path)
         if persisted is not None and attempt < persisted:
             return path
-        atomic_write_bytes(path, encode_checkpoint(summary))
+        try:
+            atomic_write_bytes(path, encode_checkpoint(summary))
+        except OSError as error:
+            raise CheckpointError(
+                f"checkpoint {path!r} cannot be written ({error})"
+            ) from error
         self._saved_attempts[path] = attempt
         return path
 

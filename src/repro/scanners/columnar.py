@@ -524,14 +524,9 @@ def summarize_shard_columnar(
     origins: Dict[str, Tuple[str, Optional[CertificateChain], Optional[str]]] = {}
     hosts: Dict[str, DomainDeployment] = {}
     lowered_domains: List[str] = []
-    category_codes = bytearray()
-    category_code_by_id = {
-        id(category): code for category, code in figure12.CATEGORY_CODES.items()
-    }
     for deployment in deployments:
         lowered = deployment.domain.lower()
         lowered_domains.append(lowered)
-        category_codes.append(category_code_by_id[id(deployment.category)])
         if deployment.supports_quic and deployment.address is not None:
             hosts[lowered] = deployment
         if deployment.dns_rcode is not DnsRcode.NOERROR:
@@ -1038,6 +1033,7 @@ def summarize_shard_columnar(
     spoof_candidates = take_per_provider(
         quic_deployments, spec.spoof_limit_per_provider, spec.spoof_providers
     )
+    start_rank, category_codes = figure12.encode_category_run(deployments, task.start + 1)
 
     return ShardSummary(
         index=task.index,
@@ -1068,8 +1064,8 @@ def summarize_shard_columnar(
             algorithm: len(rates) for algorithm, rates in wild_rates.items()
         },
         wild_rates=wild_rates,
-        start_rank=deployments[0].rank if deployments else task.start + 1,
-        category_codes=bytes(category_codes),
+        start_rank=start_rank,
+        category_codes=category_codes,
         field_size_counts=field_size_counts,
         certificate_count=certificate_count,
         quic_chain_size_counts=quic_chain_size_counts,

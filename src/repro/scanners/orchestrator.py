@@ -9,8 +9,10 @@ Runs the full pipeline of the paper against a synthetic population:
 5. incomplete handshakes: spoofed-source campaign observed by a telescope plus
    the ZMap-style scan of the Meta point of presence,
 
-and bundles everything into :class:`CampaignResults`, the single input the
-analysis layer (and therefore every figure and table) works from.
+and bundles everything into :class:`CampaignResults`, the object reference
+of one campaign.  The analysis layer reads every figure and table from the
+reduced contract, :class:`~repro.scanners.streaming.ReducedCampaignResults`;
+:meth:`CampaignResults.reduced` is the one conversion point.
 """
 
 from __future__ import annotations
@@ -32,15 +34,17 @@ from ..webpki.population import (
     generate_population,
 )
 from .columnar import resolve_scan_backend
-from .sharding import DEFAULT_SHARD_SIZE, global_sweep_sample
+from .sharding import DEFAULT_SHARD_SIZE, ShardScanResult, ShardTask, global_sweep_sample
 from .streaming import (
     META_SERVICE_DOMAINS,
+    CampaignReducer,
     ReducedCampaignResults,
     ReductionSpec,
     SPOOF_PROVIDERS,
     provider_of_domain,
     run_streaming_grid_scan,
     run_streaming_scan,
+    summarize_shard,
     take_per_provider,
 )
 from .backscatter import BackscatterAnalyzer, ProviderBackscatter, simulate_spoofed_campaign
@@ -88,7 +92,48 @@ class CampaignResults:
     #: non-identity scenarios are stamped into the report header.
     scenario: Optional[ScenarioSpec] = None
 
-    # -- convenience accessors used by the figure modules ----------------------
+    def reduced(self) -> ReducedCampaignResults:
+        """This campaign in the reduced contract every report is built from.
+
+        The one conversion point from the object reference to the figures:
+        stages 1–4 are wrapped as one shard over the whole population and
+        reduced by the object :func:`~repro.scanners.streaming.summarize_shard`
+        through one :class:`~repro.scanners.streaming.CampaignReducer`, as a
+        streamed shard is.  Stage 5 already ran over the full fabric, so its
+        results are carried over as they are.
+        """
+        deployments = self.population.deployments
+        scan = ShardScanResult(
+            index=0,
+            funnel=self.https_scan.funnel,
+            https_records=self.https_scan.records,
+            handshakes=tuple(self.handshakes),
+            sweep_observations=self.sweep.observations if self.sweep is not None else (),
+            quic_certificates=tuple(self.quic_certificates),
+            comparison=self.certificate_comparison,
+            compression=tuple(self.compression),
+            flight_cache=self.flight_cache or FlightCacheInfo(0, 0, 0, 0),
+        )
+        task = ShardTask(
+            index=0,
+            population_config=self.population.config,
+            start=0,
+            stop=len(deployments),
+        )
+        reducer = CampaignReducer(run_sweep=self.sweep is not None)
+        reducer.add(summarize_shard(task, deployments, scan, ReductionSpec()))
+        return ReducedCampaignResults(
+            scan=reducer.reduced_scan(),
+            population_size=len(deployments),
+            backscatter=self.backscatter,
+            meta_probe_before=self.meta_probe_before,
+            meta_probe_after=self.meta_probe_after,
+            analysis_initial_size=self.analysis_initial_size,
+            flight_cache=self.flight_cache,
+            scenario=self.scenario,
+        )
+
+    # -- convenience accessors over the per-observation objects ----------------
 
     def quic_deployments(self) -> List[DomainDeployment]:
         return self.population.quic_services()

@@ -20,10 +20,12 @@ The streaming reduction contract (see docs/ARCHITECTURE.md):
   concatenated in index order at finalisation.  ``CampaignReducer.add`` and
   ``CampaignReducer.merge`` therefore commute, which
   ``tests/test_properties.py`` pins over random permutations and partitions.
-* **Finalisation is byte-identical to the serial path.**  Every reduced figure
-  input reproduces exactly the value the serial ``CampaignResults`` pipeline
-  computes — including float-summation order for means and stable-sort
-  tie-breaks — so ``build_report`` renders the same bytes either way
+* **Finalisation does not depend on the shard split.**  Every reduced figure
+  input — float-summation order for means and stable-sort tie-breaks
+  included — is the same for any shard size and worker count, and for the
+  serial path, which reduces as one shard
+  (:meth:`~repro.scanners.orchestrator.CampaignResults.reduced`), so
+  ``build_report`` renders the same bytes either way
   (``tests/test_streaming_reduction.py``).
 """
 
@@ -375,6 +377,7 @@ def summarize_shard(
     spoof_candidates = take_per_provider(
         quic_deployments, spec.spoof_limit_per_provider, spec.spoof_providers
     )
+    start_rank, category_codes = figure12.encode_category_run(deployments, task.start + 1)
 
     return ShardSummary(
         index=task.index,
@@ -403,10 +406,8 @@ def summarize_shard(
         wild_all_three=wild_all_three,
         wild_support_counts=wild_support_counts,
         wild_rates=wild_rates,
-        start_rank=deployments[0].rank if deployments else task.start + 1,
-        category_codes=bytes(
-            figure12.CATEGORY_CODES[deployment.category] for deployment in deployments
-        ),
+        start_rank=start_rank,
+        category_codes=category_codes,
         field_size_counts=field_size_counts,
         certificate_count=certificate_count,
         quic_chain_size_counts=quic_chain_size_counts,
@@ -1001,14 +1002,13 @@ class CampaignReducer:
 
 @dataclass
 class ReducedCampaignResults:
-    """A full campaign's results in reduced (streaming) form.
+    """A full campaign's results in reduced form: the contract every report reads.
 
-    The streaming counterpart of
-    :class:`repro.scanners.orchestrator.CampaignResults`:
-    :func:`repro.analysis.report.build_report` accepts either and renders
-    byte-identical reports.  Stage 5 (backscatter, Meta PoP) runs in the
-    parent over the reduced spoof-target deployments and is therefore carried
-    at full fidelity, like the (small, sampled) sweep.
+    Streamed runs return it; a serial
+    :class:`repro.scanners.orchestrator.CampaignResults` converts to it
+    through :meth:`~repro.scanners.orchestrator.CampaignResults.reduced`.
+    Stage 5 (backscatter, Meta PoP) is carried at full fidelity, like the
+    (small, sampled) sweep.
     """
 
     scan: ReducedScanResults

@@ -22,11 +22,10 @@ the standard library.  We therefore:
   match Table 1 of the paper (zlib ≈74 %, brotli ≈73 %, zstd ≈72 % of bytes
   removed) when applied to this project's DER chains.
 
-The substitution is documented in DESIGN.md §2.  All downstream analyses only
-depend on compressed sizes relative to the amplification limit; the real
-DEFLATE pass anchors those sizes to the true redundancy of the encodings and
-the calibration factor accounts for the dictionary advantage we cannot
-reproduce offline.
+All downstream analyses only depend on compressed sizes relative to the
+amplification limit; the real DEFLATE pass anchors those sizes to the true
+redundancy of the encodings and the calibration factor accounts for the
+dictionary advantage we cannot reproduce offline.
 """
 
 from __future__ import annotations

@@ -6,8 +6,9 @@ chains they deploy, and the per-domain deployments (DNS outcome, HTTPS and
 QUIC support, certificate chain, load-balancer encapsulation).
 
 All knobs are calibrated to the distributions reported in the paper so the
-reproduced figures have the same shape; see DESIGN.md §2 and §5 for the
-calibration targets and the substitution rationale.
+reproduced figures have the same shape: the DNS funnel and service-mix
+fractions sit on :class:`PopulationConfig`, the chain and behaviour shares on
+the archetype weights in :mod:`repro.webpki.providers`.
 """
 
 from .tranco import TrancoList, generate_tranco_list

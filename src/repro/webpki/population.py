@@ -1,10 +1,11 @@
 """Generation of the synthetic Internet population.
 
 ``generate_population`` turns a ranked domain list into per-domain
-deployments whose aggregate statistics match the paper's measurements (see
-DESIGN.md §5 for the calibration targets), and can materialise the simulated
-network (DNS zone, HTTP origins, QUIC hosts, telescope) the scanners run
-against.
+deployments whose aggregate statistics match the paper's measurements (the
+calibration targets are the :class:`PopulationConfig` fractions and the
+archetype weights in :mod:`repro.webpki.providers`), and can materialise the
+simulated network (DNS zone, HTTP origins, QUIC hosts, telescope) the
+scanners run against.
 
 Generation is *sharded*: the ranked list is cut into rank-contiguous shards of
 :data:`GENERATION_SHARD_SIZE` domains, and every shard is generated from its

@@ -11,6 +11,7 @@ import pytest
 
 from repro.quic.client import QuicClientConfig
 from repro.scanners.orchestrator import CampaignResults, MeasurementCampaign
+from repro.scanners.streaming import ReducedScanResults
 from repro.webpki.population import InternetPopulation, PopulationConfig, generate_population
 from repro.x509.ca import WebPkiHierarchy, default_hierarchy
 
@@ -45,6 +46,12 @@ def campaign_results(small_population: InternetPopulation) -> CampaignResults:
         spoofed_targets_per_provider=25,
     )
     return campaign.run()
+
+
+@pytest.fixture(scope="session")
+def reduced_scan(campaign_results: CampaignResults) -> ReducedScanResults:
+    """The campaign's stages 1–4 in the reduced contract every figure reads."""
+    return campaign_results.reduced().scan
 
 
 @pytest.fixture(scope="session")

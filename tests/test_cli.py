@@ -1,11 +1,13 @@
 """Tests for the command-line interface."""
 
+import errno
 import os
 
 import pytest
 
 from repro.cli import build_parser, main
 from repro.scanners import MeasurementCampaign
+from repro.scanners import checkpoint as checkpoint_module
 from repro.scenarios import BUILTIN_SCENARIOS
 
 
@@ -350,6 +352,53 @@ class TestDurabilityFlags:
         assert error.count("\n") == 1
         assert unusable in error
         assert "Traceback" not in error
+
+
+class TestFailingCheckpointDisk:
+    """A checkpoint write that fails mid-run exits 2 and leaves a resumable directory."""
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_full_disk_exits_2_then_resumes_to_identical_bytes(
+        self, workers, tmp_path, capsys, monkeypatch
+    ):
+        base = ["campaign", "--size", "250", "--stream", "--shard-size", "100",
+                "--workers", workers]
+        checkpoint_dir = tmp_path / "ckpt"
+        plain = tmp_path / "plain.txt"
+        resumed = tmp_path / "resumed.txt"
+        assert main([*base, "--output", str(plain)]) == 0
+        capsys.readouterr()
+
+        real_write = checkpoint_module.atomic_write_bytes
+        writes = []
+
+        def full_on_second_write(path, data):
+            writes.append(path)
+            if len(writes) == 2:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+            real_write(path, data)
+
+        monkeypatch.setattr(checkpoint_module, "atomic_write_bytes", full_on_second_write)
+        assert main([*base, "--checkpoint-dir", str(checkpoint_dir)]) == 2
+        error = capsys.readouterr().err
+        assert error.count("\n") == 1
+        assert "Traceback" not in error
+        assert writes[1] in error and os.strerror(errno.ENOSPC) in error
+        monkeypatch.undo()
+
+        survivor = writes[0]
+        assert [name for name in os.listdir(checkpoint_dir) if name.endswith(".ckpt")] == [
+            os.path.basename(survivor)
+        ]
+        with open(survivor, "rb") as handle:
+            survivor_bytes = handle.read()
+        assert main(
+            [*base, "--checkpoint-dir", str(checkpoint_dir), "--resume",
+             "--output", str(resumed)]
+        ) == 0
+        assert resumed.read_bytes() == plain.read_bytes()
+        with open(survivor, "rb") as handle:
+            assert handle.read() == survivor_bytes  # folded, not re-scanned
 
 
 class TestScanBackendFlag:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis.figures import (
-    compression,
     figure09,
     figure11,
     funnel,
@@ -11,6 +10,7 @@ from repro.analysis.figures import (
     table01,
     table03,
 )
+from repro.analysis.report import build_report
 from repro.tls.cert_compression import CertificateCompressionAlgorithm
 
 
@@ -55,8 +55,13 @@ class TestFigure11:
 
 
 class TestTable01:
-    def test_browser_rows_and_support(self, campaign_results):
-        result = table01.compute(campaign_results.compression)
+    def test_browser_rows_and_support(self, campaign_results, reduced_scan):
+        result = table01.compute_from_reduction(
+            reduced_scan.wild_support_counts,
+            reduced_scan.wild_rates,
+            reduced_scan.wild_all_three,
+            reduced_scan.wild_count,
+        )
         assert result.scanned_services == len(campaign_results.compression)
         brotli = CertificateCompressionAlgorithm.BROTLI
         assert result.support_shares[brotli] == pytest.approx(0.96, abs=0.05)
@@ -88,9 +93,7 @@ class TestFunnel:
 
 class TestCompressionExperiment:
     def test_synthetic_and_wild_rates(self, campaign_results):
-        result = compression.compute(
-            campaign_results.quic_deployments(), campaign_results.compression
-        )
+        result = build_report(campaign_results)["compression"]
         assert 0.55 <= result.median_synthetic_rate <= 0.80   # paper: ≈65 %
         assert result.share_below_limit_compressed >= 0.97    # paper: 99 %
         assert result.wild_mean_rate == pytest.approx(0.73, abs=0.10)

@@ -31,6 +31,24 @@ class TestCampaignResults:
         assert campaign_results.provider_of(deployment.domain) == deployment.provider
         assert campaign_results.provider_of("definitely-not-scanned.example") is None
 
+    def test_reduced_carries_every_stage(self, campaign_results):
+        reduced = campaign_results.reduced()
+        scan = reduced.scan
+        assert scan.deployment_count == reduced.population_size == len(
+            campaign_results.population
+        )
+        assert scan.quic_count == len(campaign_results.quic_deployments())
+        assert scan.handshake_total == len(campaign_results.handshakes)
+        assert scan.reachable_count == len(campaign_results.reachable_handshakes())
+        assert scan.funnel.as_dict() == campaign_results.https_scan.funnel.as_dict()
+        assert scan.certificate_comparison == campaign_results.certificate_comparison
+        assert scan.sweep.observations == campaign_results.sweep.observations
+        assert reduced.backscatter is campaign_results.backscatter
+        assert reduced.meta_probe_before is campaign_results.meta_probe_before
+        assert reduced.meta_probe_after is campaign_results.meta_probe_after
+        assert reduced.flight_cache == campaign_results.flight_cache
+        assert reduced.analysis_initial_size == campaign_results.analysis_initial_size
+
     def test_class_shares_sum_to_one(self, campaign_results):
         shares = class_shares(campaign_results)
         assert sum(shares.values()) == pytest.approx(1.0)
