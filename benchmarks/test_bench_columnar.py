@@ -7,7 +7,7 @@ fused ``summarize_shard_columnar`` kernel.  Both produce identical
 ``ShardSummary`` values (tests/test_columnar_scan.py and
 tests/test_properties.py pin it); this module only compares wall time, so
 perf PRs can quote a like-for-like per-shard number next to the end-to-end
-phase breakdown of ``scripts/profile_campaign.py --phases``.
+layer table of ``python3 bench/run.py --trace 1`` (``columnar.kernel``).
 
 Knobs (environment):
   REPRO_BENCH_COLUMNAR_SIZE  population size scanned per variant (default 2500)

@@ -4,10 +4,10 @@ Times the two ways to produce the same per-scenario reports — the
 cross-scenario shard-reuse path (:func:`repro.scanners.orchestrator.run_grid_campaign`:
 one generation pass per shard, every member transform replayed against it)
 against one full streamed campaign per member.  The outputs are byte-identical
-(tests/test_scenario_grid.py pins it); this module only compares wall time,
-the per-phase split lives in ``scripts/profile_campaign.py --phases
---scenario-grid`` and the committed numbers in ``BENCH_campaign.json``'s
-``scenario_sweep`` section.
+(tests/test_scenario_grid.py pins it); this module only compares wall time
+in-process.  The cold-process ratio of the real CLI runs is gated by
+``scripts/check_bench_ratios.py``, and ``python3 bench/run.py --workload
+grid-whatifs --trace 1`` splits the grid run into layers.
 
 Knobs (environment):
   REPRO_BENCH_GRID_SIZE  population size swept per variant (default 2500)

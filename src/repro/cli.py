@@ -17,11 +17,15 @@ writing code:
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
+import tempfile
 from typing import Optional, Sequence
 
 from .analysis.report import build_report
 from .core import predict_handshake, required_initial_size
+from .core.limits import MAX_INITIAL_SIZE_AT_MTU_1500, MIN_INITIAL_SIZE
 from .quic.profiles import BUILTIN_PROFILES
 from .scanners import MeasurementCampaign
 from .scenarios import BUILTIN_SCENARIOS, ScenarioError, load_scenario
@@ -30,15 +34,60 @@ from .webpki import PopulationConfig, generate_population
 from .x509.ca import default_hierarchy
 
 
-def positive_int(text: str) -> int:
-    """``argparse`` type for counts that must be at least 1."""
+def _int(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def positive_int(text: str) -> int:
+    """``argparse`` type for counts that must be at least 1."""
+    value = _int(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
     return value
+
+
+def initial_size(text: str) -> int:
+    """``argparse`` type for a client Initial size the wire model covers."""
+    value = _int(text)
+    if not MIN_INITIAL_SIZE <= value <= MAX_INITIAL_SIZE_AT_MTU_1500:
+        raise argparse.ArgumentTypeError(
+            f"must be within [{MIN_INITIAL_SIZE}, {MAX_INITIAL_SIZE_AT_MTU_1500}] bytes "
+            f"(RFC 9000 minimum to the MTU-1500 UDP payload), got {value}"
+        )
+    return value
+
+
+def _probe_writable(path: str, directory: bool) -> None:
+    """Raise ``OSError`` when the run could not write its output to ``path``.
+
+    Probed before any generation by creating and deleting a throwaway file
+    where the output will go.  A report file needs an existing parent
+    directory (the atomic write does not create one); a directory output
+    (``--export-dir``, a grid's ``--output``) is created for the probe and
+    removed again, so a run that fails later leaves nothing behind.
+    """
+    created = []
+    if directory:
+        missing = os.path.abspath(path)
+        while not os.path.lexists(missing):
+            created.append(missing)
+            missing = os.path.dirname(missing)
+    elif os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    else:
+        path = os.path.dirname(os.path.abspath(path))
+    try:
+        os.makedirs(path, exist_ok=True)
+        tempfile.TemporaryFile(dir=path).close()
+    finally:
+        for leftover in created:
+            try:
+                os.rmdir(leftover)
+            except OSError:
+                pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -110,8 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--timings", action="store_true",
         help="print per-phase wall clock (generation / campaign / report) to "
-             "stderr; see scripts/profile_campaign.py --phases for the full "
-             "per-stage breakdown",
+             "stderr; bench/run.py --trace 1 breaks a run down layer by layer",
     )
     campaign.add_argument(
         "--scenario", type=str, default=None, metavar="NAME|FILE.json",
@@ -233,7 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
     predict = subparsers.add_parser("predict", help="predict the handshake class for a chain profile")
     predict.add_argument("--chain", required=True, help="CA chain profile label (see 'profiles')")
     predict.add_argument("--domain", default="example.org", help="domain to issue the leaf for")
-    predict.add_argument("--initial-size", type=int, default=1357, help="client Initial size in bytes")
+    predict.add_argument(
+        "--initial-size", type=initial_size, default=1357,
+        help=f"client Initial size in bytes, {MIN_INITIAL_SIZE} to {MAX_INITIAL_SIZE_AT_MTU_1500} "
+             "(default: 1357)",
+    )
     predict.add_argument("--compression", choices=["none", "zlib", "brotli", "zstd"], default="none")
 
     subparsers.add_parser("profiles", help="list CA chain profiles and server behaviour profiles")
@@ -304,6 +356,19 @@ def _run_campaign(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    # Checked before any generation, so a typo does not cost a whole run.
+    for flag, path, directory in (
+        ("--output", args.output, bool(args.scenario_grid)),
+        ("--export-dir", args.export_dir, True),
+    ):
+        if not path:
+            continue
+        try:
+            _probe_writable(path, directory)
+        except OSError as error:
+            reason = error.strerror or error
+            print(f"error: cannot write {flag} {path}: {reason}", file=sys.stderr)
+            return 2
 
     config = PopulationConfig(size=args.size, seed=args.seed)
     if args.scenario_grid:
@@ -363,7 +428,7 @@ def _run_campaign(args: argparse.Namespace) -> int:
 def _build_campaign(args, config, retry_policy, fault_plan) -> MeasurementCampaign:
     if args.stream:
         # Streaming regenerates inside the workers: generation time is part of
-        # the campaign phase (scripts/profile_campaign.py --phases splits it).
+        # the campaign phase (the traced layer table of bench/run.py splits it).
         return MeasurementCampaign(
             population_config=config,
             run_sweep=args.sweep,
@@ -399,7 +464,6 @@ def _run_grid_campaign(args, config, retry_policy, fault_plan) -> int:
     ``<member>.report.txt`` per grid member; ``--export-dir`` exports each
     member's full CSV bundle into ``<dir>/<member>/``.
     """
-    import os
     import time
 
     from .scanners.checkpoint import CheckpointError

@@ -397,11 +397,10 @@ class MeasurementCampaign:
 
         The seam every streamed result passes through: single runs (resumed
         ones included, whose reductions fold persisted ``ShardSummary``
-        checkpoints), each member of :func:`run_grid_campaign`, and the phase
-        profiler (``scripts/profile_campaign.py --phases``), which drives the
-        shard loop itself.  The reduction's scenario fingerprint must match
-        this campaign's: a persisted what-if reduction finalised under the
-        wrong (or no) scenario would render a silently mislabeled report.
+        checkpoints) and each member of :func:`run_grid_campaign`.  The
+        reduction's scenario fingerprint must match this campaign's: a
+        persisted what-if reduction finalised under the wrong (or no)
+        scenario would render a silently mislabeled report.
         """
         config = self.population_config
         expected = (self.scenario or BASELINE).fingerprint()

@@ -105,9 +105,9 @@ class SkeletonStoreError(RuntimeError):
     """A skeleton cache directory cannot be used for this population."""
 
 
-#: Process-wide hit/miss counters (all stores), read by the profiler and
-#: tests.  Generation is deterministic, so a "hit" is exactly "generation
-#: skipped" — the number the warm-start optimisation exists to maximise.
+#: Process-wide hit/miss counters (all stores), read by the tests.
+#: Generation is deterministic, so a "hit" is exactly "generation skipped" —
+#: the number the warm-start optimisation exists to maximise.
 _CACHE_COUNTERS = {"hits": 0, "misses": 0, "write_errors": 0}
 
 

@@ -41,6 +41,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..core.limits import MAX_INITIAL_SIZE_AT_MTU_1500, MIN_INITIAL_SIZE
 from ..quic.profiles import (
     BUILTIN_PROFILES,
     ServerBehaviorProfile,
@@ -49,10 +50,6 @@ from ..quic.profiles import (
 )
 from ..tls.cert_compression import CertificateCompressionAlgorithm
 from ..x509.keys import KeyAlgorithm
-
-#: Client Initial sizes the wire model covers (RFC 9000 minimum to the MTU).
-MIN_INITIAL_SIZE = 1200
-MAX_INITIAL_SIZE = 1472
 
 _KEY_ALGORITHMS_BY_LABEL: Dict[str, KeyAlgorithm] = {
     algorithm.label: algorithm for algorithm in KeyAlgorithm
@@ -167,11 +164,11 @@ class ScenarioSpec:
         if self.analysis_initial_size is not None and (
             not isinstance(self.analysis_initial_size, int)
             or isinstance(self.analysis_initial_size, bool)
-            or not (MIN_INITIAL_SIZE <= self.analysis_initial_size <= MAX_INITIAL_SIZE)
+            or not (MIN_INITIAL_SIZE <= self.analysis_initial_size <= MAX_INITIAL_SIZE_AT_MTU_1500)
         ):
             raise ScenarioError(
                 f"scenario {self.name!r}: analysis_initial_size must be an integer "
-                f"within [{MIN_INITIAL_SIZE}, {MAX_INITIAL_SIZE}] "
+                f"within [{MIN_INITIAL_SIZE}, {MAX_INITIAL_SIZE_AT_MTU_1500}] "
                 f"(got {self.analysis_initial_size!r})"
             )
         if self.compression_adoption is not None:

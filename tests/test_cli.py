@@ -353,6 +353,48 @@ class TestDurabilityFlags:
         assert unusable in error
         assert "Traceback" not in error
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["campaign", "--output", "FILE"],
+            ["campaign", "--stream", "--output", "FILE"],
+            ["campaign", "--export-dir", "DIR"],
+            ["campaign", "--stream", "--export-dir", "DIR"],
+            ["campaign", "--scenario-grid", "what-ifs", "--output", "DIR"],
+            ["campaign", "--scenario-grid", "what-ifs", "--export-dir", "DIR"],
+        ],
+        ids=["serial-output", "stream-output", "serial-export", "stream-export",
+             "grid-output", "grid-export"],
+    )
+    def test_unusable_output_exits_2_before_generation(
+        self, command, tmp_path, capsys, monkeypatch
+    ):
+        def no_generation(*args, **kwargs):
+            raise AssertionError("the campaign ran before its output was checked")
+
+        monkeypatch.setattr("repro.cli._build_campaign", no_generation)
+        monkeypatch.setattr("repro.scanners.orchestrator.run_grid_campaign", no_generation)
+        regular_file = tmp_path / "f"
+        regular_file.write_text("", encoding="utf-8")
+        unusable = {"FILE": str(regular_file / "r.txt"), "DIR": str(regular_file / "sub")}
+        argv = [unusable.get(part, part) for part in command]
+        assert main([*argv, "--size", "300"]) == 2
+        error = capsys.readouterr().err
+        assert error.count("\n") == 1
+        assert str(regular_file) in error
+        assert "Traceback" not in error
+
+    def test_output_probe_leaves_no_directory_behind(self, tmp_path, monkeypatch, capsys):
+        def stop(*args, **kwargs):
+            raise SystemExit(9)
+
+        monkeypatch.setattr("repro.scanners.orchestrator.run_grid_campaign", stop)
+        output = tmp_path / "new" / "reports"
+        with pytest.raises(SystemExit):
+            main(["campaign", "--scenario-grid", "what-ifs", "--size", "300",
+                  "--output", str(output), "--export-dir", str(tmp_path / "csv")])
+        assert sorted(os.listdir(tmp_path)) == []
+
 
 class TestFailingCheckpointDisk:
     """A checkpoint write that fails mid-run exits 2 and leaves a resumable directory."""
@@ -476,4 +518,14 @@ class TestNumericFlags:
         error = capsys.readouterr().err
         assert error.count("\n") == 1
         assert f"argument {flag}: must be a positive integer" in error
+        assert "Traceback" not in error
+
+    @pytest.mark.parametrize("value", ["1199", "1473", "0"])
+    def test_initial_size_outside_the_wire_model_exits_2_with_one_line(self, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["predict", "--chain", "Let's Encrypt R3 + root X1", "--initial-size", value])
+        assert exit_info.value.code == 2
+        error = capsys.readouterr().err
+        assert error.count("\n") == 1
+        assert "argument --initial-size: must be within [1200, 1472] bytes" in error
         assert "Traceback" not in error
