@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import pytest
 
+import repro.webpki.skeleton as skeleton_module
+import repro.x509.ca as ca_module
 from repro.scanners.sharding import ShardTask, plan_shards
 from repro.scanners.streaming import _count_quic_targets
 from repro.webpki.population import (
@@ -29,6 +31,7 @@ from repro.webpki.population import (
     iter_population_shards,
 )
 from repro.webpki.tranco import generate_tranco_list
+from repro.x509.issuance import issue_leaf_fast
 
 #: Multi-shard config so per-shard RNG derivation and slicing are exercised.
 BENCH_CONFIG = PopulationConfig(size=4 * GENERATION_SHARD_SIZE, seed=2022)
@@ -91,18 +94,41 @@ def test_bench_discovery_pass(benchmark):
     assert quic_targets == pytest.approx(0.21 * BENCH_CONFIG.size, rel=0.25)
 
 
-def test_skeleton_pass_is_much_cheaper_than_full_generation():
+def test_skeleton_pass_is_much_cheaper_than_full_generation(monkeypatch):
     """The two-phase contract's reason to exist, pinned coarsely (≥2×).
 
     Issuance already runs through the per-issuer fast path, so full generation
     is only a few times slower than the skeleton pass; the precise ratio is
-    hardware-dependent (docs/PERFORMANCE.md tracks it).  This floor only
-    guards against the skeleton pass accidentally materialising chains again.
+    hardware-dependent (docs/PERFORMANCE.md tracks it).  The timing floor
+    guards against the skeleton pass accidentally materialising chains again;
+    the issuance count pins the same property without a clock: the skeleton
+    pass issues no leaf and full generation one per distinct chain spec.
     """
     import time
 
     generate_shard(BENCH_CONFIG, 2, skeleton=True)  # warm caches
     generate_shard(BENCH_CONFIG, 2)
+
+    issued = []
+
+    def counting_issue(*args, **kwargs):
+        issued.append(args[1])
+        return issue_leaf_fast(*args, **kwargs)
+
+    for module in (skeleton_module, ca_module):
+        monkeypatch.setattr(module, "issue_leaf_fast", counting_issue)
+    skeleton_shard = generate_shard(BENCH_CONFIG, 3, skeleton=True)
+    assert issued == []
+    generate_shard(BENCH_CONFIG, 3)
+    specs = {
+        spec
+        for skeleton in skeleton_shard.skeletons
+        for spec in (skeleton.https_spec, skeleton.quic_spec)
+        if spec is not None
+    }
+    assert specs and len(issued) == len(specs)
+    monkeypatch.undo()
+
     t0 = time.perf_counter()
     for _ in range(3):
         generate_shard(BENCH_CONFIG, 3, skeleton=True)

@@ -27,14 +27,9 @@ def encode_length(length: int) -> bytes:
     if length < 0:
         raise Asn1Error(f"negative length: {length}")
     if length < 0x80:
-        return bytes([length])
-    out = []
-    value = length
-    while value > 0:
-        out.append(value & 0xFF)
-        value >>= 8
-    out.reverse()
-    return bytes([0x80 | len(out)]) + bytes(out)
+        return bytes((length,))
+    octets = length.to_bytes((length.bit_length() + 7) // 8, "big")
+    return bytes((0x80 | len(octets),)) + octets
 
 
 def decode_length(data: bytes, offset: int) -> Tuple[int, int]:
@@ -62,7 +57,11 @@ def decode_length(data: bytes, offset: int) -> Tuple[int, int]:
 
 def encode_tlv(tag: int, content: bytes) -> bytes:
     """Encode one tag-length-value triple."""
-    return bytes([tag]) + encode_length(len(content)) + content
+    length = len(content)
+    if length < 0x80:
+        # Short form: the tag and length are two octets (most TLVs).
+        return bytes((tag, length)) + content
+    return bytes((tag,)) + encode_length(length) + content
 
 
 def decode_tlv(data: bytes, offset: int = 0) -> Tuple[int, bytes, int]:

@@ -55,6 +55,7 @@ import struct
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import accumulate, islice
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..core.ioutil import (
@@ -285,7 +286,13 @@ def _decode_leaf_annex(
     shard: SkeletonShard,
     hierarchy: WebPkiHierarchy,
 ) -> ChainCache:
-    """Rebuild the shard's chain cache from its issued-leaf annex."""
+    """Rebuild the shard's chain cache from its issued-leaf annex.
+
+    Only the DER and field-size columns are read back.  The TBS and
+    signature lengths, serials and SKI/SAN/SCT values the annex also carries
+    are all parts of the DER, which a rebuilt leaf reads them from if it is
+    ever expanded (see :func:`~repro.x509.issuance.leaf_from_record`).
+    """
     specs = list(_iter_specs(shard))
     (count,) = struct.unpack_from("<I", payload, pos)
     pos += 4
@@ -294,27 +301,13 @@ def _decode_leaf_annex(
             f"leaf annex carries {count} records for {len(specs)} chain specs"
         )
     der_lens = struct.unpack_from(f"<{count}I", payload, pos)
-    pos += 4 * count
-    tbs_lens = struct.unpack_from(f"<{count}I", payload, pos)
-    pos += 4 * count
-    sig_lens = struct.unpack_from(f"<{count}H", payload, pos)
-    pos += 2 * count
-    ski_lens = struct.unpack_from(f"<{count}H", payload, pos)
-    pos += 2 * count
-    san_lens = struct.unpack_from(f"<{count}H", payload, pos)
-    pos += 2 * count
-    sct_lens = struct.unpack_from(f"<{count}H", payload, pos)
-    pos += 2 * count
-    serials = payload[pos : pos + 16 * count]
-    pos += 16 * count
+    pos += 8 * count + 2 * count  # DER and TBS lengths, signature lengths
+    value_lens = struct.unpack_from(f"<{3 * count}H", payload, pos)  # SKI, SAN, SCT
+    pos += 6 * count + 16 * count  # ... and the serials
     rows = struct.unpack_from(f"<{7 * count}I", payload, pos)
     pos += 28 * count
-    der_pos = pos
-    ski_pos = der_pos + sum(der_lens)
-    san_pos = ski_pos + sum(ski_lens)
-    sct_pos = san_pos + sum(san_lens)
-    end = sct_pos + sum(sct_lens)
-    if end != len(payload) or len(serials) != 16 * count:
+    der_bounds = list(accumulate(der_lens, initial=pos))
+    if der_bounds[-1] + sum(value_lens) != len(payload):
         raise SkeletonStoreError("leaf annex is truncated or has trailing bytes")
     profiles = hierarchy.profiles
     cache: ChainCache = {}
@@ -324,16 +317,10 @@ def _decode_leaf_annex(
     # shard and is the warm path's largest single cost.
     templates: Dict[Tuple[str, object], tuple] = {}
     chain_new = CertificateChain.__new__
-    from_bytes = int.from_bytes
-    for i, spec in enumerate(specs):
-        der = payload[der_pos : der_pos + der_lens[i]]
-        der_pos += der_lens[i]
-        ski = payload[ski_pos : ski_pos + ski_lens[i]]
-        ski_pos += ski_lens[i]
-        san = payload[san_pos : san_pos + san_lens[i]]
-        san_pos += san_lens[i]
-        sct = payload[sct_pos : sct_pos + sct_lens[i]]
-        sct_pos += sct_lens[i]
+    set_field = object.__setattr__
+    for spec, start, end, row in zip(
+        specs, der_bounds, islice(der_bounds, 1, None), range(0, 7 * count, 7)
+    ):
         entry = templates.get((spec.ca_profile, spec.key_algorithm))
         if entry is None:
             profile = profiles[spec.ca_profile]
@@ -344,25 +331,12 @@ def _decode_leaf_annex(
                 profile.delivered_chain,
             )
         template, delivered = entry
-        leaf = leaf_from_record(
-            template,
-            spec.domain,
-            spec.san_names,  # bound method: expanded lazily on first read
-            spec.validity_days,
-            der,
-            tbs_lens[i],
-            sig_lens[i],
-            from_bytes(serials[16 * i : 16 * i + 16], "big"),
-            ski,
-            san,
-            sct,
-            rows[7 * i : 7 * i + 7],
-        )
+        leaf = leaf_from_record(template, spec, payload[start:end], rows[row : row + 7])
         if spec.bloat_extras or spec.trim_to is not None:
             cache[spec] = spec.assemble(leaf, hierarchy)
         else:
             chain = chain_new(CertificateChain)
-            chain.__dict__.update({"certificates": (leaf,) + delivered})
+            set_field(chain, "certificates", (leaf,) + delivered)
             cache[spec] = chain
     return cache
 

@@ -390,6 +390,12 @@ _BEHAVIOR_INDEX = {profile: i for i, profile in enumerate(_BEHAVIORS)}
 #: u16 string-table sentinel for "no string" (optional fields).
 _NO_REF = 0xFFFF
 
+#: Decode tables indexed by the stored column value (0 means "none").
+_KEY_ALGORITHM_AT = (None,) + _KEY_ALGORITHMS
+_BEHAVIOR_AT = (None,) + _BEHAVIORS
+#: Chain specs a row's flag byte consumes (HTTPS bit 2, QUIC bit 4).
+_SPECS_PER_FLAG = bytes(bool(flag & 2) + bool(flag & 4) for flag in range(256))
+
 
 def _u8(value: int, what: str) -> int:
     if not 0 <= value <= 0xFF:
@@ -535,7 +541,7 @@ def decode_skeleton_shard(data: bytes):
         return _decode_skeleton_shard(data)
     except SkeletonCodecError:
         raise
-    except (struct.error, IndexError, UnicodeDecodeError, ValueError) as error:
+    except (struct.error, IndexError, KeyError, UnicodeDecodeError, ValueError) as error:
         raise SkeletonCodecError(f"skeleton shard payload is malformed: {error}") from error
 
 
@@ -605,107 +611,113 @@ def _decode_skeleton_shard(data: bytes):
             f"shard payload has {len(data) - pos} unexpected trailing bytes"
         )
 
-    sp = 0  # spec cursor
-    bp = 0  # bloat-blob cursor
     # Construction bypasses the frozen-dataclass __init__ (decode is the warm
-    # path's generation phase; ~1.8k objects per shard) — field sets below
-    # must stay in lockstep with the ChainSpec / DeploymentSkeleton fields.
-    # The two spec blocks are deliberately inlined copies of each other: this
-    # loop is hot enough that a per-spec closure call shows up.
+    # path's generation phase; ~3k objects per shard) — field sets below must
+    # stay in lockstep with the ChainSpec / DeploymentSkeleton fields.  Every
+    # column is translated to field values in C (``map`` over the column),
+    # so the row loops only assemble records.
+    refs = dict(enumerate(table))
+    refs[_NO_REF] = None
+    string_at = table.__getitem__
+    optional_string_at = refs.__getitem__
     spec_new = ChainSpec.__new__
+    specs: List[ChainSpec] = []
+    append_spec = specs.append
+    bp = 0  # bloat-blob cursor
+    for domain, ca_profile, key, san_count, name_stem, validity_days, trim, bloat in zip(
+        map(string_at, spec_domains),
+        map(string_at, spec_cas),
+        spec_keys,
+        spec_sans,
+        map(string_at, spec_stems),
+        spec_validities,
+        spec_trims,
+        spec_bloats,
+    ):
+        if bloat:
+            extras = tuple(bloat_blob[bp : bp + bloat])
+            bp += bloat
+        else:
+            extras = ()
+        trim_to = trim or None
+        key_algorithm = _KEY_ALGORITHM_AT[key]
+        spec = spec_new(ChainSpec)
+        spec.__dict__.update(
+            {
+                "domain": domain,
+                "ca_profile": ca_profile,
+                "key_algorithm": key_algorithm,
+                "san_count": san_count,
+                "name_stem": name_stem,
+                "validity_days": validity_days,
+                "bloat_extras": extras,
+                "trim_to": trim_to,
+                # ChainSpec.__hash__'s memo over the same field tuple,
+                # computed without the method call: every decoded spec keys
+                # a chain cache.
+                "_hash": hash(
+                    (
+                        domain,
+                        ca_profile,
+                        key_algorithm,
+                        san_count,
+                        name_stem,
+                        validity_days,
+                        extras,
+                        trim_to,
+                    )
+                ),
+            }
+        )
+        append_spec(spec)
+
+    used = sum(flags.translate(_SPECS_PER_FLAG))
+    if used != m:
+        raise SkeletonCodecError(f"shard names {m} chain specs but its rows use {used}")
+    next_spec = iter(specs).__next__
     skeleton_new = DeploymentSkeleton.__new__
     address_new = IPv4Address.__new__
-    no_ref = _NO_REF
-
+    set_field = object.__setattr__
     skeletons: List[DeploymentSkeleton] = []
     append = skeletons.append
-    for rank, flag, category, rcode, behavior, encapsulation, address_value, d_ref, p_ref, a_ref, c_ref, r_ref in zip(
+    for rank, flag, category, rcode, behavior, encapsulation, address_value, domain, provider, archetype, ca_profile, redirect_to in zip(
         ranks,
         flags,
-        categories,
-        rcodes,
-        behaviors,
+        map(_CATEGORIES.__getitem__, categories),
+        map(_RCODES.__getitem__, rcodes),
+        map(_BEHAVIOR_AT.__getitem__, behaviors),
         encapsulations,
         addresses,
-        domains,
-        providers,
-        archetypes,
-        ca_profiles,
-        redirects,
+        map(string_at, domains),
+        map(optional_string_at, providers),
+        map(optional_string_at, archetypes),
+        map(optional_string_at, ca_profiles),
+        map(optional_string_at, redirects),
     ):
         if flag & 1:
+            # One field: set it in place, so no per-instance dict is built.
             address = address_new(IPv4Address)
-            address.__dict__.update({"value": address_value})
+            set_field(address, "value", address_value)
         else:
             address = None
-        if flag & 2:
-            count = spec_bloats[sp]
-            if count:
-                extras = tuple(bloat_blob[bp : bp + count])
-                bp += count
-            else:
-                extras = ()
-            key = spec_keys[sp]
-            https_spec = spec_new(ChainSpec)
-            https_spec.__dict__.update(
-                {
-                    "domain": table[spec_domains[sp]],
-                    "ca_profile": table[spec_cas[sp]],
-                    "key_algorithm": None if key == 0 else _KEY_ALGORITHMS[key - 1],
-                    "san_count": spec_sans[sp],
-                    "name_stem": table[spec_stems[sp]],
-                    "validity_days": spec_validities[sp],
-                    "bloat_extras": extras,
-                    "trim_to": spec_trims[sp] or None,
-                }
-            )
-            sp += 1
-        else:
-            https_spec = None
-        if flag & 4:
-            count = spec_bloats[sp]
-            if count:
-                extras = tuple(bloat_blob[bp : bp + count])
-                bp += count
-            else:
-                extras = ()
-            key = spec_keys[sp]
-            quic_spec = spec_new(ChainSpec)
-            quic_spec.__dict__.update(
-                {
-                    "domain": table[spec_domains[sp]],
-                    "ca_profile": table[spec_cas[sp]],
-                    "key_algorithm": None if key == 0 else _KEY_ALGORITHMS[key - 1],
-                    "san_count": spec_sans[sp],
-                    "name_stem": table[spec_stems[sp]],
-                    "validity_days": spec_validities[sp],
-                    "bloat_extras": extras,
-                    "trim_to": spec_trims[sp] or None,
-                }
-            )
-            sp += 1
-        else:
-            quic_spec = None
         skeleton = skeleton_new(DeploymentSkeleton)
         skeleton.__dict__.update(
             {
-                "domain": table[d_ref],
+                "domain": domain,
                 "rank": rank,
-                "category": _CATEGORIES[category],
-                "dns_rcode": _RCODES[rcode],
+                "category": category,
+                "dns_rcode": rcode,
                 "address": address,
-                "server_behavior": None if behavior == 0 else _BEHAVIORS[behavior - 1],
-                "provider": None if p_ref == no_ref else table[p_ref],
-                "archetype": None if a_ref == no_ref else table[a_ref],
-                "ca_profile": None if c_ref == no_ref else table[c_ref],
+                "server_behavior": behavior,
+                "provider": provider,
+                "archetype": archetype,
+                "ca_profile": ca_profile,
                 "encapsulation_overhead": encapsulation,
-                "redirect_to": None if r_ref == no_ref else table[r_ref],
-                "https_spec": https_spec,
-                "quic_spec": quic_spec,
+                "redirect_to": redirect_to,
+                "https_spec": next_spec() if flag & 2 else None,
+                "quic_spec": next_spec() if flag & 4 else None,
                 "quic_shares_https": bool(flag & 8),
             }
         )
         append(skeleton)
-    if sp != m:
-        raise SkeletonCodecError(f"shard names {m} chain specs but uses {sp}")
     return SkeletonShard(index=index, start_rank=start_rank, skeletons=tuple(skeletons))

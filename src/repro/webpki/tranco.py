@@ -10,8 +10,10 @@ module deterministically generates a ranked list with realistic name shapes.
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterator, List, Sequence, Tuple
 
 _SYLLABLES = (
@@ -60,9 +62,24 @@ class TrancoList:
         return self.domains[:count]
 
 
+#: ``random.choices`` draws ``bisect(cum_weights, random() * total, 0, n - 1)``;
+#: precomputing the cumulative weights keeps exactly that one draw per pick
+#: (the same idiom as :mod:`repro.webpki.providers`).
+_SYLLABLE_COUNTS = (1, 2, 3, 4)
+_SYLLABLE_CUM_WEIGHTS = tuple(accumulate((10, 55, 30, 5)))
+_TLDS = tuple(tld for tld, _ in _TLDS_WEIGHTED)
+_TLD_CUM_WEIGHTS = tuple(accumulate(weight for _, weight in _TLDS_WEIGHTED))
+
+
+def _weighted_pick(rng: random.Random, population: Sequence, cum_weights: Sequence[int]):
+    """``rng.choices(population, cum_weights=cum_weights)[0]``, draw for draw."""
+    total = cum_weights[-1] + 0.0
+    return population[bisect(cum_weights, rng.random() * total, 0, len(population) - 1)]
+
+
 def _random_label(rng: random.Random) -> str:
-    syllable_count = rng.choices((1, 2, 3, 4), weights=(10, 55, 30, 5))[0]
-    label = "".join(rng.choice(_SYLLABLES) for _ in range(syllable_count))
+    syllable_count = _weighted_pick(rng, _SYLLABLE_COUNTS, _SYLLABLE_CUM_WEIGHTS)
+    label = "".join([rng.choice(_SYLLABLES) for _ in range(syllable_count)])
     if rng.random() < 0.08:
         label += str(rng.randint(1, 999))
     if rng.random() < 0.05:
@@ -71,8 +88,7 @@ def _random_label(rng: random.Random) -> str:
 
 
 def _random_tld(rng: random.Random) -> str:
-    tlds, weights = zip(*_TLDS_WEIGHTED)
-    return rng.choices(tlds, weights=weights)[0]
+    return _weighted_pick(rng, _TLDS, _TLD_CUM_WEIGHTS)
 
 
 def generate_tranco_list(size: int, seed: int = 2022) -> TrancoList:

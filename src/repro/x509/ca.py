@@ -34,7 +34,7 @@ from .extensions import (
     SubjectAlternativeName,
     SubjectKeyIdentifier,
 )
-from .issuance import issue_leaf_fast, leaf_template
+from .issuance import issue_leaf_fast, leaf_template, slug as _slug
 from .keys import KeyAlgorithm, PublicKey
 from .name import DistinguishedName
 
@@ -241,10 +241,6 @@ def issue_leaf(
         san_names=tuple(san_names),
     )
     return builder.build()
-
-
-def _slug(text: str) -> str:
-    return "".join(ch.lower() if ch.isalnum() else "-" for ch in text).strip("-")
 
 
 # ---------------------------------------------------------------------------

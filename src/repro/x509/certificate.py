@@ -39,7 +39,16 @@ class Validity:
 #: The fields a skeleton-store leaf record postpones (see
 #: :func:`repro.x509.issuance.leaf_from_record`); reading one expands it.
 _DEFERRED_FIELDS = frozenset(
-    ("subject", "public_key", "validity", "extensions", "tbs_der", "signature_value")
+    (
+        "serial_number",
+        "subject",
+        "public_key",
+        "validity",
+        "extensions",
+        "tbs_der",
+        "signature_value",
+        "_san_names",
+    )
 )
 
 
@@ -106,25 +115,21 @@ class Certificate:
 
     @property
     def san_names(self) -> Tuple[str, ...]:
-        names = getattr(self, "_san_names", ())
-        if callable(names):
-            # Issuance memoizes the names eagerly; certificates rebuilt from
-            # a skeleton-store leaf record memoize a thunk instead (the names
-            # are derivable from the chain spec) and expand it on first read.
-            names = tuple(names())
-            object.__setattr__(self, "_san_names", names)
-        return names
+        # Issuance memoizes the names; a certificate rebuilt from a
+        # skeleton-store leaf record derives them from its chain spec when
+        # its record expands.
+        return getattr(self, "_san_names", ())
 
     def __getattr__(self, name: str):
         # Certificates rebuilt from a skeleton-store leaf record carry a
         # ``_deferred`` record tuple instead of the fields the scan layer
-        # never reads (subject DN, public key, validity, extension tuple,
-        # TBS and signature slices); the first access to one of those
-        # expands the record into ``__dict__`` and the instance behaves like
-        # a fresh one.  Every other missing name — memo probes such as
-        # ``getattr(cert, "_field_sizes", None)`` — raises without expanding:
-        # a warm scan reads key algorithm, sizes and SAN share straight from
-        # the record and must expand nothing.  The import is deferred to
+        # never reads (serial, subject DN, public key, validity, extension
+        # tuple, TBS and signature slices, SAN names); the first access to
+        # one of those expands the record into ``__dict__`` and the instance
+        # behaves like a fresh one.  Every other missing name — memo probes
+        # such as ``getattr(cert, "_field_sizes", None)`` — raises without
+        # expanding: a warm scan reads key algorithm, sizes and SAN share
+        # straight from the record and must expand nothing.  The import is deferred to
         # break the issuance→certificate cycle.
         if name not in _DEFERRED_FIELDS:
             raise AttributeError(name)
@@ -139,7 +144,9 @@ class Certificate:
 
     def __getstate__(self):
         if "_deferred" in self.__dict__:
-            self.validity  # deferred thunks don't pickle; expand first
+            # A deferred record points at its template and chain spec; expand
+            # it so the pickle carries the certificate's own fields.
+            self.validity
         return dict(self.__dict__)
 
 

@@ -139,6 +139,10 @@ def AuthorityInformationAccess(
     return Extension(OID.AUTHORITY_INFO_ACCESS, critical, encode_sequence(*descriptions))
 
 
+#: The id-qt-cps policy qualifier (RFC 5280 §4.2.1.4).
+_CPS_QUALIFIER = ObjectIdentifier("1.3.6.1.5.5.7.2.1", "cps")
+
+
 def CertificatePolicies(
     policy_oids: Sequence[ObjectIdentifier] = (),
     cps_url: Optional[str] = None,
@@ -149,7 +153,7 @@ def CertificatePolicies(
     for oid in policy_oids:
         if cps_url:
             qualifier = encode_sequence(
-                ObjectIdentifier("1.3.6.1.5.5.7.2.1", "cps").encode(),
+                _CPS_QUALIFIER.encode(),
                 encode_ia5_string(cps_url),
             )
             policies.append(encode_sequence(oid.encode(), encode_sequence(qualifier)))

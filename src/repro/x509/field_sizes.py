@@ -124,9 +124,9 @@ def san_byte_share(certificate: Certificate) -> float:
         return cached
     record = certificate.__dict__.get("_deferred")
     if record is not None:
-        # Skeleton-store leaf: size the SAN from the stored value rather
+        # Skeleton-store leaf: size the SAN from the field-size row rather
         # than expanding the record into an extension tuple.
-        san_size = deferred_san_size(record)
+        san_size = deferred_san_size(record, certificate._field_size_row)
     else:
         san = certificate.extension(OID.SUBJECT_ALT_NAME.dotted)
         san_size = 0 if san is None else san.encoded_size()

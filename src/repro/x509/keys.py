@@ -77,13 +77,18 @@ class SignatureAlgorithm(Enum):
 
 
 def _deterministic_bytes(seed: str, length: int) -> bytes:
-    """Expand ``seed`` into ``length`` pseudo-random bytes (SHA-256 counter mode)."""
-    out = bytearray()
-    counter = 0
-    while len(out) < length:
-        out.extend(hashlib.sha256(f"{seed}:{counter}".encode()).digest())
-        counter += 1
-    return bytes(out[:length])
+    """Expand ``seed`` into ``length`` pseudo-random bytes (SHA-256 counter mode).
+
+    Block ``i`` is ``SHA-256("<seed>:<i>")``; the seed is encoded once.
+    """
+    return sha256_counter_bytes(f"{seed}:".encode(), length)
+
+
+def sha256_counter_bytes(head: bytes, length: int) -> bytes:
+    """:func:`_deterministic_bytes` of an already encoded ``b"<seed>:"`` head."""
+    sha256 = hashlib.sha256
+    blocks = b"".join([sha256(head + b"%d" % i).digest() for i in range((length + 31) // 32)])
+    return blocks[:length]
 
 
 @dataclass(frozen=True)

@@ -82,9 +82,13 @@ def _record_generation(monkeypatch, config: PopulationConfig, skeleton: bool):
         instances.append(rng)
         return rng
 
-    # Warm the (memoized) ranked list first so the only RNG constructed under
-    # the patch is the shard's own derived generator.
+    # Warm the (memoized) ranked list and Meta PoP chains first so the only
+    # RNG constructed under the patch is the shard's own derived generator.
+    # The PoP memo is process-wide: built from a RecordingRandom (whose
+    # ``random``-based ``_randbelow`` draws differently from ``getrandbits``)
+    # it would poison every later test that reads the Meta figures.
     generate_tranco_list(config.size, seed=config.seed)
+    population_module._meta_pop_chain_rows()
     monkeypatch.setattr(population_module.random, "Random", recording_factory)
     try:
         generate_shard(config, 0, skeleton=skeleton)

@@ -50,7 +50,7 @@ from repro.scenarios.grid import load_grid
 from repro.webpki import population as population_module
 from repro.webpki import tranco as tranco_module
 from repro.webpki.population import PopulationConfig, generate_population
-from repro.webpki.skeleton import materialize_skeletons
+from repro.webpki.skeleton import ChainSpec, materialize_skeletons
 from repro.x509 import issuance
 from repro.x509.ca import default_hierarchy
 from repro.x509.field_sizes import field_size_row, san_byte_share
@@ -127,6 +127,10 @@ class TestWireFormat:
         assert set(decoded_cache) == set(cache)
         for spec, chain in cache.items():
             assert decoded_cache[spec].leaf.der == chain.leaf.der
+        for spec in decoded_cache:
+            # The decoder's hash memo equals the hash of a freshly built spec,
+            # so a lookup with an equal, independently built spec hits.
+            assert hash(spec) == hash(dataclasses.replace(spec))
 
     def test_encoding_is_deterministic(self, config, shard_and_cache):
         shard, cache = shard_and_cache
@@ -660,14 +664,29 @@ class TestWarmPathObjects:
         for label, profile in default_hierarchy().profiles.items():
             template = leaf_template(profile.issuer, algorithm)
             fast = issue_leaf_fast(template, "record.test", sans, 90)
-            rebuilt = leaf_from_record(
-                template, "record.test", sans, 90, *leaf_record(fast)
+            spec = ChainSpec(
+                domain="record.test",
+                ca_profile=label,
+                key_algorithm=algorithm,
+                san_count=len(sans),
+                name_stem="record.test",
+                validity_days=90,
             )
+            der, *_, row = leaf_record(fast)
+            rebuilt = leaf_from_record(template, spec, der, row)
             assert rebuilt.key_algorithm is fast.key_algorithm is algorithm, label
             assert san_byte_share(rebuilt) == san_byte_share(fast), label
             assert field_size_row(rebuilt) == field_size_row(fast), label
             assert rebuilt.size == fast.size, label
             assert "_deferred" in rebuilt.__dict__, label
+            # Expanding reads serial, slices and extension values off the DER.
+            assert rebuilt == fast, label
+            assert rebuilt.tbs_der == fast.tbs_der, label
+            assert rebuilt.signature_value == fast.signature_value, label
+            assert rebuilt.san_names == fast.san_names, label
+            assert [e.encode() for e in rebuilt.extensions] == [
+                e.encode() for e in fast.extensions
+            ], label
 
     def test_memo_probes_do_not_expand(self, config, warmed_dir):
         _, cache = SkeletonStore(warmed_dir).load_or_generate(config, 0)

@@ -1,5 +1,7 @@
 """Unit tests for the Tranco-like list generator."""
 
+import hashlib
+
 import pytest
 
 from repro.webpki import generate_tranco_list
@@ -40,3 +42,19 @@ class TestTrancoGeneration:
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             generate_tranco_list(0)
+
+
+#: SHA-256 of ``"\n".join(domains)`` for ``(size, seed)``.  The ranked list
+#: feeds every domain name, rank and SAN, so any change to its draws moves
+#: every figure; these digests pin the exact list.
+PINNED_LIST_DIGESTS = {
+    (50_000, 2022): "5d016fec337608b9bcfc0cb0d543acf08253647165b90cd65727963eb56f5339",
+    (20_000, 7): "332fb822fc750c3903ea54bd56aea653e817711f6de1e2acda0583d28e0b7d23",
+}
+
+
+@pytest.mark.parametrize("size, seed", sorted(PINNED_LIST_DIGESTS))
+def test_ranked_list_is_pinned(size, seed):
+    domains = generate_tranco_list(size, seed=seed).domains
+    digest = hashlib.sha256("\n".join(domains).encode()).hexdigest()
+    assert digest == PINNED_LIST_DIGESTS[(size, seed)]
