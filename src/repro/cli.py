@@ -21,17 +21,19 @@ import errno
 import os
 import sys
 import tempfile
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .analysis.report import build_report
 from .core import predict_handshake, required_initial_size
 from .core.limits import MAX_INITIAL_SIZE_AT_MTU_1500, MIN_INITIAL_SIZE
 from .quic.profiles import BUILTIN_PROFILES
-from .scanners import MeasurementCampaign
 from .scenarios import BUILTIN_SCENARIOS, ScenarioError, load_scenario
 from .tls.cert_compression import CertificateCompressionAlgorithm
-from .webpki import PopulationConfig, generate_population
-from .x509.ca import default_hierarchy
+
+# The measurement pipeline (scanners, webpki, analysis) is imported inside
+# the subcommands that run it, so 'scenarios', 'predict' and 'profiles'
+# start without loading it.
+if TYPE_CHECKING:
+    from .scanners import MeasurementCampaign
 
 
 def _int(text: str) -> int:
@@ -295,9 +297,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_campaign(args: argparse.Namespace) -> int:
     import time
 
+    from .analysis.report import build_report
     from .scanners.checkpoint import CheckpointError
     from .scanners.faults import FaultPlanError, load_fault_plan
     from .scanners.sharding import RetryPolicy, ShardDispatchError
+    from .webpki import PopulationConfig
 
     if args.scenario_grid and args.scenario:
         print(
@@ -426,6 +430,9 @@ def _run_campaign(args: argparse.Namespace) -> int:
 
 
 def _build_campaign(args, config, retry_policy, fault_plan) -> MeasurementCampaign:
+    from .scanners import MeasurementCampaign
+    from .webpki import generate_population
+
     if args.stream:
         # Streaming regenerates inside the workers: generation time is part of
         # the campaign phase (the traced layer table of bench/run.py splits it).
@@ -466,6 +473,7 @@ def _run_grid_campaign(args, config, retry_policy, fault_plan) -> int:
     """
     import time
 
+    from .analysis.report import build_report
     from .scanners.checkpoint import CheckpointError
     from .scanners.orchestrator import run_grid_campaign
     from .scanners.sharding import ShardDispatchError
@@ -542,6 +550,8 @@ def _run_grid_campaign(args, config, retry_policy, fault_plan) -> int:
 
 
 def _run_predict(args: argparse.Namespace) -> int:
+    from .x509.ca import default_hierarchy
+
     hierarchy = default_hierarchy()
     if args.chain not in hierarchy.profiles:
         print(f"unknown chain profile: {args.chain!r} (see 'repro profiles')", file=sys.stderr)
@@ -635,6 +645,7 @@ def _run_compare(args: argparse.Namespace) -> int:
 
 def _run_skeletons(args: argparse.Namespace) -> int:
     from .scanners.skeleton_store import SkeletonStore, SkeletonStoreError, warm
+    from .webpki import PopulationConfig
 
     try:
         store = SkeletonStore(args.directory)
@@ -721,6 +732,8 @@ def _run_scenarios(args: argparse.Namespace) -> int:
 
 
 def _run_profiles(_: argparse.Namespace) -> int:
+    from .x509.ca import default_hierarchy
+
     hierarchy = default_hierarchy()
     print("CA chain profiles:")
     for label, profile in sorted(hierarchy.profiles.items()):

@@ -15,7 +15,7 @@ from ..netsim.network import UdpNetwork
 from ..tls.cert_compression import (
     CertificateCompressionAlgorithm,
     CompressionResult,
-    compress_certificate_chain,
+    chain_compression,
 )
 
 ALL_ALGORITHMS: Tuple[CertificateCompressionAlgorithm, ...] = (
@@ -72,15 +72,14 @@ class CompressionScanner:
         supported = tuple(
             algorithm for algorithm in ALL_ALGORITHMS if host.profile.supports_compression(algorithm)
         )
-        der_chain = [cert.der for cert in host.chain]
         compressed: Dict[CertificateCompressionAlgorithm, int] = {}
         uncompressed_size = 0
         for algorithm in supported:
-            result: CompressionResult = compress_certificate_chain(der_chain, algorithm)
+            result: CompressionResult = chain_compression(host.chain, algorithm)
             compressed[algorithm] = result.compressed_size
             uncompressed_size = result.uncompressed_size
         if not supported:
-            uncompressed_size = sum(len(der) for der in der_chain)
+            uncompressed_size = sum(len(cert.der) for cert in host.chain)
         return CompressionObservation(
             domain=domain.lower(),
             supported_algorithms=supported,

@@ -29,7 +29,7 @@ The store reuses the checkpoint store's proven durability shape
   (:class:`SkeletonKey`), so one directory can hold shards of several
   populations — a grid whose members carry ``population_overrides`` warms
   one entry per distinct generation config — without ever confusing them.
-* **Atomic, self-verifying files**: ``repro-skel/1 <len> <sha256>`` header,
+* **Atomic, self-verifying files**: ``repro-skel/2 <len> <sha256>`` header,
   tmp-file + ``os.replace`` writes, deterministic payload codec
   (:func:`~repro.webpki.skeleton.encode_skeleton_shard`).  A torn, corrupt,
   foreign or stale-format file fails verification, is quarantined (kept as
@@ -37,7 +37,22 @@ The store reuses the checkpoint store's proven durability shape
   is an optimisation, never a source of truth.
 * **Directory binding**: ``skeletons.json`` records ``(seed, size,
   generation shard size)``; warming a directory for a different population
-  is rejected with an actionable error instead of quietly interleaving.
+  is rejected with an actionable error instead of quietly interleaving.  A
+  directory bound under an older format tag is simply rebound: its files
+  fail verification and are regenerated one by one.
+
+The ``repro-skel/2`` payload is the 16-byte content address, a ``u32``
+length and the skeleton codec's bytes, then the issued-leaf annex, all
+integers little-endian::
+
+    u32 count                      one record per chain spec, annex order
+    count x u32                    leaf DER lengths
+    count x 7 u32                  leaf field-size rows
+    count x u32                    raw-DEFLATE length of the chain's TLS
+                                   payload; 0 unless the QUIC service
+                                   delivers the spec
+    u8 n, n bytes                  zlib.ZLIB_RUNTIME_VERSION of those lengths
+    leaf DERs, concatenated
 
 Because the payload codec is deterministic and python-version independent
 (no pickle), the files double as the interchange format the ROADMAP's
@@ -53,6 +68,7 @@ import json
 import os
 import struct
 import warnings
+import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import accumulate, islice
@@ -72,6 +88,7 @@ from ..webpki.population import (
     SkeletonShard,
     generate_tranco_list,
 )
+from ..tls.cert_compression import chain_deflate_size
 from ..webpki.skeleton import (
     ChainSpec,
     SkeletonCodecError,
@@ -85,7 +102,12 @@ from ..x509.issuance import leaf_from_record, leaf_record, leaf_template
 
 #: Skeleton file format tag; bump on any incompatible layout change so old
 #: files are quarantined (and regenerated) instead of misparsed.
-SKELETON_FORMAT = b"repro-skel/1"
+SKELETON_FORMAT = b"repro-skel/2"
+
+#: The zlib build the stored DEFLATE lengths were measured with.  A reader
+#: under another zlib (whose level-9 output may differ in length) ignores
+#: them and measures again.
+DEFLATE_STAMP = zlib.ZLIB_RUNTIME_VERSION.encode("ascii")
 
 #: Name of the per-directory population metadata file.
 STORE_METADATA_FILENAME = "skeletons.json"
@@ -210,13 +232,18 @@ class SkeletonKey:
 ChainCache = Dict[ChainSpec, CertificateChain]
 
 
-def _iter_specs(shard: SkeletonShard) -> Iterator[ChainSpec]:
-    """Every chain spec of a shard, in the deterministic annex order."""
+def _iter_specs(shard: SkeletonShard) -> Iterator[Tuple[ChainSpec, bool]]:
+    """Every chain spec of a shard, in the deterministic annex order.
+
+    Each spec comes with whether the shard's QUIC service delivers it: the
+    HTTPS spec of a QUIC skeleton that shares it, or the rotated QUIC spec.
+    """
     for skeleton in shard.skeletons:
+        quic = skeleton.supports_quic
         if skeleton.https_spec is not None:
-            yield skeleton.https_spec
+            yield skeleton.https_spec, quic and skeleton.quic_shares_https
         if skeleton.quic_spec is not None:
-            yield skeleton.quic_spec
+            yield skeleton.quic_spec, quic
 
 
 def _encode_leaf_annex(
@@ -232,52 +259,37 @@ def _encode_leaf_annex(
     singleton recoverable from the spec).  Missing chains are issued here, so
     encoding from a cold run reuses the chains the campaign materialises
     anyway when the caller shares ``chain_cache``.
+
+    Each QUIC-served chain's raw-DEFLATE length is stored too (0 for every
+    other spec).  It is measured here through the chain's own memo, so a cold
+    run pays the zlib pass its scan would pay anyway, on the chain instance
+    the scan then reads, and a warm run pays none.
     """
     der_lens: List[int] = []
-    tbs_lens: List[int] = []
-    sig_lens: List[int] = []
-    ski_lens: List[int] = []
-    san_lens: List[int] = []
-    sct_lens: List[int] = []
-    serials = bytearray()
     rows: List[int] = []
+    deflate_lens: List[int] = []
     ders: List[bytes] = []
-    skis: List[bytes] = []
-    sans: List[bytes] = []
-    scts: List[bytes] = []
-    count = 0
-    for spec in _iter_specs(shard):
+    for spec, quic_served in _iter_specs(shard):
         chain = chain_cache.get(spec)
         if chain is None:
             chain = chain_cache[spec] = spec.materialize(hierarchy)
-        der, tbs_len, sig_len, serial, ski, san, sct, row = leaf_record(chain.leaf)
+        der, row = leaf_record(chain.leaf)
         der_lens.append(len(der))
-        tbs_lens.append(tbs_len)
-        sig_lens.append(sig_len)
-        ski_lens.append(len(ski))
-        san_lens.append(len(san))
-        sct_lens.append(len(sct))
-        serials += serial.to_bytes(16, "big")
         rows.extend(row)
+        deflate_lens.append(chain_deflate_size(chain) if quic_served else 0)
         ders.append(der)
-        skis.append(ski)
-        sans.append(san)
-        scts.append(sct)
-        count += 1
-    out = bytearray()
-    out += struct.pack("<I", count)
-    out += struct.pack(f"<{count}I", *der_lens)
-    out += struct.pack(f"<{count}I", *tbs_lens)
-    out += struct.pack(f"<{count}H", *sig_lens)
-    out += struct.pack(f"<{count}H", *ski_lens)
-    out += struct.pack(f"<{count}H", *san_lens)
-    out += struct.pack(f"<{count}H", *sct_lens)
-    out += serials
-    out += struct.pack(f"<{7 * count}I", *rows)
-    for blobs in (ders, skis, sans, scts):
-        for blob in blobs:
-            out += blob
-    return bytes(out)
+    count = len(ders)
+    return b"".join(
+        (
+            struct.pack("<I", count),
+            struct.pack(f"<{count}I", *der_lens),
+            struct.pack(f"<{7 * count}I", *rows),
+            struct.pack(f"<{count}I", *deflate_lens),
+            struct.pack("<B", len(DEFLATE_STAMP)),
+            DEFLATE_STAMP,
+            *ders,
+        )
+    )
 
 
 def _decode_leaf_annex(
@@ -288,12 +300,12 @@ def _decode_leaf_annex(
 ) -> ChainCache:
     """Rebuild the shard's chain cache from its issued-leaf annex.
 
-    Only the DER and field-size columns are read back.  The TBS and
-    signature lengths, serials and SKI/SAN/SCT values the annex also carries
-    are all parts of the DER, which a rebuilt leaf reads them from if it is
-    ever expanded (see :func:`~repro.x509.issuance.leaf_from_record`).
+    A stored DEFLATE length seeds its chain's ``_deflate_size`` memo (see
+    :func:`~repro.tls.cert_compression.chain_deflate_size`) only when the
+    annex was written under the running zlib; otherwise the scan measures
+    the chain again.
     """
-    specs = list(_iter_specs(shard))
+    specs = [spec for spec, _ in _iter_specs(shard)]
     (count,) = struct.unpack_from("<I", payload, pos)
     pos += 4
     if count != len(specs):
@@ -301,13 +313,16 @@ def _decode_leaf_annex(
             f"leaf annex carries {count} records for {len(specs)} chain specs"
         )
     der_lens = struct.unpack_from(f"<{count}I", payload, pos)
-    pos += 8 * count + 2 * count  # DER and TBS lengths, signature lengths
-    value_lens = struct.unpack_from(f"<{3 * count}H", payload, pos)  # SKI, SAN, SCT
-    pos += 6 * count + 16 * count  # ... and the serials
+    pos += 4 * count
     rows = struct.unpack_from(f"<{7 * count}I", payload, pos)
     pos += 28 * count
-    der_bounds = list(accumulate(der_lens, initial=pos))
-    if der_bounds[-1] + sum(value_lens) != len(payload):
+    deflate_lens = struct.unpack_from(f"<{count}I", payload, pos)
+    pos += 4 * count
+    stamp_end = pos + 1 + payload[pos]
+    if payload[pos + 1 : stamp_end] != DEFLATE_STAMP:
+        deflate_lens = (0,) * count
+    der_bounds = list(accumulate(der_lens, initial=stamp_end))
+    if der_bounds[-1] != len(payload):
         raise SkeletonStoreError("leaf annex is truncated or has trailing bytes")
     profiles = hierarchy.profiles
     cache: ChainCache = {}
@@ -318,8 +333,12 @@ def _decode_leaf_annex(
     templates: Dict[Tuple[str, object], tuple] = {}
     chain_new = CertificateChain.__new__
     set_field = object.__setattr__
-    for spec, start, end, row in zip(
-        specs, der_bounds, islice(der_bounds, 1, None), range(0, 7 * count, 7)
+    for spec, start, end, row, deflate_len in zip(
+        specs,
+        der_bounds,
+        islice(der_bounds, 1, None),
+        range(0, 7 * count, 7),
+        deflate_lens,
     ):
         entry = templates.get((spec.ca_profile, spec.key_algorithm))
         if entry is None:
@@ -333,11 +352,13 @@ def _decode_leaf_annex(
         template, delivered = entry
         leaf = leaf_from_record(template, spec, payload[start:end], rows[row : row + 7])
         if spec.bloat_extras or spec.trim_to is not None:
-            cache[spec] = spec.assemble(leaf, hierarchy)
+            chain = spec.assemble(leaf, hierarchy)
         else:
             chain = chain_new(CertificateChain)
             set_field(chain, "certificates", (leaf,) + delivered)
-            cache[spec] = chain
+        if deflate_len:
+            set_field(chain, "_deflate_size", deflate_len)
+        cache[spec] = chain
     return cache
 
 
@@ -485,9 +506,12 @@ class SkeletonStore:
         The binding pins what every entry in the directory must share; the
         population-config fingerprint stays per-file (content-addressed), so
         one directory serves a grid whose members override generation
-        fractions.  A mismatch is an actionable error, not a silent miss:
-        pointing ``--skeleton-cache`` at a directory warmed for a different
-        population is almost certainly an operator mistake.
+        fractions.  A population mismatch is an actionable error, not a
+        silent miss: pointing ``--skeleton-cache`` at a directory warmed for a
+        different population is almost certainly an operator mistake.  A
+        directory bound under another file format only needs its files
+        rewritten, so it is rebound: each old file then fails verification,
+        is quarantined and is regenerated on first use.
         """
         expected = {
             "format": SKELETON_FORMAT.decode("ascii"),
@@ -505,7 +529,9 @@ class SkeletonStore:
                     f"{STORE_METADATA_FILENAME} ({error}); use a fresh directory"
                 ) from error
             mismatched = sorted(
-                name for name, value in expected.items() if found.get(name) != value
+                name
+                for name, value in expected.items()
+                if name != "format" and found.get(name) != value
             )
             if mismatched:
                 described = ", ".join(
@@ -517,17 +543,18 @@ class SkeletonStore:
                     f"different population ({described}); point --skeleton-cache at "
                     "a fresh directory or rerun with the original parameters"
                 )
-        else:
-            try:
-                atomic_write_text(
-                    self.metadata_path,
-                    json.dumps(expected, indent=2, sort_keys=True) + "\n",
-                )
-            except OSError as error:
-                raise SkeletonStoreError(
-                    f"skeleton cache directory {self.directory!r} cannot be "
-                    f"claimed ({error})"
-                ) from error
+            if found.get("format") == expected["format"]:
+                return
+        try:
+            atomic_write_text(
+                self.metadata_path,
+                json.dumps(expected, indent=2, sort_keys=True) + "\n",
+            )
+        except OSError as error:
+            raise SkeletonStoreError(
+                f"skeleton cache directory {self.directory!r} cannot be "
+                f"claimed ({error})"
+            ) from error
 
     # -- save/load -------------------------------------------------------------
 
@@ -767,6 +794,9 @@ def warm(
     for index in indices:
         before = store.hits
         store.load_or_generate(base, index)
+        # Warming reads nothing back, and memoised shards would keep every
+        # chain alive for each later garbage collection to walk.
+        store.reset_memo()
         if store.hits > before:
             hits += 1
         else:

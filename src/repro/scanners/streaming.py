@@ -58,7 +58,7 @@ from ..quic.server import FlightCacheInfo
 from ..scenarios import BASELINE_FINGERPRINT
 from ..tls.cert_compression import (
     CertificateCompressionAlgorithm,
-    compress_certificate_chain,
+    chain_compression,
 )
 from ..webpki.deployment import DomainDeployment, ServiceCategory
 from ..webpki.population import PopulationConfig
@@ -225,6 +225,18 @@ class ShardSummary:
     # Flight-plan cache counters of the shard's own cache.
     flight_cache: FlightCacheInfo
 
+    def __getstate__(self) -> dict:
+        # A frozenset pickles in iteration order, which follows the
+        # per-process hash salt (PYTHONHASHSEED); sorted digests make a
+        # checkpoint's bytes a function of the summary alone.
+        state = dict(self.__dict__)
+        state["chain_digests"] = sorted(self.chain_digests)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        # Also reads summaries pickled with the set itself.
+        self.__dict__.update(state, chain_digests=frozenset(state["chain_digests"]))
+
 
 def summarize_shard(
     task: ShardTask,
@@ -351,9 +363,7 @@ def summarize_shard(
         chain = deployment.delivered_chain
         if chain is None:
             continue
-        result = compress_certificate_chain(
-            [certificate.der for certificate in chain], spec.compression_algorithm
-        )
+        result = chain_compression(chain, spec.compression_algorithm)
         synth_rates.append(result.ratio)
         synth_count += 1
         if result.uncompressed_size <= spec.limit_bytes:

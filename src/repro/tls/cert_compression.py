@@ -144,6 +144,23 @@ def chain_deflate_size(chain) -> int:
     return cached
 
 
+def chain_compression(
+    chain, algorithm: CertificateCompressionAlgorithm
+) -> CompressionResult:
+    """:func:`compress_certificate_chain` of a chain's DER, through its memos.
+
+    Equal to ``compress_certificate_chain([c.der for c in chain], algorithm)``
+    but sized by :func:`chain_payload_size` and :func:`chain_deflate_size`,
+    so every consumer of one chain instance (and every algorithm) shares its
+    single zlib pass, including a length the skeleton store already holds.
+    """
+    return CompressionResult(
+        algorithm=algorithm,
+        uncompressed_size=chain_payload_size(chain),
+        compressed_size=compressed_size_for_deflate(algorithm, chain_deflate_size(chain)),
+    )
+
+
 def chain_payload(der_certificates: Iterable[bytes]) -> bytes:
     """Concatenate certificates as they appear in a TLS Certificate message.
 

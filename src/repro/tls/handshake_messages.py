@@ -18,8 +18,8 @@ from ..x509.keys import KeyAlgorithm
 from .cert_compression import (
     CertificateCompressionAlgorithm,
     CompressionResult,
+    chain_compression,
     chain_payload,
-    compress_certificate_chain,
 )
 from .cipher_suites import CipherSuite
 from .extensions import (
@@ -213,7 +213,7 @@ class CompressedCertificateMessage(HandshakeMessage):
 
     @cached_property
     def _compression_result(self) -> CompressionResult:
-        return compress_certificate_chain([c.der for c in self.chain], self.algorithm)
+        return chain_compression(self.chain, self.algorithm)
 
     def body(self) -> bytes:
         result = self.compression_result()

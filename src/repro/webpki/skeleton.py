@@ -369,7 +369,7 @@ def category_counts(skeletons) -> Dict[ServiceCategory, int]:
 # Enum and builtin-profile columns store indices into the fixed orderings
 # below.  Any change to those orderings, the field set, or the column layout
 # is an incompatible format change: bump the store's format tag
-# (``repro-skel/1``) so stale files quarantine instead of misparse.
+# (``repro-skel/2``) so stale files quarantine instead of misparse.
 
 class SkeletonCodecError(ValueError):
     """Shard bytes failed deterministic decoding (foreign or malformed payload)."""

@@ -454,11 +454,9 @@ def issue_leaf_fast(
 # The persistent skeleton store (repro.scanners.skeleton_store) caches the
 # generation phase's *output*, and most of that output's cost is leaf
 # issuance: DER assembly, SPKI/key-identifier/SCT hashing, signing.  A leaf
-# record captures the per-leaf artifacts of issue_leaf_fast — the finished
-# DER, the TBS/signature slice lengths, the serial, the three per-leaf
-# extension values and the field-size memo — so a warm start reassembles a
-# byte-identical Certificate with zero hashing and zero DER encoding.  Only
-# the DER and the field-size row are needed to do so: everything else is a
+# record is the per-leaf remainder of issue_leaf_fast — the finished DER and
+# the field-size memo — from which a warm start reassembles a byte-identical
+# Certificate with zero hashing and zero DER encoding.  Everything else is a
 # function of the leaf's template, its chain spec and the DER itself.
 
 #: Extension tuple positions of the per-leaf extensions in issue_leaf_fast's
@@ -467,34 +465,21 @@ def issue_leaf_fast(
 _SKI_POSITION, _SAN_POSITION, _SCT_POSITION = 3, 6, 8
 
 
-def leaf_record(
-    certificate: Certificate,
-) -> Tuple[bytes, int, int, int, bytes, bytes, bytes, Tuple[int, ...]]:
+def leaf_record(certificate: Certificate) -> Tuple[bytes, Tuple[int, ...]]:
     """The serializable per-leaf remainder of an ``issue_leaf_fast`` output.
 
-    ``(der, tbs length, signature length, serial, SKI value, SAN value, SCT
-    value, field-size row)``.  Everything not in the record is a function of
-    the leaf's template and its :class:`~repro.webpki.skeleton.ChainSpec`
-    (subject DN, public key, validity, shared extensions), and everything
-    but the DER and the row is also readable from the DER, so
-    :func:`leaf_from_record` needs only those two.
+    ``(der, field-size row)``.  Everything else is a function of the leaf's
+    template and its :class:`~repro.webpki.skeleton.ChainSpec` (subject DN,
+    public key, validity, shared extensions) or readable from the DER
+    (serial, TBS and signature slices, SKI/SAN/SCT values), so
+    :func:`leaf_from_record` needs only these two.
     """
     row = getattr(certificate, "_field_size_row", None)
     if row is None:
         raise ValueError(
             "certificate was not issued by issue_leaf_fast; cannot build a leaf record"
         )
-    extensions = certificate.extensions
-    return (
-        certificate.der,
-        len(certificate.tbs_der),
-        len(certificate.signature_value),
-        certificate.serial_number,
-        extensions[_SKI_POSITION].value,
-        extensions[_SAN_POSITION].value,
-        extensions[_SCT_POSITION].value,
-        row,
-    )
+    return certificate.der, row
 
 
 def leaf_from_record(

@@ -8,9 +8,14 @@ report stays byte-identical to an uninterrupted run.
 
 from __future__ import annotations
 
+import copyreg
+import io
 import json
 import os
+import pickle
 import shutil
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -27,8 +32,11 @@ from repro.scanners.checkpoint import (
     encode_checkpoint,
 )
 from repro.scanners.faults import corrupt_file, truncate_file
+from repro.scanners.streaming import ShardSummary
 from repro.scenarios import BUILTIN_SCENARIOS
 from repro.webpki.population import PopulationConfig
+
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 POPULATION_SIZE = 360
 SHARD_SIZE = 120
@@ -274,6 +282,63 @@ class TestManifests:
         store.clear_incomplete_manifest()
         assert not os.path.exists(path)
         store.clear_incomplete_manifest()  # idempotent
+
+
+class TestDeterministicBytes:
+    """Checkpoint bytes are a function of the campaign, not of the process."""
+
+    def test_bytes_do_not_depend_on_the_hash_seed(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+        directories = []
+        for hash_seed in ("1", "2"):
+            directory = tmp_path / f"ckpt-{hash_seed}"
+            completed = subprocess.run(
+                [
+                    sys.executable, "-m", "repro", "campaign",
+                    "--size", str(POPULATION_SIZE), "--seed", "2022",
+                    "--stream", "--shard-size", str(SHARD_SIZE),
+                    "--checkpoint-dir", str(directory),
+                    "--output", str(tmp_path / f"report-{hash_seed}.txt"),
+                ],
+                capture_output=True, text=True, timeout=300,
+                env=dict(env, PYTHONHASHSEED=hash_seed),
+            )
+            assert completed.returncode == 0, completed.stderr
+            directories.append(directory)
+        names = sorted(os.listdir(directories[0]))
+        assert len(_checkpoint_files(directories[0])) == POPULATION_SIZE // SHARD_SIZE
+        assert sorted(os.listdir(directories[1])) == names
+        for name in names:
+            assert (directories[0] / name).read_bytes() == (
+                directories[1] / name
+            ).read_bytes(), name
+
+    def test_digests_are_stored_sorted(self, checkpointed_run):
+        _, directory = checkpointed_run
+        name = _checkpoint_files(directory)[0]
+        summary = decode_checkpoint((directory / name).read_bytes())
+        assert isinstance(summary.chain_digests, frozenset) and summary.chain_digests
+        assert summary.__getstate__()["chain_digests"] == sorted(summary.chain_digests)
+
+    def test_summary_pickled_with_its_set_still_loads(self, checkpointed_run):
+        """Checkpoints written before the digests were sorted still resume."""
+        _, directory = checkpointed_run
+        name = _checkpoint_files(directory)[0]
+        summary = decode_checkpoint((directory / name).read_bytes())
+
+        class SetStatePickler(pickle.Pickler):
+            # The default reduction, with the frozenset left in the state.
+            def reducer_override(self, obj):
+                if type(obj) is ShardSummary:
+                    return copyreg.__newobj__, (ShardSummary,), dict(obj.__dict__)
+                return NotImplemented
+
+        buffer = io.BytesIO()
+        SetStatePickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(summary)
+        loaded = pickle.loads(buffer.getvalue())
+        assert isinstance(loaded.chain_digests, frozenset)
+        assert loaded == summary
 
 
 class TestAtomicWrites:

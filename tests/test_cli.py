@@ -2,13 +2,18 @@
 
 import errno
 import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.scanners import MeasurementCampaign
 from repro.scanners import checkpoint as checkpoint_module
 from repro.scenarios import BUILTIN_SCENARIOS
+
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
 class TestParser:
@@ -529,3 +534,37 @@ class TestNumericFlags:
         assert error.count("\n") == 1
         assert "argument --initial-size: must be within [1200, 1472] bytes" in error
         assert "Traceback" not in error
+
+
+#: The measurement pipeline: a subcommand that runs no campaign imports none of it.
+PIPELINE_PACKAGES = ("repro.scanners", "repro.webpki", "repro.analysis")
+
+
+class TestLightSubcommandImports:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["predict", "--chain", "Let's Encrypt E1 (short)", "--compression", "brotli"],
+            ["profiles"],
+            ["scenarios", "--names"],
+        ],
+        ids=["predict", "profiles", "scenarios"],
+    )
+    def test_leaves_the_pipeline_unimported(self, argv):
+        """Checked in a fresh interpreter: this module already imports the pipeline."""
+        script = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            f"loaded = [name for name in {PIPELINE_PACKAGES!r} if name in sys.modules]\n"
+            "print('LOADED', *loaded)\n"
+            "raise SystemExit(code)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+        completed = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.splitlines()[-1] == "LOADED"

@@ -420,7 +420,7 @@ class TestQuarantine:
         with open(path, "rb") as handle:
             data = handle.read()
         with open(path, "wb") as handle:
-            handle.write(data.replace(b"/1", b"/0", 1))
+            handle.write(data.replace(SKELETON_FORMAT, b"repro-skel/0", 1))
         assert _warm_campaign_text(config, damaged_dir) == references["plain"]
         assert os.listdir(SkeletonStore(damaged_dir).quarantine_directory)
 
@@ -602,6 +602,12 @@ class TestWarmAndCounters:
         assert cache_counters() == {"hits": 1, "misses": 1, "write_errors": 0}
         reset_cache_counters()
         assert cache_counters() == {"hits": 0, "misses": 0, "write_errors": 0}
+
+    def test_warm_keeps_no_decoded_shard(self, config, tmp_path):
+        store = SkeletonStore(str(tmp_path / "skel"))
+        assert warm(store, config) == (0, 1)
+        assert warm(store, config) == (1, 0)
+        assert not store._memo  # nothing read back; no chains held for the GC
 
     def test_warm_strips_scenarios(self, config, tmp_path):
         directory = str(tmp_path / "skel")
