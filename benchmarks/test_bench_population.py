@@ -129,12 +129,14 @@ def test_skeleton_pass_is_much_cheaper_than_full_generation(monkeypatch):
     assert specs and len(issued) == len(specs)
     monkeypatch.undo()
 
-    t0 = time.perf_counter()
-    for _ in range(3):
+    # Interleaved pairs, compared by each side's fastest run: a load spike
+    # from a concurrent process then has to hit every pair to flip the check.
+    skeleton_seconds, full_seconds = [], []
+    for _ in range(8):
+        t0 = time.perf_counter()
         generate_shard(BENCH_CONFIG, 3, skeleton=True)
-    skeleton_seconds = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    for _ in range(3):
+        skeleton_seconds.append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
         generate_shard(BENCH_CONFIG, 3)
-    full_seconds = time.perf_counter() - t0
-    assert full_seconds > 2 * skeleton_seconds
+        full_seconds.append(time.perf_counter() - t0)
+    assert min(full_seconds) > 2 * min(skeleton_seconds)

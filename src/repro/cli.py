@@ -5,7 +5,8 @@ writing code:
 
 * ``campaign`` — run the full measurement campaign (optionally under a
   what-if ``--scenario``) and print (or write) the evaluation report,
-* ``compare`` — run several scenarios and print a side-by-side delta table,
+* ``compare`` — run a scenario grid and print one outcome table (deltas vs
+  the first member),
 * ``scenarios`` — list the built-in what-if scenarios,
 * ``skeletons`` — pre-warm, inspect or garbage-collect the persistent
   skeleton-shard cache used by ``--skeleton-cache``,
@@ -195,19 +196,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare = subparsers.add_parser(
         "compare",
-        help="run several scenarios over the same population and print a "
-             "side-by-side delta table",
+        help="run a scenario grid over one population and print one outcome "
+             "table, one row per member, deltas vs the first",
     )
     compare.add_argument(
         "--scenarios", type=str, default=None, metavar="NAME[,NAME...]",
-        help="comma-separated scenario names or JSON files "
-             "(default: every built-in scenario, baseline first)",
+        help="comma-separated scenario names or scenario JSON files "
+             "(default: the 'what-ifs' grid, every built-in scenario with "
+             "baseline first)",
     )
     compare.add_argument(
         "--grid", type=str, default=None, metavar="GRID|FILE.json",
-        help="sweep a scenario grid instead and print the adoption-curve "
-             "table: a built-in grid name (e.g. 'compression-adoption'), a "
-             "grid JSON file, or a comma-separated scenario list",
+        help="a built-in grid name (e.g. 'compression-adoption'), a grid "
+             "JSON file, or a comma-separated scenario list",
     )
     compare.add_argument("--size", type=positive_int, default=1200, help="population size (default: 1200)")
     compare.add_argument("--seed", type=int, default=2022, help="population seed (default: 2022)")
@@ -581,7 +582,9 @@ def _run_predict(args: argparse.Namespace) -> int:
 
 def _run_compare(args: argparse.Namespace) -> int:
     from .scanners.columnar import resolve_scan_backend
-    from .scenarios import compare_grid, compare_scenarios
+    from .scanners.skeleton_store import SkeletonStoreError
+    from .scenarios import compare_grid, load_grid
+    from .scenarios.grid import scenario_list_grid
 
     if args.grid and args.scenarios:
         print(
@@ -601,45 +604,26 @@ def _run_compare(args: argparse.Namespace) -> int:
         def progress(line: str) -> None:
             print(line, file=sys.stderr)
 
-    from .scanners.skeleton_store import SkeletonStoreError
-
-    if args.grid:
-        try:
-            curve = compare_grid(
-                args.grid,
-                size=args.size,
-                seed=args.seed,
-                workers=args.workers,
-                shard_size=args.shard_size,
-                scan_backend=args.scan_backend,
-                progress=progress,
-                skeleton_cache_dir=args.skeleton_cache,
-            )
-        except (ScenarioError, SkeletonStoreError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        print(curve.render_text())
-        return 0
-
-    names = (
-        [name.strip() for name in args.scenarios.split(",") if name.strip()]
-        if args.scenarios
-        else list(BUILTIN_SCENARIOS)
-    )
     try:
-        comparison = compare_scenarios(
-            names,
+        grid = (
+            scenario_list_grid(args.scenarios)
+            if args.scenarios
+            else load_grid(args.grid or "what-ifs")
+        )
+        table = compare_grid(
+            grid,
             size=args.size,
             seed=args.seed,
             workers=args.workers,
             shard_size=args.shard_size,
+            scan_backend=args.scan_backend,
             progress=progress,
             skeleton_cache_dir=args.skeleton_cache,
         )
     except (ScenarioError, SkeletonStoreError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    print(comparison.render_text())
+    print(table.render_text())
     return 0
 
 

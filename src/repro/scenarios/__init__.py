@@ -20,24 +20,20 @@ __all__ = [
     "BASELINE_FINGERPRINT",
     "BUILTIN_GRIDS",
     "BUILTIN_SCENARIOS",
-    "AdoptionCurve",
-    "ScenarioComparison",
+    "GridComparison",
     "ScenarioError",
     "ScenarioGrid",
     "ScenarioOutcome",
     "ScenarioSpec",
     "compare_grid",
-    "compare_scenarios",
     "load_grid",
     "load_scenario",
     "outcome_from_results",
 ]
 
 _LAZY_COMPARE = {
-    "compare_scenarios",
     "compare_grid",
-    "AdoptionCurve",
-    "ScenarioComparison",
+    "GridComparison",
     "ScenarioOutcome",
     "outcome_from_results",
 }

@@ -5,7 +5,7 @@ reproduction run cannot: what moves into the 1-RTT / non-amplifying class if
 the ecosystem changes?  Run one with ``repro campaign --scenario NAME`` (or a
 JSON file in the same shape as :meth:`ScenarioSpec.to_json`), list them with
 ``repro scenarios``, and diff several with
-:func:`repro.scenarios.compare_scenarios`.
+:func:`repro.scenarios.compare_grid`.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
-"""Side-by-side scenario comparison: N what-if campaigns, one delta table.
+"""Scenario grids tabulated: N what-if campaigns, one outcome table.
 
-:func:`compare_scenarios` runs each scenario through the streaming reduction
-pipeline (bounded parent memory, any population size the machine can scan) and
-distils the counterfactual headline numbers the paper argues about into a
-:class:`ScenarioComparison`:
+:func:`compare_grid` sweeps a :class:`~repro.scenarios.grid.ScenarioGrid`
+through :func:`~repro.scanners.streaming.run_streaming_grid_scan` (one shared
+generation pass, one scan per member, bounded parent memory) and distils each
+member's stages 1–4 into the counterfactual headline numbers the paper argues
+about:
 
 * the handshake-class funnel (1-RTT / RETRY / Multi-RTT / Amplification
   shares over reachable QUIC services),
@@ -12,27 +13,23 @@ distils the counterfactual headline numbers the paper argues about into a
 * the compression rescue share (QUIC chains that fit under the common
   deployment limit only once brotli-compressed).
 
-All member campaigns share one generation pass: comparisons route through
-:func:`~repro.scanners.orchestrator.run_grid_campaign` (cross-scenario shard
-reuse), so an N-scenario table costs ``1×generation + N×scan`` and reports
-progress per reduced shard instead of running N silent serial campaigns.
-:func:`compare_grid` sweeps a whole :class:`~repro.scenarios.grid.ScenarioGrid`
-the same way and renders the :class:`AdoptionCurve` — "median amplification vs
-compression adoption fraction", the paper's counterfactual asked properly.
+The :class:`GridComparison` renders one row per member, each after the first
+with its delta against the first (the reference; by convention
+``baseline-2022``).  Stage 5 (backscatter, Meta PoP probes) feeds none of
+these numbers, so the sweep never runs it.
 
-Every table is deterministic for a given ``(scenarios, size, seed)`` — worker
-count and shard size never change the numbers (the streaming reduction
-contract) — so it can be diffed, committed, or pinned by tests.
+Every table is deterministic for a given ``(grid, size, seed)`` — worker
+count, shard size and scan backend never change the numbers (the streaming
+reduction contract) — so it can be diffed, committed, or pinned by tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Mapping, Optional, Tuple
 
 from ..quic.handshake import HandshakeClass
-from .builtin import load_scenario
-from .spec import ScenarioError, ScenarioSpec
+from .spec import ScenarioSpec
 
 #: Handshake classes shown in the funnel, in report order.
 FUNNEL_CLASSES: Tuple[HandshakeClass, ...] = (
@@ -56,16 +53,15 @@ class ScenarioOutcome:
     class_shares: Tuple[Tuple[str, float], ...]
     #: Share of reachable handshakes whose first RTT exceeds 3x the Initial.
     exceeding_share: float
+    #: Median amplification factor over the exceeding handshakes (lower
+    #: weighted median; 0 when none exceed).
+    amplification_median: float
     #: Mean amplification factor over the exceeding handshakes (0 when none).
     amplification_mean: float
     #: Largest observed amplification factor (0 when none exceed).
     amplification_max: float
     #: Share of QUIC chains that fit the common limit only once compressed.
     compression_rescue_share: float
-    #: Median amplification factor over the exceeding handshakes (lower
-    #: weighted median; 0 when none exceed).  Appended with a default so
-    #: positional construction predating the field stays valid.
-    amplification_median: float = 0.0
 
     @property
     def one_rtt_share(self) -> float:
@@ -86,9 +82,14 @@ def _weighted_median(counts: Mapping[float, int]) -> float:
     return 0.0
 
 
-def outcome_from_results(scenario: ScenarioSpec, results) -> ScenarioOutcome:
-    """Reduce one streamed campaign's results to its comparison outcome."""
-    scan = results.scan
+def outcome_from_results(scenario: ScenarioSpec, scan) -> ScenarioOutcome:
+    """Reduce one scenario's streamed stages 1–4 to its comparison outcome.
+
+    ``scan`` is the :class:`~repro.scanners.streaming.ReducedScanResults` the
+    scenario's campaign reduced (independent or as a grid member).
+    """
+    from ..scanners.quicreach import DEFAULT_ANALYSIS_INITIAL_SIZE
+
     reachable = scan.reachable_count
     class_shares = tuple(
         (
@@ -111,72 +112,76 @@ def outcome_from_results(scenario: ScenarioSpec, results) -> ScenarioOutcome:
     )
     return ScenarioOutcome(
         scenario=scenario,
-        population_size=results.population_size,
-        analysis_initial_size=results.analysis_initial_size,
+        population_size=scan.deployment_count,
+        analysis_initial_size=(
+            scenario.analysis_initial_size
+            if scenario.analysis_initial_size is not None
+            else DEFAULT_ANALYSIS_INITIAL_SIZE
+        ),
         quic_count=scan.quic_count,
         reachable_count=reachable,
         class_shares=class_shares,
         exceeding_share=(exceeding / reachable) if reachable else 0.0,
+        amplification_median=_weighted_median(scan.amp_factor_counts),
         amplification_mean=amplification_mean,
         amplification_max=amplification_max,
         compression_rescue_share=rescue_share,
-        amplification_median=_weighted_median(scan.amp_factor_counts),
     )
 
 
 @dataclass(frozen=True)
-class ScenarioComparison:
-    """All outcomes of one comparison run, renderable as a delta table."""
+class GridComparison:
+    """A grid sweep's outcomes, renderable as one delta table.
 
-    outcomes: Tuple[ScenarioOutcome, ...]
+    One row per grid member, in grid order; every row after the first
+    carries its delta against the first, the reference.  Members with the
+    :attr:`~repro.scenarios.spec.ScenarioSpec.compression_adoption` knob set
+    are labelled by their adoption fraction (the ``compression-adoption``
+    grid reads as an adoption curve); any other member by its scenario name.
+    """
+
+    grid_name: str
     population_size: int
     seed: int
+    outcomes: Tuple[ScenarioOutcome, ...]
 
-    @property
-    def baseline(self) -> ScenarioOutcome:
-        """The first scenario: the reference column deltas are taken against."""
-        return self.outcomes[0]
+    @staticmethod
+    def _label(outcome: ScenarioOutcome) -> str:
+        adoption = outcome.scenario.compression_adoption
+        if adoption is not None:
+            return f"{adoption:.0%}"
+        return outcome.scenario.name
 
-    def rows(self) -> List[Tuple[str, Tuple[float, ...], str]]:
-        """``(metric label, per-scenario values, kind)`` rows of the table.
+    @staticmethod
+    def _columns(outcome: ScenarioOutcome) -> List[Tuple[str, float, str]]:
+        """``(metric label, value, kind)`` cells of one row.
 
-        ``kind`` is ``"count"``, ``"share"`` or ``"factor"`` and selects the
-        cell formatting.
+        ``kind`` is ``"bytes"``, ``"count"``, ``"share"`` or ``"factor"`` and
+        selects the cell formatting.
         """
-        rows: List[Tuple[str, Tuple[float, ...], str]] = [
-            ("QUIC services", tuple(float(o.quic_count) for o in self.outcomes), "count"),
-            ("reachable", tuple(float(o.reachable_count) for o in self.outcomes), "count"),
+        columns = [
+            ("client Initial", float(outcome.analysis_initial_size), "bytes"),
+            ("QUIC services", float(outcome.quic_count), "count"),
+            ("reachable", float(outcome.reachable_count), "count"),
         ]
-        for position, handshake_class in enumerate(FUNNEL_CLASSES):
-            rows.append(
-                (
-                    f"{handshake_class.value} share",
-                    tuple(o.class_shares[position][1] for o in self.outcomes),
-                    "share",
-                )
-            )
-        rows.append(
-            ("exceeds 3x limit", tuple(o.exceeding_share for o in self.outcomes), "share")
+        columns.extend(
+            (f"{label} share", share, "share") for label, share in outcome.class_shares
         )
-        rows.append(
-            ("mean amp factor", tuple(o.amplification_mean for o in self.outcomes), "factor")
+        columns.extend(
+            [
+                ("exceeds 3x limit", outcome.exceeding_share, "share"),
+                ("median amp factor", outcome.amplification_median, "factor"),
+                ("mean amp factor", outcome.amplification_mean, "factor"),
+                ("max amp factor", outcome.amplification_max, "factor"),
+                ("compression rescue", outcome.compression_rescue_share, "share"),
+            ]
         )
-        rows.append(
-            ("max amp factor", tuple(o.amplification_max for o in self.outcomes), "factor")
-        )
-        rows.append(
-            (
-                "compression rescue",
-                tuple(o.compression_rescue_share for o in self.outcomes),
-                "share",
-            )
-        )
-        return rows
+        return columns
 
     @staticmethod
     def _cell(value: float, reference: Optional[float], kind: str) -> str:
-        if kind == "count":
-            text = f"{int(value)}"
+        if kind in ("count", "bytes"):
+            text = f"{int(value)}" + (" B" if kind == "bytes" else "")
             if reference is not None and value != reference:
                 text += f" ({int(value - reference):+d})"
         elif kind == "share":
@@ -192,183 +197,31 @@ class ScenarioComparison:
         return text
 
     def render_text(self) -> str:
-        """The side-by-side delta table (first scenario is the reference)."""
-        names = [outcome.scenario.name for outcome in self.outcomes]
-        initial_sizes = [outcome.analysis_initial_size for outcome in self.outcomes]
-        header: List[List[str]] = [["metric", *names]]
-        body: List[List[str]] = [
-            ["client Initial", *(f"{size} B" for size in initial_sizes)]
+        """The outcome table: one row per member, deltas vs the first."""
+        rows = [self._columns(outcome) for outcome in self.outcomes]
+        header = ["member", *(label for label, _, _ in rows[0])]
+        body = [
+            [self._label(outcome)]
+            + [
+                self._cell(value, None if position == 0 else reference, kind)
+                for (_, value, kind), (_, reference, _) in zip(row, rows[0])
+            ]
+            for position, (outcome, row) in enumerate(zip(self.outcomes, rows))
         ]
-        for label, values, kind in self.rows():
-            reference = values[0]
-            cells = [label]
-            for position, value in enumerate(values):
-                cells.append(self._cell(value, None if position == 0 else reference, kind))
-            body.append(cells)
 
-        widths = [
-            max(len(row[column]) for row in header + body)
-            for column in range(len(header[0]))
-        ]
-        lines = [
-            f"Scenario comparison — {self.population_size} domains, seed {self.seed} "
-            f"(deltas vs {names[0]})"
-        ]
-        for row in header:
-            lines.append(
-                "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
-            )
-            lines.append("  ".join("-" * width for width in widths))
-        for row in body:
-            lines.append(
-                "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
-            )
-        return "\n".join(lines)
-
-
-def _grid_outcomes(
-    grid,
-    size: int,
-    seed: int,
-    workers: Optional[int],
-    shard_size: Optional[int],
-    spoofed_targets_per_provider: int,
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
-    scan_backend: Optional[str] = None,
-    progress: Optional[Callable[[str], None]] = None,
-    skeleton_cache_dir: Optional[str] = None,
-) -> Tuple[ScenarioOutcome, ...]:
-    """One shared-generation sweep over ``grid``, reduced to outcomes."""
-    from ..scanners.orchestrator import run_grid_campaign
-    from ..webpki.population import PopulationConfig
-
-    results = run_grid_campaign(
-        grid,
-        config=PopulationConfig(size=size, seed=seed),
-        workers=workers,
-        shard_size=shard_size,
-        spoofed_targets_per_provider=spoofed_targets_per_provider,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-        scan_backend=scan_backend,
-        progress=progress,
-        skeleton_cache_dir=skeleton_cache_dir,
-    )
-    return tuple(
-        outcome_from_results(scenario, results[scenario.name]) for scenario in grid
-    )
-
-
-def compare_scenarios(
-    scenarios: Sequence[Union[ScenarioSpec, str]],
-    size: int = 1200,
-    seed: int = 2022,
-    workers: Optional[int] = None,
-    shard_size: Optional[int] = None,
-    spoofed_targets_per_provider: int = 25,
-    progress: Optional[Callable[[str], None]] = None,
-    skeleton_cache_dir: Optional[str] = None,
-) -> ScenarioComparison:
-    """Run the scenarios as one shared-generation sweep and tabulate deltas.
-
-    ``scenarios`` may mix :class:`ScenarioSpec` values with built-in names or
-    JSON file paths (resolved via :func:`~repro.scenarios.builtin.load_scenario`).
-    The first scenario is the reference column; by convention start with
-    ``baseline-2022``.  All campaigns share ``size``/``seed``, so every delta
-    is attributable to the scenario alone.
-
-    The member campaigns route through the shared grid dispatch path
-    (cross-scenario shard reuse): one generation pass, N scans, ``progress``
-    lines as shards reduce — and numbers identical to N independent runs.
-    """
-    from .grid import ScenarioGrid
-
-    if not scenarios:
-        raise ScenarioError("compare_scenarios needs at least one scenario")
-    specs = [
-        scenario if isinstance(scenario, ScenarioSpec) else load_scenario(scenario)
-        for scenario in scenarios
-    ]
-    grid = ScenarioGrid(
-        name="comparison",
-        description="ad-hoc comparison grid",
-        scenarios=tuple(specs),
-    )
-    outcomes = _grid_outcomes(
-        grid, size, seed, workers, shard_size, spoofed_targets_per_provider,
-        progress=progress, skeleton_cache_dir=skeleton_cache_dir,
-    )
-    return ScenarioComparison(outcomes=outcomes, population_size=size, seed=seed)
-
-
-@dataclass(frozen=True)
-class AdoptionCurve:
-    """A grid sweep rendered as an adoption-curve table.
-
-    One row per grid member, in grid order.  Members with the
-    :attr:`~repro.scenarios.spec.ScenarioSpec.compression_adoption` knob set
-    are labelled by their adoption fraction — the canonical
-    ``compression-adoption`` grid renders as "median amplification vs
-    compression adoption fraction" — and any other member is labelled by its
-    scenario name, so mixed grids (axis products, what-if bundles) tabulate
-    the same way.  Deterministic for a given ``(grid, size, seed)``.
-    """
-
-    grid_name: str
-    population_size: int
-    seed: int
-    outcomes: Tuple[ScenarioOutcome, ...]
-
-    @staticmethod
-    def _label(outcome: ScenarioOutcome) -> str:
-        adoption = outcome.scenario.compression_adoption
-        if adoption is not None:
-            return f"{adoption:.0%}"
-        return outcome.scenario.name
-
-    def rows(self) -> List[Tuple[str, ScenarioOutcome]]:
-        return [(self._label(outcome), outcome) for outcome in self.outcomes]
-
-    def render_text(self) -> str:
-        header = [
-            "adoption",
-            "exceeds 3x",
-            "median amp",
-            "mean amp",
-            "max amp",
-            "1-RTT share",
-            "compression rescue",
-        ]
-        body: List[List[str]] = []
-        for label, outcome in self.rows():
-            body.append(
-                [
-                    label,
-                    f"{outcome.exceeding_share:.2%}",
-                    f"{outcome.amplification_median:.2f}x",
-                    f"{outcome.amplification_mean:.2f}x",
-                    f"{outcome.amplification_max:.2f}x",
-                    f"{outcome.one_rtt_share:.2%}",
-                    f"{outcome.compression_rescue_share:.2%}",
-                ]
-            )
         widths = [
             max(len(row[column]) for row in [header] + body)
             for column in range(len(header))
         ]
-        lines = [
-            f"Adoption curve — {self.grid_name}: median amplification vs "
-            f"compression adoption fraction ({self.population_size} domains, "
-            f"seed {self.seed})"
-        ]
-        lines.append(
-            "  ".join(cell.rjust(width) for cell, width in zip(header, widths))
+        title = (
+            f"Scenario grid {self.grid_name!r} — {self.population_size} domains, "
+            f"seed {self.seed} (deltas vs {self.outcomes[0].scenario.name})"
         )
-        lines.append("  ".join("-" * width for width in widths))
-        for row in body:
+        rule = ["-" * width for width in widths]
+        lines = [title]
+        for row in (header, rule, *body):
             lines.append(
-                "  ".join(cell.rjust(width) for cell, width in zip(row, widths))
+                "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
             )
         return "\n".join(lines)
 
@@ -379,34 +232,44 @@ def compare_grid(
     seed: int = 2022,
     workers: Optional[int] = None,
     shard_size: Optional[int] = None,
-    spoofed_targets_per_provider: int = 25,
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
     scan_backend: Optional[str] = None,
     progress: Optional[Callable[[str], None]] = None,
     skeleton_cache_dir: Optional[str] = None,
-) -> AdoptionCurve:
-    """Sweep a scenario grid in one shared-generation campaign.
+) -> GridComparison:
+    """Sweep a scenario grid in one shared-generation pass and tabulate it.
 
     ``grid`` is a :class:`~repro.scenarios.grid.ScenarioGrid` or anything
     :func:`~repro.scenarios.grid.load_grid` resolves (a built-in grid name, a
-    grid JSON file, a comma-separated scenario list).  Returns the
-    :class:`AdoptionCurve` over the per-scenario results; pass
-    ``checkpoint_dir``/``resume`` to make long sweeps durable at
-    ``(shard, scenario)`` granularity.
+    grid JSON file, a comma-separated scenario list).  Every member scans the
+    same ``size``/``seed`` population, so each delta is attributable to the
+    scenario alone.  Pass ``checkpoint_dir``/``resume`` to make long sweeps
+    durable at ``(shard, scenario)`` granularity; ``progress`` receives one
+    line per reduced shard visit.
     """
+    from ..scanners.streaming import DEFAULT_SHARD_SIZE, run_streaming_grid_scan
+    from ..webpki.population import PopulationConfig
     from .grid import ScenarioGrid, load_grid
 
     if not isinstance(grid, ScenarioGrid):
         grid = load_grid(str(grid))
-    outcomes = _grid_outcomes(
-        grid, size, seed, workers, shard_size, spoofed_targets_per_provider,
-        checkpoint_dir=checkpoint_dir, resume=resume, scan_backend=scan_backend,
-        progress=progress, skeleton_cache_dir=skeleton_cache_dir,
+    scans = run_streaming_grid_scan(
+        PopulationConfig(size=size, seed=seed),
+        grid,
+        workers=workers if workers is not None else 1,
+        shard_size=shard_size if shard_size is not None else DEFAULT_SHARD_SIZE,
+        checkpoint_dir=checkpoint_dir,
+        resume=resume,
+        scan_backend=scan_backend,
+        progress=progress,
+        skeleton_cache_dir=skeleton_cache_dir,
     )
-    return AdoptionCurve(
+    return GridComparison(
         grid_name=grid.name,
         population_size=size,
         seed=seed,
-        outcomes=outcomes,
+        outcomes=tuple(
+            outcome_from_results(scenario, scans[scenario.name]) for scenario in grid
+        ),
     )

@@ -271,7 +271,8 @@ def _adoption_point(percent: int) -> ScenarioSpec:
 
 #: The paper's counterfactual asked properly: server-side RFC 8879 adoption
 #: swept 0→100% in 10% steps, client offering brotli throughout.  Feed it to
-#: ``repro compare --grid compression-adoption`` for the adoption-curve table.
+#: ``repro compare --grid compression-adoption`` for its outcome table, one
+#: row per adoption fraction.
 COMPRESSION_ADOPTION_GRID = ScenarioGrid(
     name="compression-adoption",
     description=(
@@ -308,16 +309,26 @@ def load_grid(spec: str) -> ScenarioGrid:
     if os.path.exists(spec) or spec.endswith(".json"):
         return ScenarioGrid.from_file(spec)
     if "," in spec or spec in BUILTIN_SCENARIOS:
-        names = [name.strip() for name in spec.split(",") if name.strip()]
-        if not names:
-            raise ScenarioError("scenario grid list is empty")
-        return ScenarioGrid(
-            name=spec,
-            description="ad-hoc grid from a scenario list",
-            scenarios=tuple(load_scenario(name) for name in names),
-        )
+        return scenario_list_grid(spec)
     raise ScenarioError(
         f"unknown scenario grid {spec!r}: not a built-in grid "
         f"({', '.join(sorted(BUILTIN_GRIDS))}), not a grid JSON file, and not "
         f"a comma-separated scenario list"
+    )
+
+
+def scenario_list_grid(spec: str) -> ScenarioGrid:
+    """An ad-hoc grid, named after ``spec``, from a comma-separated list.
+
+    Every entry resolves through :func:`load_scenario` (a built-in name or a
+    single-scenario JSON file), so ``"my.json"`` is a one-member grid here
+    where :func:`load_grid` would parse it as a grid file.
+    """
+    names = [name.strip() for name in spec.split(",") if name.strip()]
+    if not names:
+        raise ScenarioError("scenario grid list is empty")
+    return ScenarioGrid(
+        name=spec,
+        description="ad-hoc grid from a scenario list",
+        scenarios=tuple(load_scenario(name) for name in names),
     )

@@ -170,9 +170,21 @@ class TestScenarioCommands:
             ["compare", "--scenarios", "baseline-2022,trimmed-chains", "--size", "250"]
         ) == 0
         output = capsys.readouterr().out
-        assert "Scenario comparison" in output
+        assert "Scenario grid 'baseline-2022,trimmed-chains'" in output
         assert "trimmed-chains" in output
         assert "1-RTT share" in output
+
+    def test_compare_scenarios_accepts_a_single_scenario_file(self, tmp_path, capsys):
+        # Each --scenarios entry is one scenario, so a lone ScenarioSpec file
+        # is a one-member grid rather than a (malformed) grid file.
+        scenario_file = tmp_path / "my.json"
+        scenario_file.write_text(
+            BUILTIN_SCENARIOS["trimmed-chains"].to_json(), encoding="utf-8"
+        )
+        assert main(
+            ["compare", "--scenarios", str(scenario_file), "--size", "250"]
+        ) == 0
+        assert "deltas vs trimmed-chains" in capsys.readouterr().out
 
     def test_compare_with_unknown_scenario_fails_readably(self, capsys):
         assert main(["compare", "--scenarios", "nope", "--size", "250"]) == 2
@@ -240,8 +252,9 @@ class TestGridCommands:
              "--size", "250"]
         ) == 0
         output = capsys.readouterr().out
-        assert "Adoption curve" in output
-        assert "median amplification vs compression adoption fraction" in output
+        assert "Scenario grid 'baseline-2022,universal-compression'" in output
+        assert "deltas vs baseline-2022" in output
+        assert "adoption fraction" not in output
         assert "universal-compression" in output
 
     def test_compare_grid_and_scenarios_are_mutually_exclusive(self, capsys):
@@ -263,7 +276,7 @@ class TestGridCommands:
              "--size", "250", "--progress"]
         ) == 0
         captured = capsys.readouterr()
-        assert "Scenario comparison" in captured.out
+        assert "Scenario grid" in captured.out
         assert "scenario(s) reduced" in captured.err
 
 
@@ -494,6 +507,28 @@ class TestScanBackendFlag:
             [*base, "--scan-backend", "columnar", "--output", str(columnar)]
         ) == 0
         assert columnar.read_bytes() == reference.read_bytes()
+
+
+    @pytest.mark.parametrize("spelling", ["--scenarios", "--grid"])
+    def test_compare_scan_backend_applies_to_both_spellings(
+        self, spelling, monkeypatch, capsys
+    ):
+        from repro.scanners import columnar
+
+        calls = []
+        original = columnar.summarize_shard_columnar
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(columnar, "summarize_shard_columnar", spy)
+        assert main(
+            ["compare", spelling, "baseline-2022,trimmed-chains", "--size", "250",
+             "--scan-backend", "columnar"]
+        ) == 0
+        assert len(calls) == 2  # one shard, two members
+        assert "trimmed-chains" in capsys.readouterr().out
 
 
 class TestNumericFlags:

@@ -7,7 +7,7 @@ amortisation safe to use: per-scenario reports and exported CSVs are
 byte-identical to N fully independent campaigns, across worker counts, shard
 sizes and scan backends; a SIGKILLed grid run resumes at ``(shard, scenario)``
 granularity to the same bytes; ``baseline-2022`` inside a grid still matches
-the golden artefact digests; and the adoption-curve table is deterministic
+the golden artefact digests; and the compression-adoption table is deterministic
 and monotone.
 """
 
@@ -369,7 +369,6 @@ class TestAdoptionCurve:
             size=600,
             seed=2022,
             shard_size=200,
-            spoofed_targets_per_provider=SPOOFED,
         )
 
     def test_curve_is_monotone_in_adoption(self, curve):
@@ -387,17 +386,11 @@ class TestAdoptionCurve:
 
         from repro.scenarios.compare import ScenarioOutcome, outcome_from_results
 
-        campaign = MeasurementCampaign(
-            population_config=load_scenario("universal-compression").population_config(
-                size=600, seed=2022
-            ),
-            stream=True,
-            shard_size=200,
-            spoofed_targets_per_provider=SPOOFED,
+        universal_spec = load_scenario("universal-compression")
+        scan = streaming.run_streaming_scan(
+            universal_spec.population_config(size=600, seed=2022), shard_size=200
         )
-        universal = outcome_from_results(
-            load_scenario("universal-compression"), campaign.run()
-        )
+        universal = outcome_from_results(universal_spec, scan)
         full = curve.outcomes[-1]
         assert full.scenario.compression_adoption == 1.0
         numeric = [
@@ -405,6 +398,7 @@ class TestAdoptionCurve:
             for field in dataclasses.fields(ScenarioOutcome)
             if field.name != "scenario"
         ]
+        assert len(numeric) == 10
         for name in numeric:
             assert getattr(full, name) == getattr(universal, name), name
 
@@ -415,12 +409,12 @@ class TestAdoptionCurve:
             seed=2022,
             workers=2,
             shard_size=150,
-            spoofed_targets_per_provider=SPOOFED,
             scan_backend="columnar",
         )
         assert again.render_text() == curve.render_text()
         text = curve.render_text()
-        assert "median amplification vs compression adoption fraction" in text
+        assert "Scenario grid 'compression-adoption'" in text
+        assert "deltas vs compression-adoption-000" in text
         assert "100%" in text and "0%" in text
 
 

@@ -4,7 +4,7 @@ The pins here complement ``tests/test_golden_report.py`` (which pins the
 baseline artefact bytes): the identity scenario must render byte-identical
 reports through every pipeline, each built-in what-if must run end-to-end
 through the streaming path with its knob visibly applied, the reducer must
-reject mixed-scenario merges, and ``compare_scenarios`` must emit the same
+reject mixed-scenario merges, and ``compare_grid`` must emit the same
 delta table whatever the worker count or shard size.
 """
 
@@ -30,7 +30,7 @@ from repro.scenarios import (
     BUILTIN_SCENARIOS,
     ScenarioError,
     ScenarioSpec,
-    compare_scenarios,
+    compare_grid,
     load_scenario,
 )
 from repro.tls.cert_compression import CertificateCompressionAlgorithm
@@ -378,19 +378,19 @@ class TestProviderLookup:
 
 
 class TestCompareScenarios:
-    NAMES = ("baseline-2022", "universal-compression")
+    NAMES = "baseline-2022,universal-compression"
 
     @pytest.fixture(scope="class")
     def comparison(self):
-        return compare_scenarios(self.NAMES, size=300, seed=SEED)
+        return compare_grid(self.NAMES, size=300, seed=SEED)
 
     def test_delta_table_is_deterministic_across_shardings(self, comparison):
-        resharded = compare_scenarios(self.NAMES, size=300, seed=SEED, shard_size=64)
+        resharded = compare_grid(self.NAMES, size=300, seed=SEED, shard_size=64)
         assert comparison.render_text() == resharded.render_text()
 
     def test_table_structure(self, comparison):
         text = comparison.render_text()
-        for name in self.NAMES:
+        for name in self.NAMES.split(","):
             assert name in text
         for label in ("1-RTT share", "mean amp factor", "compression rescue"):
             assert label in text
@@ -403,4 +403,4 @@ class TestCompareScenarios:
 
     def test_requires_at_least_one_scenario(self):
         with pytest.raises(ScenarioError):
-            compare_scenarios([])
+            compare_grid(",")
