@@ -1,6 +1,37 @@
 """Entry point for ``python -m repro``."""
 
+import os
+import sys
+
 from .cli import main
 
+
+def _exit(code) -> None:
+    """Leave with ``code``, skipping the interpreter's heap teardown.
+
+    A finished campaign holds hundreds of thousands of small objects whose
+    deallocation at exit costs a noticeable share of a run.  Once ``main``
+    has returned, every output file is closed, so after flushing the standard
+    streams ``os._exit`` loses nothing.  The normal exit stays for a code
+    ``SystemExit`` must interpret, a profiled or traced run (cProfile and
+    coverage write their results at exit), live worker processes, and
+    standard streams that cannot be flushed.
+    """
+    multiprocessing = sys.modules.get("multiprocessing")
+    if (
+        not (code is None or isinstance(code, int))
+        or sys.getprofile() is not None
+        or sys.gettrace() is not None
+        or (multiprocessing is not None and multiprocessing.active_children())
+    ):
+        raise SystemExit(code)
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        raise SystemExit(code)
+    os._exit(code or 0)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    _exit(main())

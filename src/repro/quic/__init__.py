@@ -48,6 +48,7 @@ from .handshake import (
     HandshakeTrace,
     HandshakeClass,
     simulate_handshake,
+    simulate_handshakes,
     simulate_unvalidated_probe,
 )
 
@@ -89,5 +90,6 @@ __all__ = [
     "HandshakeTrace",
     "HandshakeClass",
     "simulate_handshake",
+    "simulate_handshakes",
     "simulate_unvalidated_probe",
 ]

@@ -63,44 +63,37 @@ def build_client_initial_datagram(
 ) -> UdpDatagram:
     """Build the client's first flight: one Initial padded to the target size.
 
-    The datagram is a pure function of its arguments and immutable, so repeated
-    probes of the same service (the Initial-size sweep alone revisits every
-    domain dozens of times) share one memoized instance.
+    Only the padding depends on the Initial size, so the unpadded packet is
+    memoized and each size (the Initial-size sweep alone revisits every domain
+    dozens of times) costs one arithmetic padding step.
     """
-    return _build_client_initial_datagram(domain, config, token, packet_number)
-
-
-@lru_cache(maxsize=65_536)
-def _client_hello(
-    domain: str, compression_algorithms: Tuple[CertificateCompressionAlgorithm, ...]
-) -> ClientHello:
-    """One ClientHello per (domain, offer): its encoding is independent of the
-    Initial size, so the sweep shares it across all padding targets."""
-    return ClientHello(server_name=domain, compression_algorithms=compression_algorithms)
-
-
-@lru_cache(maxsize=32_768)
-def _build_client_initial_datagram(
-    domain: str,
-    config: QuicClientConfig,
-    token: bytes,
-    packet_number: int,
-) -> UdpDatagram:
-    client_hello = _client_hello(domain, config.compression_algorithms)
-    crypto = CryptoFrame(offset=0, data=client_hello.encode())
-    destination = ConnectionId.generate(f"dcid:{domain}", config.connection_id_length)
-    source = ConnectionId.generate(f"scid:client:{domain}", config.connection_id_length)
-    packet = InitialPacket(
-        destination_cid=destination,
-        source_cid=source,
-        packet_number=packet_number,
-        frames=(crypto,),
-        token=token,
+    packet = _unpadded_client_initial(
+        domain, config.compression_algorithms, config.connection_id_length, token, packet_number
     )
     padded = packet.with_padding_to(config.initial_datagram_size)
     if padded.size != config.initial_datagram_size and packet.size < config.initial_datagram_size:
         raise AssertionError("padding must reach the configured Initial size exactly")
     return UdpDatagram((padded,))
+
+
+@lru_cache(maxsize=32_768)
+def _unpadded_client_initial(
+    domain: str,
+    compression_algorithms: Tuple[CertificateCompressionAlgorithm, ...],
+    connection_id_length: int,
+    token: bytes,
+    packet_number: int,
+) -> QuicPacket:
+    """The client Initial before padding: its ClientHello, connection IDs and
+    header are independent of the Initial size."""
+    client_hello = ClientHello(server_name=domain, compression_algorithms=compression_algorithms)
+    return InitialPacket(
+        destination_cid=ConnectionId.generate(f"dcid:{domain}", connection_id_length),
+        source_cid=ConnectionId.generate(f"scid:client:{domain}", connection_id_length),
+        packet_number=packet_number,
+        frames=(CryptoFrame(offset=0, data=client_hello.encode()),),
+        token=token,
+    )
 
 
 def build_client_second_flight(

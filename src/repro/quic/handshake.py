@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..tls.cert_compression import CertificateCompressionAlgorithm
 from ..tls.handshake_messages import ClientHello
@@ -137,39 +137,67 @@ def simulate_handshake(
     campaign workers pass their own so per-shard cache counters stay
     independent of how shards are spread over processes.
     """
-    client = client or QuicClientConfig()
-    initial = build_client_initial_datagram(domain, client)
-    client_hello = ClientHello(
-        server_name=domain, compression_algorithms=client.compression_algorithms
+    (outcome,) = simulate_handshakes(
+        domain, chain, profile, (client or QuicClientConfig(),), flight_cache=flight_cache
     )
+    return outcome
+
+
+def simulate_handshakes(
+    domain: str,
+    chain: CertificateChain,
+    profile: ServerBehaviorProfile,
+    clients: Sequence[QuicClientConfig],
+    flight_cache: Optional[FlightPlanCache] = None,
+) -> List[HandshakeOutcome]:
+    """One complete handshake per client configuration against one server.
+
+    The outcomes equal :func:`simulate_handshake` once per client, in order.
+    The clients must make one RFC 8879 offer: the ClientHello, the server
+    and its flight-cache lookup are then shared, and each client costs its
+    own Initial, a fresh anti-amplification budget and a classification.
+    The flight cache still counts one lookup per server response.
+    """
+    if not clients:
+        return []
+    offer = clients[0].compression_algorithms
+    if any(client.compression_algorithms != offer for client in clients):
+        raise ValueError("every client of one simulated server must make the same RFC 8879 offer")
+    client_hello = ClientHello(server_name=domain, compression_algorithms=offer)
     server = QuicServer(domain, chain, profile, flight_cache=flight_cache)
-
-    plan = server.respond_to_initial(client_hello, client_initial_size=initial.size)
-    if plan.uses_retry:
-        # The client retries with the token; the rebuilt Initial is the same
-        # size (the token replaces padding bytes).
-        plan = server.respond_to_initial(
-            client_hello, client_initial_size=initial.size, client_sent_retry_token=True
+    second_flight_bytes: Dict[int, int] = {}
+    outcomes: List[HandshakeOutcome] = []
+    for client in clients:
+        initial = build_client_initial_datagram(domain, client)
+        plan = server.respond_to_initial(client_hello, client_initial_size=initial.size)
+        if plan.uses_retry:
+            # The client retries with the token; the rebuilt Initial is the
+            # same size (the token replaces padding bytes).
+            validated = server.respond_to_initial(
+                client_hello, client_initial_size=initial.size, client_sent_retry_token=True
+            )
+            plan = ServerFlightPlan(
+                retry_datagram=plan.retry_datagram,
+                first_rtt_datagrams=validated.first_rtt_datagrams,
+                deferred_datagrams=validated.deferred_datagrams,
+                tls_flight=validated.tls_flight,
+                tracker=validated.tracker,
+            )
+        second = second_flight_bytes.get(client.connection_id_length)
+        if second is None:
+            second = second_flight_bytes[client.connection_id_length] = sum(
+                d.size for d in build_client_second_flight(domain, client)
+            )
+        trace = HandshakeTrace(
+            domain=domain,
+            client_initial_size=initial.size,
+            server_profile=profile.name,
+            plan=plan,
+            client_bytes_sent=initial.size + second,
+            compression_negotiated=plan.tls_flight.compression,
         )
-        plan = ServerFlightPlan(
-            retry_datagram=server._build_retry(),
-            first_rtt_datagrams=plan.first_rtt_datagrams,
-            deferred_datagrams=plan.deferred_datagrams,
-            tls_flight=plan.tls_flight,
-            tracker=plan.tracker,
-        )
-
-    second_flight = build_client_second_flight(domain, client)
-    client_bytes = initial.size + sum(d.size for d in second_flight)
-    trace = HandshakeTrace(
-        domain=domain,
-        client_initial_size=initial.size,
-        server_profile=profile.name,
-        plan=plan,
-        client_bytes_sent=client_bytes,
-        compression_negotiated=plan.tls_flight.compression,
-    )
-    return HandshakeOutcome(trace=trace, handshake_class=classify(trace))
+        outcomes.append(HandshakeOutcome(trace=trace, handshake_class=classify(trace)))
+    return outcomes
 
 
 @dataclass(frozen=True)

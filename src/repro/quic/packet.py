@@ -109,27 +109,43 @@ class QuicPacket:
 
         Adding padding can grow the length field's varint by a byte; the
         padding amount is reduced accordingly so the result hits the target
-        exactly whenever possible.
+        exactly whenever possible.  The amount is found arithmetically and the
+        copy's size memos are seeded, so padding builds one packet and never
+        re-sums its frames.
         """
         deficit = target_size - self.size
         if deficit <= 0:
             return self
-
-        def padded_with(padding: int) -> "QuicPacket":
-            return QuicPacket(
-                packet_type=self.packet_type,
-                destination_cid=self.destination_cid,
-                source_cid=self.source_cid,
-                packet_number=self.packet_number,
-                frames=self.frames + (PaddingFrame(padding),),
-                token=self.token,
-            )
-
-        candidate = padded_with(deficit)
-        overshoot = candidate.size - target_size
+        padding = deficit
+        overshoot = self._size_with_payload(self.payload_size + deficit)[1] - target_size
         if overshoot > 0 and deficit - overshoot > 0:
-            candidate = padded_with(deficit - overshoot)
-        return candidate
+            padding = deficit - overshoot
+        padded = QuicPacket(
+            packet_type=self.packet_type,
+            destination_cid=self.destination_cid,
+            source_cid=self.source_cid,
+            packet_number=self.packet_number,
+            frames=self.frames + (PaddingFrame(padding),),
+            token=self.token,
+        )
+        memo = padded.__dict__
+        memo["payload_size"] = payload_size = self.payload_size + padding
+        memo["_header_size"], memo["size"] = self._size_with_payload(payload_size)
+        return padded
+
+    def _size_with_payload(self, payload_size: int) -> Tuple[int, int]:
+        """``(header size, size)`` of this packet if its frames encoded to
+        ``payload_size`` bytes: only the long header's length varint depends
+        on the payload."""
+        header = self._header_size
+        if self.packet_type is PacketType.RETRY:
+            return header, header
+        if self.packet_type is not PacketType.ONE_RTT:
+            length_tail = self.packet_number_length + AEAD_TAG_SIZE
+            header += varint_size(payload_size + length_tail) - varint_size(
+                self.payload_size + length_tail
+            )
+        return header, header + payload_size + AEAD_TAG_SIZE
 
     @cached_property
     def padding_bytes(self) -> int:

@@ -31,6 +31,7 @@ from .packet import (
     RetryPacket,
 )
 from .profiles import CoalescenceMode, RetryPolicy, ServerBehaviorProfile
+from ..caching import cached_property  # lock-free (see repro.caching)
 
 
 @dataclass(frozen=True)
@@ -77,22 +78,33 @@ class FlightPlanCache:
         )
         self._hits = 0
         self._misses = 0
+        #: The most recent lookup's key object and entry (see get_or_build).
+        self._last_key: Optional[tuple] = None
+        self._last_entry = None
 
     def get_or_build(
         self,
         key: tuple,
         build: Callable[[], Tuple[ServerFirstFlight, Tuple[UdpDatagram, ...]]],
     ) -> Tuple[ServerFirstFlight, Tuple[UdpDatagram, ...]]:
+        if key is self._last_key:
+            # The very key object of the previous lookup (one server answering
+            # several clients): its entry is the most recently used, so this
+            # is a hit that moves nothing, counted without hashing the key.
+            self._hits += 1
+            return self._last_entry
         entry = self._entries.get(key)
         if entry is not None:
             self._hits += 1
             self._entries.move_to_end(key)
-            return entry
-        self._misses += 1
-        entry = build()
-        self._entries[key] = entry
-        if len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
+        else:
+            self._misses += 1
+            entry = build()
+            self._entries[key] = entry
+            if len(self._entries) > self.maxsize:
+                self._entries.popitem(last=False)
+        self._last_key = key
+        self._last_entry = entry
         return entry
 
     def cache_info(self) -> FlightCacheInfo:
@@ -107,6 +119,8 @@ class FlightPlanCache:
         self._entries.clear()
         self._hits = 0
         self._misses = 0
+        self._last_key = None
+        self._last_entry = None
 
 
 #: Process-wide cache shared by all :class:`QuicServer` instances (servers are
@@ -141,11 +155,11 @@ class ServerFlightPlan:
 
     # -- byte accounting -------------------------------------------------------
 
-    @property
+    @cached_property
     def first_rtt_bytes(self) -> int:
         return sum(d.size for d in self.first_rtt_datagrams)
 
-    @property
+    @cached_property
     def deferred_bytes(self) -> int:
         return sum(d.size for d in self.deferred_datagrams)
 
@@ -191,6 +205,9 @@ class QuicServer:
         self.profile = profile
         self._scid = ConnectionId.generate(f"scid:server:{domain}", 8)
         self._flight_cache = _SHARED_FLIGHT_CACHE if flight_cache is None else flight_cache
+        #: The flight-cache key of the last offer answered; reusing the key
+        #: object lets repeated lookups skip hashing (FlightPlanCache).
+        self._flight_key: Optional[tuple] = None
 
     # -- public API ------------------------------------------------------------
 
@@ -214,7 +231,7 @@ class QuicServer:
         tracker.on_datagram_received(client_initial_size)
 
         if self.profile.retry_policy is RetryPolicy.ALWAYS and not client_sent_retry_token:
-            retry = self._build_retry()
+            retry = self.retry_datagram
             tracker.on_datagram_sent(retry.size)
             flight, _ = self._cached_flight(client_hello)
             return ServerFlightPlan(
@@ -298,12 +315,10 @@ class QuicServer:
         state (the amplification tracker and the first-RTT/deferred split) is
         always computed fresh.
         """
-        key = (
-            self.domain,
-            self.profile,
-            self.chain.fingerprint,
-            client_hello.compression_algorithms,
-        )
+        offer = client_hello.compression_algorithms
+        key = self._flight_key
+        if key is None or key[3] != offer:
+            key = self._flight_key = (self.domain, self.profile, self.chain.fingerprint, offer)
 
         def build() -> Tuple[ServerFirstFlight, Tuple[UdpDatagram, ...]]:
             flight = build_server_first_flight(
@@ -315,7 +330,9 @@ class QuicServer:
 
         return self._flight_cache.get_or_build(key, build)
 
-    def _build_retry(self) -> UdpDatagram:
+    @cached_property
+    def retry_datagram(self) -> UdpDatagram:
+        """The Retry this server answers an unvalidated Initial with."""
         token = b"retry-token:" + self.domain.encode("ascii")[:32]
         packet = RetryPacket(
             destination_cid=ConnectionId.generate(f"scid:client:{self.domain}", 8),

@@ -392,7 +392,7 @@ class MeasurementCampaign:
         )
         return self.finalize_streaming(scan)
 
-    def finalize_streaming(self, scan) -> ReducedCampaignResults:
+    def finalize_streaming(self, scan, meta_probes=None) -> ReducedCampaignResults:
         """Stage 5 + result assembly over already-reduced stages 1–4.
 
         The seam every streamed result passes through: single runs (resumed
@@ -400,7 +400,10 @@ class MeasurementCampaign:
         checkpoints) and each member of :func:`run_grid_campaign`.  The
         reduction's scenario fingerprint must match this campaign's: a
         persisted what-if reduction finalised under the wrong (or no)
-        scenario would render a silently mislabeled report.
+        scenario would render a silently mislabeled report.  ``meta_probes``
+        is a :func:`probe_meta_pop` result to use instead of probing again
+        (a grid probes once for all members); its lookups are then not in
+        this result's flight-cache counters.
         """
         config = self.population_config
         expected = (self.scenario or BASELINE).fingerprint()
@@ -427,6 +430,7 @@ class MeasurementCampaign:
                 flight_cache=stage5_cache,
                 spoof_deployments=scan.spoof_deployments,
                 provider_of=provider_of,
+                meta_probes=meta_probes,
             )
         )
 
@@ -455,6 +459,7 @@ class MeasurementCampaign:
         flight_cache=None,
         spoof_deployments: Optional[Sequence[DomainDeployment]] = None,
         provider_of=None,
+        meta_probes=None,
     ):
         """Stage 5: spoofed-source campaign plus the Meta PoP probes."""
         # 5a. Spoofed handshakes observed at the telescope.
@@ -469,9 +474,9 @@ class MeasurementCampaign:
 
         # 5b. ZMap-style scan of the Meta point of presence, before and after
         # the responsible disclosure.
-        meta_probe_before = self._probe_meta_pop(patched=False, flight_cache=flight_cache)
-        meta_probe_after = self._probe_meta_pop(patched=True, flight_cache=flight_cache)
-        return backscatter, meta_probe_before, meta_probe_after
+        if meta_probes is None:
+            meta_probes = probe_meta_pop(flight_cache=flight_cache)
+        return (backscatter, *meta_probes)
 
     # -- helpers -----------------------------------------------------------------
 
@@ -510,12 +515,21 @@ class MeasurementCampaign:
             targets.append(host.address)
         return targets
 
-    def _probe_meta_pop(self, patched: bool, flight_cache=None) -> List[ZmapProbeResult]:
+
+def probe_meta_pop(
+    flight_cache=None,
+) -> Tuple[List[ZmapProbeResult], List[ZmapProbeResult]]:
+    """ZMap-style probes of the Meta point of presence, before and after the
+    patch.  They take no population or scenario input, so every campaign of
+    one run can share them."""
+
+    def probe(patched: bool) -> List[ZmapProbeResult]:
         network = UdpNetwork(flight_cache=flight_cache)
         for host in build_meta_point_of_presence(patched=patched, prefix=META_POP_PREFIX):
             network.attach_host(host)
-        scanner = ZmapScanner(network)
-        return scanner.probe_prefix(META_POP_PREFIX)
+        return ZmapScanner(network).probe_prefix(META_POP_PREFIX)
+
+    return probe(patched=False), probe(patched=True)
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +578,8 @@ def run_grid_campaign(
         progress=progress,
         skeleton_cache_dir=skeleton_cache_dir,
     )
+    # The Meta PoP probes take no scenario input: probe once for the grid.
+    meta_probes = probe_meta_pop(flight_cache=FlightPlanCache())
     results: Dict[str, ReducedCampaignResults] = {}
     for scenario in grid:
         campaign = MeasurementCampaign(
@@ -571,5 +587,7 @@ def run_grid_campaign(
             stream=True,
             spoofed_targets_per_provider=spoofed_targets_per_provider,
         )
-        results[scenario.name] = campaign.finalize_streaming(scans[scenario.name])
+        results[scenario.name] = campaign.finalize_streaming(
+            scans[scenario.name], meta_probes=meta_probes
+        )
     return results

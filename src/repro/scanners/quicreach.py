@@ -9,11 +9,12 @@ and 1472 bytes in steps of 10, the sweep behind Figure 3.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..netsim.network import QuicServiceHost, UdpNetwork
 from ..quic.client import QuicClientConfig
-from ..quic.handshake import HandshakeClass, HandshakeOutcome, simulate_handshake
+from ..quic.handshake import HandshakeClass, simulate_handshakes
 from ..quic.server import FlightPlanCache
 from ..tls.cert_compression import CertificateCompressionAlgorithm
 
@@ -103,41 +104,10 @@ class QuicReach:
         compression: Sequence[CertificateCompressionAlgorithm] = (),
     ) -> HandshakeObservation:
         """Attempt one complete handshake with the given client Initial size."""
-        host = self._network.host_for_domain(domain)
-        if host is None:
-            return HandshakeObservation(
-                domain=domain, rank=rank, provider=provider,
-                initial_size=initial_size, reachable=False,
-            )
-        client = QuicClientConfig(
-            initial_datagram_size=initial_size,
-            compression_algorithms=tuple(compression),
+        (observation,) = self._scan_target(
+            domain, rank, provider, (initial_size,), tuple(compression)
         )
-        if not host.accepts_initial(initial_size):
-            # Encapsulation overhead pushed the datagram over the path MTU; the
-            # service does not answer (the reachability drop of §4.1).
-            return HandshakeObservation(
-                domain=domain, rank=rank, provider=provider,
-                initial_size=initial_size, reachable=False,
-            )
-        outcome: HandshakeOutcome = simulate_handshake(
-            domain, host.chain, host.profile, client, flight_cache=self._flight_cache
-        )
-        trace = outcome.trace
-        return HandshakeObservation(
-            domain=domain,
-            rank=rank,
-            provider=provider,
-            initial_size=initial_size,
-            reachable=True,
-            handshake_class=outcome.handshake_class,
-            first_rtt_bytes=trace.server_bytes_first_rtt,
-            total_bytes=trace.server_bytes_total,
-            tls_payload_bytes=trace.tls_payload_bytes,
-            quic_overhead_bytes=trace.quic_overhead_bytes,
-            round_trips=trace.round_trips,
-            chain_size=host.chain.total_size,
-        )
+        return observation
 
     def scan_many(
         self,
@@ -150,10 +120,77 @@ class QuicReach:
         ``compression`` is the client's RFC 8879 offer (empty, like the
         paper's scanner, unless a scenario turns it on).
         """
+        sizes, offer = (initial_size,), tuple(compression)
         return [
-            self.scan_domain(domain, rank, provider, initial_size, compression=compression)
+            self._scan_target(domain, rank, provider, sizes, offer)[0]
             for domain, rank, provider in targets
         ]
+
+    def _scan_target(
+        self,
+        domain: str,
+        rank: int,
+        provider: Optional[str],
+        initial_sizes: Sequence[int],
+        offer: Tuple[CertificateCompressionAlgorithm, ...],
+    ) -> List[HandshakeObservation]:
+        """One observation per Initial size, in order, against one target.
+
+        The host lookup, the server and its cached flight serve every size
+        (:func:`~repro.quic.handshake.simulate_handshakes`).
+        """
+        host = self._network.host_for_domain(domain)
+        if host is None:
+            return [
+                HandshakeObservation(
+                    domain=domain, rank=rank, provider=provider,
+                    initial_size=initial_size, reachable=False,
+                )
+                for initial_size in initial_sizes
+            ]
+        # Encapsulation overhead can push a datagram over the path MTU; the
+        # service does not answer those sizes (the reachability drop of §4.1).
+        accepted = [size for size in initial_sizes if host.accepts_initial(size)]
+        outcomes = iter(simulate_handshakes(
+            domain, host.chain, host.profile,
+            [_client_config(size, offer) for size in accepted],
+            flight_cache=self._flight_cache,
+        ))
+        chain_size = host.chain.total_size
+        observations: List[HandshakeObservation] = []
+        for initial_size in initial_sizes:
+            if not host.accepts_initial(initial_size):
+                observations.append(HandshakeObservation(
+                    domain=domain, rank=rank, provider=provider,
+                    initial_size=initial_size, reachable=False,
+                ))
+                continue
+            outcome = next(outcomes)
+            trace = outcome.trace
+            observations.append(HandshakeObservation(
+                domain=domain,
+                rank=rank,
+                provider=provider,
+                initial_size=initial_size,
+                reachable=True,
+                handshake_class=outcome.handshake_class,
+                first_rtt_bytes=trace.server_bytes_first_rtt,
+                total_bytes=trace.server_bytes_total,
+                tls_payload_bytes=trace.tls_payload_bytes,
+                quic_overhead_bytes=trace.quic_overhead_bytes,
+                round_trips=trace.round_trips,
+                chain_size=chain_size,
+            ))
+        return observations
+
+
+@lru_cache(maxsize=1024)
+def _client_config(
+    initial_size: int, offer: Tuple[CertificateCompressionAlgorithm, ...]
+) -> QuicClientConfig:
+    """The scanner's client configuration for one Initial size and RFC 8879
+    offer, built (and validated) when a reachable service first needs it."""
+    return QuicClientConfig(initial_datagram_size=initial_size, compression_algorithms=offer)
 
 
 class InitialSizeSweep:
@@ -167,8 +204,24 @@ class InitialSizeSweep:
     def initial_sizes(self) -> Tuple[int, ...]:
         return self._initial_sizes
 
-    def run(self, targets: Sequence[Tuple[str, int, Optional[str]]]) -> SweepResult:
-        observations: List[HandshakeObservation] = []
-        for initial_size in self._initial_sizes:
-            observations.extend(self._scanner.scan_many(targets, initial_size))
-        return SweepResult(observations=tuple(observations))
+    def run(
+        self,
+        targets: Sequence[Tuple[str, int, Optional[str]]],
+        compression: Sequence[CertificateCompressionAlgorithm] = (),
+    ) -> SweepResult:
+        """Every target at every Initial size, observations in size-major
+        order (all targets at the first size, then the next size, ...).
+
+        Computed target-major: each target's host, server and cached flight
+        serve all of its sizes, then the per-target columns are transposed.
+        """
+        offer = tuple(compression)
+        per_target = [
+            self._scanner._scan_target(domain, rank, provider, self._initial_sizes, offer)
+            for domain, rank, provider in targets
+        ]
+        return SweepResult(
+            observations=tuple(
+                observation for at_size in zip(*per_target) for observation in at_size
+            )
+        )

@@ -180,20 +180,20 @@ class GridComparison:
 
     @staticmethod
     def _cell(value: float, reference: Optional[float], kind: str) -> str:
+        """One rendered cell.  Shares and factors show two decimals, and their
+        delta is taken between the two displayed values: "(=)" marks exactly
+        the cells that read the same as the reference cell."""
         if kind in ("count", "bytes"):
             text = f"{int(value)}" + (" B" if kind == "bytes" else "")
             if reference is not None and value != reference:
                 text += f" ({int(value - reference):+d})"
-        elif kind == "share":
-            text = f"{value:7.2%}"
-            if reference is not None:
-                delta = (value - reference) * 100.0
-                text += f" ({delta:+.2f}pp)" if abs(delta) >= 0.005 else " (=)"
-        else:  # factor
-            text = f"{value:6.2f}x"
-            if reference is not None:
-                delta = value - reference
-                text += f" ({delta:+.2f})" if abs(delta) >= 0.005 else " (=)"
+            return text
+        scale, text, unit = (
+            (100.0, f"{value:7.2%}", "pp") if kind == "share" else (1.0, f"{value:6.2f}x", "")
+        )
+        if reference is not None:
+            delta = float(f"{value * scale:.2f}") - float(f"{reference * scale:.2f}")
+            text += f" ({delta:+.2f}{unit})" if abs(delta) >= 0.005 else " (=)"
         return text
 
     def render_text(self) -> str:

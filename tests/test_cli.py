@@ -603,3 +603,92 @@ class TestLightSubcommandImports:
         )
         assert completed.returncode == 0, completed.stderr
         assert completed.stdout.splitlines()[-1] == "LOADED"
+
+
+def _run_module(argv, **kwargs):
+    """``python -m repro ARGV`` in a fresh interpreter, with block-buffered
+    standard streams (what a redirected run gets by default)."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        stderr=subprocess.PIPE, text=True, timeout=300, env=env, **kwargs,
+    )
+
+
+def _processes_mentioning(marker: str):
+    """Pids whose command line contains ``marker`` (forked pool workers keep
+    their parent's command line)."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/cmdline", "rb") as handle:
+                cmdline = handle.read()
+        except OSError:
+            continue
+        if marker.encode() in cmdline:
+            pids.append(int(entry))
+    return pids
+
+
+class TestModuleExitPath:
+    """``python -m repro`` leaves through ``os._exit`` once ``main`` returns,
+    skipping heap teardown; no exit path may lose output."""
+
+    def test_campaign_report_equals_in_process_run(self, tmp_path, capsys):
+        module_report = tmp_path / "module.txt"
+        completed = _run_module(["campaign", "--size", "300", "--output", str(module_report)])
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout == f"report written to {module_report}\n"
+        in_process = tmp_path / "in-process.txt"
+        assert main(["campaign", "--size", "300", "--output", str(in_process)]) == 0
+        assert module_report.read_bytes() == in_process.read_bytes()
+
+    def test_stdout_redirected_to_a_file_is_complete(self, tmp_path, capsys):
+        listing = tmp_path / "scenarios.txt"
+        with open(listing, "w", encoding="utf-8") as handle:
+            completed = _run_module(["scenarios"], stdout=handle)
+        assert completed.returncode == 0, completed.stderr
+        assert main(["scenarios"]) == 0
+        assert listing.read_text(encoding="utf-8") == capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["campaign", "--size", "0"], "argument --size: must be a positive integer"),
+            (["predict", "--chain", "No Such CA"], "unknown chain profile"),
+        ],
+        ids=["argparse-exit", "returned-code"],
+    )
+    def test_invalid_input_exits_2_with_one_line(self, argv, message):
+        completed = _run_module(argv)
+        assert completed.returncode == 2
+        assert completed.stderr.count("\n") == 1
+        assert message in completed.stderr
+        assert "Traceback" not in completed.stderr
+
+    def test_profiled_run_still_prints_its_profile(self):
+        # cProfile writes its table after the module returns: a profiled
+        # run must take the normal exit.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+        completed = subprocess.run(
+            [sys.executable, "-m", "cProfile", "-m", "repro", "profiles"],
+            capture_output=True, text=True, timeout=300, env=env,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert "function calls" in completed.stdout
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc to list processes")
+    def test_worker_run_leaves_no_child_process(self, tmp_path):
+        report = tmp_path / "workers-report.txt"
+        completed = _run_module(
+            ["campaign", "--size", "600", "--workers", "2", "--output", str(report)]
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert report.read_text(encoding="utf-8").strip()
+        assert _processes_mentioning(str(report)) == []

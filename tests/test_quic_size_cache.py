@@ -22,9 +22,11 @@ from repro.quic.frames import (
     PingFrame,
 )
 from repro.quic.packet import (
+    AEAD_TAG_SIZE,
     HandshakePacket,
     InitialPacket,
     OneRttPacket,
+    QuicPacket,
     RetryPacket,
 )
 from repro.quic.profiles import BUILTIN_PROFILES
@@ -122,6 +124,76 @@ class TestSizesEqualEncodedLength:
             )
             assert datagram.size == size
             assert len(datagram.encode()) == size
+
+
+def _fresh_copy(packet):
+    """The same packet with no size memo computed yet."""
+    return QuicPacket(
+        packet.packet_type, packet.destination_cid, packet.source_cid,
+        packet.packet_number, packet.frames, packet.token,
+    )
+
+
+def _measured_padding(packet, target):
+    """Padding found by building and measuring packets: pad the deficit,
+    then trim by the overshoot a grown length varint causes."""
+    deficit = target - packet.size
+    if deficit <= 0:
+        return packet
+
+    def padded_with(padding):
+        return QuicPacket(
+            packet.packet_type, packet.destination_cid, packet.source_cid,
+            packet.packet_number, packet.frames + (PaddingFrame(padding),), packet.token,
+        )
+
+    candidate = padded_with(deficit)
+    overshoot = candidate.size - target
+    if overshoot > 0 and deficit - overshoot > 0:
+        candidate = padded_with(deficit - overshoot)
+    return candidate
+
+
+class TestSeededPaddingMemos:
+    """``with_padding_to`` seeds the padded copy's size memos arithmetically;
+    they must equal what a fresh packet computes from its frames."""
+
+    @staticmethod
+    def _assert_seeds_match(packet, target):
+        padded = packet.with_padding_to(target)
+        fresh = _fresh_copy(padded)
+        assert padded.payload_size == fresh.payload_size
+        assert padded.header_size() == fresh.header_size()
+        assert padded.size == fresh.size == len(fresh.encode())
+        assert padded == _measured_padding(packet, target)
+
+    def test_random_packets_and_targets(self):
+        rng = random.Random("padding-seeds")
+        for _ in range(300):
+            packet = _random_packet(rng)
+            self._assert_seeds_match(packet, packet.size + rng.randrange(-8, 1500))
+
+    @pytest.mark.parametrize("length_boundary", [64, 16_384])
+    def test_across_length_varint_boundaries(self, length_boundary):
+        # The length field covers packet number + payload + AEAD tag; pad
+        # every base packet to each target whose length lands near the
+        # boundary where the varint grows a byte (63/64, 16383/16384).
+        dcid = ConnectionId.generate("dcid:boundary", 8)
+        scid = ConnectionId.generate("scid:boundary", 8)
+        for packet_number in (0, 300):
+            for crypto_len in (0, 5, 30):
+                frames = (CryptoFrame(offset=0, data=bytes(crypto_len)),)
+                for packet in (
+                    InitialPacket(dcid, scid, packet_number, frames, token=b"t" * 3),
+                    HandshakePacket(dcid, scid, packet_number, frames),
+                    OneRttPacket(dcid, packet_number, frames),
+                ):
+                    tail = packet.packet_number_length + AEAD_TAG_SIZE
+                    fixed = packet.size - packet.payload_size
+                    for target in range(
+                        fixed + length_boundary - tail - 6, fixed + length_boundary - tail + 6
+                    ):
+                        self._assert_seeds_match(packet, target)
 
 
 def _plan_bytes(plan):

@@ -4,9 +4,11 @@ import pytest
 
 from repro.netsim import IPv4Address, QuicServiceHost, UdpNetwork
 from repro.quic.handshake import HandshakeClass
-from repro.quic.profiles import CLOUDFLARE_LIKE, RFC_COMPLIANT
+from repro.quic.profiles import BUILTIN_PROFILES, CLOUDFLARE_LIKE, RFC_COMPLIANT
+from repro.quic.server import FlightPlanCache
 from repro.scanners import InitialSizeSweep, QuicReach
 from repro.scanners.quicreach import DEFAULT_ANALYSIS_INITIAL_SIZE, SWEEP_INITIAL_SIZES
+from repro.tls.cert_compression import CertificateCompressionAlgorithm
 
 
 @pytest.fixture
@@ -93,3 +95,58 @@ class TestInitialSizeSweep:
         counts = result.class_counts(1250)
         assert counts[HandshakeClass.AMPLIFICATION] == 1
         assert counts[HandshakeClass.ONE_RTT] == 2
+
+
+class TestSweepMatchesPerSizeScans:
+    """The sweep computes target-major (one server and cached flight per
+    target) but must equal scanning every size separately, size-major."""
+
+    SIZES = (1200, 1250, 1357, 1362, 1400, 1440, 1450, 1472)
+
+    @pytest.fixture
+    def profile_network(self, cloudflare_chain, lets_encrypt_long_chain):
+        network = UdpNetwork()
+        targets = []
+        address = 1
+        for profile in BUILTIN_PROFILES.values():
+            for label, chain in (("cf", cloudflare_chain), ("le", lets_encrypt_long_chain)):
+                domain = f"{label}.{profile.name}.example"
+                network.attach_host(QuicServiceHost(
+                    IPv4Address.parse(f"10.2.0.{address}"), domain, chain, profile
+                ))
+                targets.append((domain, address, profile.name))
+                address += 1
+        # Encapsulation overhead makes this host refuse the large Initials.
+        network.attach_host(QuicServiceHost(
+            IPv4Address.parse(f"10.2.0.{address}"), "tunnel.example", cloudflare_chain,
+            BUILTIN_PROFILES["retry-always"], encapsulation_overhead=60,
+        ))
+        targets.append(("tunnel.example", address, None))
+        targets.insert(3, ("unknown.example", 99, None))
+        return network, targets
+
+    @pytest.mark.parametrize(
+        "compression",
+        [(), (CertificateCompressionAlgorithm.BROTLI, CertificateCompressionAlgorithm.ZLIB)],
+        ids=["no-offer", "brotli-zlib"],
+    )
+    def test_sweep_equals_size_major_scans(self, profile_network, compression):
+        network, targets = profile_network
+        reference_cache, sweep_cache = FlightPlanCache(), FlightPlanCache()
+        reference_scanner = QuicReach(network, flight_cache=reference_cache)
+        expected = [
+            reference_scanner.scan_domain(domain, rank, provider, size, compression)
+            for size in self.SIZES
+            for domain, rank, provider in targets
+        ]
+        sweep = InitialSizeSweep(QuicReach(network, flight_cache=sweep_cache), self.SIZES)
+        result = sweep.run(targets, compression)
+
+        assert list(result.observations) == expected
+        assert result.reachable_count(1472) < result.reachable_count(1200)
+        assert {o.handshake_class for o in expected if o.reachable} >= {
+            HandshakeClass.RETRY, HandshakeClass.MULTI_RTT,
+            HandshakeClass.AMPLIFICATION, HandshakeClass.ONE_RTT,
+        }
+        # One lookup per server response, whichever order computes them.
+        assert sweep_cache.cache_info() == reference_cache.cache_info()

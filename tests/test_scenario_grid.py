@@ -26,8 +26,9 @@ from repro.analysis.report import build_report
 from repro.scanners import MeasurementCampaign, run_grid_campaign, streaming
 from repro.scanners.checkpoint import CheckpointError
 from repro.scanners.faults import CheckpointFault, FaultPlan
+from repro.scanners.zmap import ZmapScanner
 from repro.scenarios import ScenarioError, ScenarioSpec, load_scenario
-from repro.scenarios.compare import compare_grid
+from repro.scenarios.compare import GridComparison, compare_grid
 from repro.scenarios.grid import (
     BUILTIN_GRIDS,
     COMPRESSION_ADOPTION_GRID,
@@ -197,6 +198,27 @@ class TestShardVisitContract:
         assert sorted(entries) == [
             ("_scan_and_summarize_grid", index) for index in range(self.SHARDS)
         ]
+
+    def test_grid_probes_the_meta_pop_once(self, config, grid, monkeypatch):
+        # The Meta PoP probes (before and after the patch) take no scenario
+        # input: a grid runs them once, not once per member.
+        probed = []
+        probe_prefix = ZmapScanner.probe_prefix
+
+        def counting_probe(scanner, prefix):
+            probed.append(prefix)
+            return probe_prefix(scanner, prefix)
+
+        monkeypatch.setattr(ZmapScanner, "probe_prefix", counting_probe)
+        run_grid_campaign(
+            grid,
+            config=config,
+            shard_size=SHARD_SIZE,
+            spoofed_targets_per_provider=SPOOFED,
+            scan_backend="columnar",
+        )
+        assert len(grid) == 3
+        assert len(probed) == 2
 
 
 class TestGridCheckpointResume:
@@ -501,3 +523,28 @@ class TestGridSpecification:
             assert previous <= adopters
             previous = adopters
         assert previous == set(domains)
+
+
+class TestDeltaCells:
+    """A delta is taken between displayed values: "(=)" means the two cells
+    read the same, and a printed delta is the difference the reader sees."""
+
+    def test_factor_rounding_apart_is_not_equal(self):
+        # 3.4743 shows as 3.47x, 3.4780 as 3.48x: no longer "(=)".
+        assert GridComparison._cell(3.4743, 3.4780, "factor") == "  3.47x (-0.01)"
+
+    def test_factor_reading_the_same_is_equal(self):
+        # Unrounded delta 0.0098, but both show 3.45x.
+        assert GridComparison._cell(3.4451, 3.4549, "factor") == "  3.45x (=)"
+
+    def test_share_rounding_apart_is_not_equal(self):
+        assert GridComparison._cell(0.12344, 0.12346, "share") == " 12.34% (-0.01pp)"
+
+    def test_share_reading_the_same_is_equal(self):
+        # Unrounded delta -0.008pp, but both show 12.35%.
+        assert GridComparison._cell(0.12346, 0.12354, "share") == " 12.35% (=)"
+
+    def test_reference_row_and_counts_unchanged(self):
+        assert GridComparison._cell(3.4743, None, "factor") == "  3.47x"
+        assert GridComparison._cell(1362.0, 1252.0, "bytes") == "1362 B (+110)"
+        assert GridComparison._cell(7.0, 7.0, "count") == "7"
