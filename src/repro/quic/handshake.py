@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..tls.cert_compression import CertificateCompressionAlgorithm
 from ..tls.handshake_messages import ClientHello
@@ -165,7 +165,6 @@ def simulate_handshakes(
         raise ValueError("every client of one simulated server must make the same RFC 8879 offer")
     client_hello = ClientHello(server_name=domain, compression_algorithms=offer)
     server = QuicServer(domain, chain, profile, flight_cache=flight_cache)
-    second_flight_bytes: Dict[int, int] = {}
     outcomes: List[HandshakeOutcome] = []
     for client in clients:
         initial = build_client_initial_datagram(domain, client)
@@ -183,17 +182,13 @@ def simulate_handshakes(
                 tls_flight=validated.tls_flight,
                 tracker=validated.tracker,
             )
-        second = second_flight_bytes.get(client.connection_id_length)
-        if second is None:
-            second = second_flight_bytes[client.connection_id_length] = sum(
-                d.size for d in build_client_second_flight(domain, client)
-            )
+        second_flight = build_client_second_flight(domain, client)
         trace = HandshakeTrace(
             domain=domain,
             client_initial_size=initial.size,
             server_profile=profile.name,
             plan=plan,
-            client_bytes_sent=initial.size + second,
+            client_bytes_sent=initial.size + sum(d.size for d in second_flight),
             compression_negotiated=plan.tls_flight.compression,
         )
         outcomes.append(HandshakeOutcome(trace=trace, handshake_class=classify(trace)))

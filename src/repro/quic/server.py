@@ -78,33 +78,22 @@ class FlightPlanCache:
         )
         self._hits = 0
         self._misses = 0
-        #: The most recent lookup's key object and entry (see get_or_build).
-        self._last_key: Optional[tuple] = None
-        self._last_entry = None
 
     def get_or_build(
         self,
         key: tuple,
         build: Callable[[], Tuple[ServerFirstFlight, Tuple[UdpDatagram, ...]]],
     ) -> Tuple[ServerFirstFlight, Tuple[UdpDatagram, ...]]:
-        if key is self._last_key:
-            # The very key object of the previous lookup (one server answering
-            # several clients): its entry is the most recently used, so this
-            # is a hit that moves nothing, counted without hashing the key.
-            self._hits += 1
-            return self._last_entry
         entry = self._entries.get(key)
         if entry is not None:
             self._hits += 1
             self._entries.move_to_end(key)
-        else:
-            self._misses += 1
-            entry = build()
-            self._entries[key] = entry
-            if len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-        self._last_key = key
-        self._last_entry = entry
+            return entry
+        self._misses += 1
+        entry = build()
+        self._entries[key] = entry
+        if len(self._entries) > self.maxsize:
+            self._entries.popitem(last=False)
         return entry
 
     def cache_info(self) -> FlightCacheInfo:
@@ -119,8 +108,6 @@ class FlightPlanCache:
         self._entries.clear()
         self._hits = 0
         self._misses = 0
-        self._last_key = None
-        self._last_entry = None
 
 
 #: Process-wide cache shared by all :class:`QuicServer` instances (servers are
@@ -205,9 +192,6 @@ class QuicServer:
         self.profile = profile
         self._scid = ConnectionId.generate(f"scid:server:{domain}", 8)
         self._flight_cache = _SHARED_FLIGHT_CACHE if flight_cache is None else flight_cache
-        #: The flight-cache key of the last offer answered; reusing the key
-        #: object lets repeated lookups skip hashing (FlightPlanCache).
-        self._flight_key: Optional[tuple] = None
 
     # -- public API ------------------------------------------------------------
 
@@ -315,10 +299,12 @@ class QuicServer:
         state (the amplification tracker and the first-RTT/deferred split) is
         always computed fresh.
         """
-        offer = client_hello.compression_algorithms
-        key = self._flight_key
-        if key is None or key[3] != offer:
-            key = self._flight_key = (self.domain, self.profile, self.chain.fingerprint, offer)
+        key = (
+            self.domain,
+            self.profile,
+            self.chain.fingerprint,
+            client_hello.compression_algorithms,
+        )
 
         def build() -> Tuple[ServerFirstFlight, Tuple[UdpDatagram, ...]]:
             flight = build_server_first_flight(

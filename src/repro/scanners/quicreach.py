@@ -148,18 +148,20 @@ class QuicReach:
                 )
                 for initial_size in initial_sizes
             ]
+        # Every size is validated, also those the host will not answer.
+        clients = [_client_config(size, offer) for size in initial_sizes]
         # Encapsulation overhead can push a datagram over the path MTU; the
         # service does not answer those sizes (the reachability drop of §4.1).
-        accepted = [size for size in initial_sizes if host.accepts_initial(size)]
+        accepted = [host.accepts_initial(size) for size in initial_sizes]
         outcomes = iter(simulate_handshakes(
             domain, host.chain, host.profile,
-            [_client_config(size, offer) for size in accepted],
+            [client for client, answered in zip(clients, accepted) if answered],
             flight_cache=self._flight_cache,
         ))
         chain_size = host.chain.total_size
         observations: List[HandshakeObservation] = []
-        for initial_size in initial_sizes:
-            if not host.accepts_initial(initial_size):
+        for initial_size, answered in zip(initial_sizes, accepted):
+            if not answered:
                 observations.append(HandshakeObservation(
                     domain=domain, rank=rank, provider=provider,
                     initial_size=initial_size, reachable=False,
@@ -189,7 +191,7 @@ def _client_config(
     initial_size: int, offer: Tuple[CertificateCompressionAlgorithm, ...]
 ) -> QuicClientConfig:
     """The scanner's client configuration for one Initial size and RFC 8879
-    offer, built (and validated) when a reachable service first needs it."""
+    offer (validated once, when first built)."""
     return QuicClientConfig(initial_datagram_size=initial_size, compression_algorithms=offer)
 
 
@@ -204,20 +206,15 @@ class InitialSizeSweep:
     def initial_sizes(self) -> Tuple[int, ...]:
         return self._initial_sizes
 
-    def run(
-        self,
-        targets: Sequence[Tuple[str, int, Optional[str]]],
-        compression: Sequence[CertificateCompressionAlgorithm] = (),
-    ) -> SweepResult:
+    def run(self, targets: Sequence[Tuple[str, int, Optional[str]]]) -> SweepResult:
         """Every target at every Initial size, observations in size-major
         order (all targets at the first size, then the next size, ...).
 
         Computed target-major: each target's host, server and cached flight
         serve all of its sizes, then the per-target columns are transposed.
         """
-        offer = tuple(compression)
         per_target = [
-            self._scanner._scan_target(domain, rank, provider, self._initial_sizes, offer)
+            self._scanner._scan_target(domain, rank, provider, self._initial_sizes, ())
             for domain, rank, provider in targets
         ]
         return SweepResult(

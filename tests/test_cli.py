@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import repro
+from repro.__main__ import _observed
 from repro.cli import build_parser, main
 from repro.scanners import MeasurementCampaign
 from repro.scanners import checkpoint as checkpoint_module
@@ -635,6 +636,16 @@ def _processes_mentioning(marker: str):
     return pids
 
 
+class _Monitoring:
+    """A stand-in for ``sys.monitoring`` with the given tools registered."""
+
+    def __init__(self, tools):
+        self._tools = tools
+
+    def get_tool(self, tool_id):
+        return self._tools.get(tool_id)
+
+
 class TestModuleExitPath:
     """``python -m repro`` leaves through ``os._exit`` once ``main`` returns,
     skipping heap teardown; no exit path may lose output."""
@@ -682,6 +693,28 @@ class TestModuleExitPath:
         )
         assert completed.returncode == 0, completed.stderr
         assert "function calls" in completed.stdout
+
+    @pytest.fixture
+    def unobserved(self, monkeypatch):
+        monkeypatch.setattr(sys, "getprofile", lambda: None)
+        monkeypatch.setattr(sys, "gettrace", lambda: None)
+        monkeypatch.delattr(sys, "monitoring", raising=False)
+        return monkeypatch
+
+    def test_unobserved_run_takes_the_fast_exit(self, unobserved):
+        assert not _observed()
+        unobserved.setattr(sys, "monitoring", _Monitoring({}), raising=False)
+        assert not _observed()
+
+    def test_monitoring_tool_keeps_the_normal_exit(self, unobserved):
+        # Python 3.12+ cProfile and coverage register a sys.monitoring tool
+        # and set neither a profile nor a trace function.
+        unobserved.setattr(sys, "monitoring", _Monitoring({2: "cProfile"}), raising=False)
+        assert _observed()
+
+    def test_profile_function_keeps_the_normal_exit(self, unobserved):
+        unobserved.setattr(sys, "getprofile", lambda: print)
+        assert _observed()
 
     @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc to list processes")
     def test_worker_run_leaves_no_child_process(self, tmp_path):

@@ -125,28 +125,56 @@ class TestSweepMatchesPerSizeScans:
         targets.insert(3, ("unknown.example", 99, None))
         return network, targets
 
+    def _size_major_reference(self, network, targets, compression):
+        cache = FlightPlanCache()
+        scanner = QuicReach(network, flight_cache=cache)
+        expected = [
+            scanner.scan_domain(domain, rank, provider, size, compression)
+            for size in self.SIZES
+            for domain, rank, provider in targets
+        ]
+        assert {o.handshake_class for o in expected if o.reachable} >= {
+            HandshakeClass.RETRY, HandshakeClass.MULTI_RTT,
+            HandshakeClass.AMPLIFICATION, HandshakeClass.ONE_RTT,
+        }
+        return expected, cache.cache_info()
+
+    def test_sweep_equals_size_major_scans(self, profile_network):
+        network, targets = profile_network
+        expected, reference_info = self._size_major_reference(network, targets, ())
+        sweep_cache = FlightPlanCache()
+        sweep = InitialSizeSweep(QuicReach(network, flight_cache=sweep_cache), self.SIZES)
+        result = sweep.run(targets)
+
+        assert list(result.observations) == expected
+        assert result.reachable_count(1472) < result.reachable_count(1200)
+        # One lookup per server response, whichever order computes them.
+        assert sweep_cache.cache_info() == reference_info
+
     @pytest.mark.parametrize(
         "compression",
         [(), (CertificateCompressionAlgorithm.BROTLI, CertificateCompressionAlgorithm.ZLIB)],
         ids=["no-offer", "brotli-zlib"],
     )
-    def test_sweep_equals_size_major_scans(self, profile_network, compression):
+    def test_per_target_scans_equal_size_major_scans(self, profile_network, compression):
+        # The per-target path the sweep runs, with and without an RFC 8879 offer.
         network, targets = profile_network
-        reference_cache, sweep_cache = FlightPlanCache(), FlightPlanCache()
-        reference_scanner = QuicReach(network, flight_cache=reference_cache)
-        expected = [
-            reference_scanner.scan_domain(domain, rank, provider, size, compression)
-            for size in self.SIZES
+        expected, reference_info = self._size_major_reference(network, targets, compression)
+        cache = FlightPlanCache()
+        scanner = QuicReach(network, flight_cache=cache)
+        per_target = [
+            scanner._scan_target(domain, rank, provider, self.SIZES, compression)
             for domain, rank, provider in targets
         ]
-        sweep = InitialSizeSweep(QuicReach(network, flight_cache=sweep_cache), self.SIZES)
-        result = sweep.run(targets, compression)
 
-        assert list(result.observations) == expected
-        assert result.reachable_count(1472) < result.reachable_count(1200)
-        assert {o.handshake_class for o in expected if o.reachable} >= {
-            HandshakeClass.RETRY, HandshakeClass.MULTI_RTT,
-            HandshakeClass.AMPLIFICATION, HandshakeClass.ONE_RTT,
-        }
-        # One lookup per server response, whichever order computes them.
-        assert sweep_cache.cache_info() == reference_cache.cache_info()
+        assert [o for at_size in zip(*per_target) for o in at_size] == expected
+        assert cache.cache_info() == reference_info
+
+    @pytest.mark.parametrize("initial_size", [1199, 1473])
+    def test_out_of_range_size_raises_where_the_host_refuses(self, profile_network, initial_size):
+        network, targets = profile_network
+        scanner = QuicReach(network, flight_cache=FlightPlanCache())
+        with pytest.raises(ValueError):
+            scanner.scan_domain("tunnel.example", initial_size=initial_size)
+        with pytest.raises(ValueError):
+            InitialSizeSweep(scanner, self.SIZES + (initial_size,)).run(targets)
