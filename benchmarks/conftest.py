@@ -43,4 +43,4 @@ def campaign_results(population: InternetPopulation) -> CampaignResults:
 @pytest.fixture(scope="session")
 def reduced_scan(campaign_results: CampaignResults) -> ReducedScanResults:
     """The shared campaign in the reduced contract the figure benchmarks time."""
-    return campaign_results.reduced().scan
+    return campaign_results.reduced.scan

@@ -5,7 +5,7 @@ from repro.analysis.figures import figure11
 
 def test_bench_figure11(benchmark, campaign_results):
     result = benchmark(
-        figure11.compute, campaign_results.meta_probe_before, campaign_results.meta_probe_after
+        figure11.compute, campaign_results.reduced.meta_probe_before, campaign_results.reduced.meta_probe_after
     )
     print()
     print(result.render_text())

@@ -6,7 +6,7 @@ from repro.analysis.figures import funnel
 def test_bench_funnel(benchmark, campaign_results):
     result = benchmark(
         funnel.compute,
-        campaign_results.https_scan.funnel,
+        campaign_results.shard.funnel,
         len(campaign_results.quic_deployments()),
     )
     print()

@@ -12,6 +12,7 @@ from repro.quic import QuicClientConfig, simulate_handshake
 from repro.quic.profiles import RFC_COMPLIANT
 from repro.scanners import QuicReach
 from repro.webpki import PopulationConfig, generate_population
+from repro.webpki.population import build_network_for
 from repro.x509.ca import default_hierarchy
 
 
@@ -39,7 +40,7 @@ def test_bench_handshake_simulation(benchmark, campaign_results):
 
 
 def test_bench_quicreach_scan_100_services(benchmark, campaign_results):
-    network = campaign_results.population.build_network()
+    network = build_network_for(campaign_results.population.deployments)
     scanner = QuicReach(network)
     targets = [
         (d.domain, d.rank, d.provider) for d in campaign_results.quic_deployments()[:100]

@@ -46,5 +46,20 @@ def _exit(code) -> None:
     os._exit(code or 0)
 
 
+def _run():
+    """``main()``, with a reader that closed the pipe early (``repro … | head``)
+    ending the run quietly with code 1 instead of a traceback."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Later writes, the interpreter's final flush included, go nowhere.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
+
+
 if __name__ == "__main__":
-    _exit(main())
+    _exit(_run())

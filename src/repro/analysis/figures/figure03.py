@@ -80,17 +80,18 @@ class InitialSizeSweepFigure:
 
 
 def compute(sweep: SweepResult) -> InitialSizeSweepFigure:
-    """Aggregate a quicreach sweep into the Figure 3 series."""
+    """Aggregate a quicreach sweep into the Figure 3 series, in one walk."""
     counts: Dict[int, Dict[HandshakeClass, int]] = {}
     reachable: Dict[int, int] = {}
     scanned: Dict[int, int] = {}
-    for size in sweep.initial_sizes():
-        observations = sweep.at_initial_size(size)
-        scanned[size] = len(observations)
-        reachable[size] = sum(1 for o in observations if o.reachable)
-        by_class: Dict[HandshakeClass, int] = {}
-        for observation in observations:
-            if observation.reachable and observation.handshake_class is not None:
-                by_class[observation.handshake_class] = by_class.get(observation.handshake_class, 0) + 1
-        counts[size] = by_class
+    for observation in sweep.observations:
+        size = observation.initial_size
+        if size not in scanned:
+            counts[size], reachable[size], scanned[size] = {}, 0, 0
+        scanned[size] += 1
+        if observation.reachable:
+            reachable[size] += 1
+            handshake_class = observation.handshake_class
+            if handshake_class is not None:
+                counts[size][handshake_class] = counts[size].get(handshake_class, 0) + 1
     return InitialSizeSweepFigure(counts=counts, reachable=reachable, scanned=scanned)

@@ -7,9 +7,9 @@ and returns a single text report (also used to generate EXPERIMENTS.md), so
 Every section is computed from one contract, the reduced
 :class:`~repro.scanners.streaming.ReducedCampaignResults`.  A serial
 :class:`~repro.scanners.orchestrator.CampaignResults` is accepted too and
-reduced first through :meth:`~repro.scanners.orchestrator.CampaignResults.reduced`,
-so serial and streamed campaigns render byte-identical reports (pinned by
-``tests/test_streaming_reduction.py`` and the golden digests).
+read through its ``reduced`` field, so serial and streamed campaigns render
+byte-identical reports (pinned by ``tests/test_streaming_reduction.py`` and
+the golden digests).
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ AnyCampaignResults = Union[CampaignResults, ReducedCampaignResults]
 
 
 def _reduced(results: AnyCampaignResults) -> ReducedCampaignResults:
-    """Serial object results reduce through :meth:`CampaignResults.reduced`."""
-    return results.reduced() if isinstance(results, CampaignResults) else results
+    """Serial object results carry their reduction in ``reduced``."""
+    return results.reduced if isinstance(results, CampaignResults) else results
 
 
 def class_shares(results: AnyCampaignResults) -> Dict[HandshakeClass, float]:

@@ -52,6 +52,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_empty(text: str) -> str:
+    """``argparse`` type for a name that must not be blank."""
+    if not text.strip():
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 def initial_size(text: str) -> int:
     """``argparse`` type for a client Initial size the wire model covers."""
     value = _int(text)
@@ -165,12 +172,12 @@ def build_parser() -> argparse.ArgumentParser:
              "stderr; bench/run.py --trace 1 breaks a run down layer by layer",
     )
     campaign.add_argument(
-        "--scenario", type=str, default=None, metavar="NAME|FILE.json",
+        "--scenario", type=non_empty, default=None, metavar="NAME|FILE.json",
         help="run the campaign under a what-if scenario: a built-in name "
              "(see 'repro scenarios') or a scenario JSON file",
     )
     campaign.add_argument(
-        "--scenario-grid", type=str, default=None, metavar="GRID|FILE.json",
+        "--scenario-grid", type=non_empty, default=None, metavar="GRID|FILE.json",
         help="sweep a whole scenario grid in one shared-generation campaign "
              "(cross-scenario shard reuse): a built-in grid name, a grid JSON "
              "file, or a comma-separated scenario list; emits one report per "
@@ -200,13 +207,13 @@ def build_parser() -> argparse.ArgumentParser:
              "table, one row per member, deltas vs the first",
     )
     compare.add_argument(
-        "--scenarios", type=str, default=None, metavar="NAME[,NAME...]",
+        "--scenarios", type=non_empty, default=None, metavar="NAME[,NAME...]",
         help="comma-separated scenario names or scenario JSON files "
              "(default: the 'what-ifs' grid, every built-in scenario with "
              "baseline first)",
     )
     compare.add_argument(
-        "--grid", type=str, default=None, metavar="GRID|FILE.json",
+        "--grid", type=non_empty, default=None, metavar="GRID|FILE.json",
         help="a built-in grid name (e.g. 'compression-adoption'), a grid "
              "JSON file, or a comma-separated scenario list",
     )
@@ -240,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="print bare scenario names only (one per line, for scripting)",
     )
     scenarios.add_argument(
-        "--grid", type=str, default=None, metavar="GRID|FILE.json",
+        "--grid", type=non_empty, default=None, metavar="GRID|FILE.json",
         help="dry-run a scenario grid instead: expand it and list every "
              "member with its fingerprint (nothing is generated or scanned)",
     )
@@ -631,6 +638,10 @@ def _run_skeletons(args: argparse.Namespace) -> int:
     from .scanners.skeleton_store import SkeletonStore, SkeletonStoreError, warm
     from .webpki import PopulationConfig
 
+    if args.action != "warm" and not os.path.isdir(args.directory):
+        # Only warm fills a cache; inspecting a missing one creates nothing.
+        print(f"error: no skeleton cache directory at {args.directory}", file=sys.stderr)
+        return 2
     try:
         store = SkeletonStore(args.directory)
     except SkeletonStoreError as error:

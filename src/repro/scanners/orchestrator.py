@@ -7,23 +7,26 @@ Runs the full pipeline of the paper against a synthetic population:
 3. certificates over QUIC and the QUIC-vs-HTTPS comparison,
 4. certificate-compression support scan,
 5. incomplete handshakes: spoofed-source campaign observed by a telescope plus
-   the ZMap-style scan of the Meta point of presence,
+   the ZMap-style scan of the Meta point of presence.
 
-and bundles everything into :class:`CampaignResults`, the object reference
-of one campaign.  The analysis layer reads every figure and table from the
-reduced contract, :class:`~repro.scanners.streaming.ReducedCampaignResults`;
-:meth:`CampaignResults.reduced` is the one conversion point.
+Stages 1–4 are the object shard scan of :mod:`repro.scanners.sharding`
+(:func:`~repro.scanners.sharding.scan_shard`), reduced by
+:func:`~repro.scanners.streaming.summarize_shard`; stage 5 runs in
+:meth:`MeasurementCampaign.finalize_streaming`.  The analysis layer reads
+every figure and table from the reduced contract,
+:class:`~repro.scanners.streaming.ReducedCampaignResults`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..netsim.address import IPv4Prefix
 from ..netsim.network import UdpNetwork
 from ..netsim.telescope import Telescope
-from ..quic.server import FlightCacheInfo, FlightPlanCache, flight_plan_cache_info
+from ..quic.server import FlightCacheInfo, FlightPlanCache
 from ..scenarios import BASELINE, ScenarioSpec
 from ..webpki.deployment import DomainDeployment, ServiceCategory
 from ..webpki.population import (
@@ -34,30 +37,25 @@ from ..webpki.population import (
     generate_population,
 )
 from .columnar import resolve_scan_backend
-from .sharding import DEFAULT_SHARD_SIZE, ShardScanResult, ShardTask, global_sweep_sample
+from .sharding import (
+    DEFAULT_SHARD_SIZE,
+    ShardScanResult,
+    ShardTask,
+    scan_shard,
+    sweep_sample_stride,
+)
 from .streaming import (
     META_SERVICE_DOMAINS,
     CampaignReducer,
     ReducedCampaignResults,
     ReductionSpec,
-    SPOOF_PROVIDERS,
     provider_of_domain,
     run_streaming_grid_scan,
     run_streaming_scan,
     summarize_shard,
-    take_per_provider,
 )
-from .backscatter import BackscatterAnalyzer, ProviderBackscatter, simulate_spoofed_campaign
-from .compression_scanner import CompressionObservation, CompressionScanner
-from .https_scanner import HttpsScanner, HttpsScanResult
-from .qscanner import CertificateComparison, QScanner, QuicCertificateRecord
-from .quicreach import (
-    DEFAULT_ANALYSIS_INITIAL_SIZE,
-    HandshakeObservation,
-    InitialSizeSweep,
-    QuicReach,
-    SweepResult,
-)
+from .backscatter import BackscatterAnalyzer, simulate_spoofed_campaign
+from .quicreach import DEFAULT_ANALYSIS_INITIAL_SIZE
 from .zmap import ZmapProbeResult, ZmapScanner
 
 #: Dark prefix used by the simulated telescope.
@@ -73,85 +71,20 @@ __all__ = ["CampaignResults", "MeasurementCampaign", "META_SERVICE_DOMAINS"]
 
 @dataclass
 class CampaignResults:
-    """Everything a full measurement campaign produced."""
+    """A serial campaign: one in-process object shard over its population.
+
+    ``shard`` holds the per-observation objects of stages 1–4 (funnel and
+    HTTPS records, handshakes, sweep observations, QUIC certificates and
+    their comparison, compression observations); ``reduced`` is that shard
+    reduced and finalised through stage 5, the contract every report reads.
+    """
 
     population: InternetPopulation
-    https_scan: HttpsScanResult
-    handshakes: List[HandshakeObservation]
-    sweep: Optional[SweepResult]
-    quic_certificates: List[QuicCertificateRecord]
-    certificate_comparison: CertificateComparison
-    compression: List[CompressionObservation]
-    backscatter: Dict[str, ProviderBackscatter]
-    meta_probe_before: List[ZmapProbeResult]
-    meta_probe_after: List[ZmapProbeResult]
-    analysis_initial_size: int = DEFAULT_ANALYSIS_INITIAL_SIZE
-    #: Flight-plan cache counters accumulated while this campaign ran.
-    flight_cache: Optional[FlightCacheInfo] = None
-    #: Scenario the campaign ran under (``None``: plain baseline pipeline);
-    #: non-identity scenarios are stamped into the report header.
-    scenario: Optional[ScenarioSpec] = None
-
-    def reduced(self) -> ReducedCampaignResults:
-        """This campaign in the reduced contract every report is built from.
-
-        The one conversion point from the object reference to the figures:
-        stages 1–4 are wrapped as one shard over the whole population and
-        reduced by the object :func:`~repro.scanners.streaming.summarize_shard`
-        through one :class:`~repro.scanners.streaming.CampaignReducer`, as a
-        streamed shard is.  Stage 5 already ran over the full fabric, so its
-        results are carried over as they are.
-        """
-        deployments = self.population.deployments
-        scan = ShardScanResult(
-            index=0,
-            funnel=self.https_scan.funnel,
-            https_records=self.https_scan.records,
-            handshakes=tuple(self.handshakes),
-            sweep_observations=self.sweep.observations if self.sweep is not None else (),
-            quic_certificates=tuple(self.quic_certificates),
-            comparison=self.certificate_comparison,
-            compression=tuple(self.compression),
-            flight_cache=self.flight_cache or FlightCacheInfo(0, 0, 0, 0),
-        )
-        task = ShardTask(
-            index=0,
-            population_config=self.population.config,
-            start=0,
-            stop=len(deployments),
-        )
-        reducer = CampaignReducer(run_sweep=self.sweep is not None)
-        reducer.add(summarize_shard(task, deployments, scan, ReductionSpec()))
-        return ReducedCampaignResults(
-            scan=reducer.reduced_scan(),
-            population_size=len(deployments),
-            backscatter=self.backscatter,
-            meta_probe_before=self.meta_probe_before,
-            meta_probe_after=self.meta_probe_after,
-            analysis_initial_size=self.analysis_initial_size,
-            flight_cache=self.flight_cache,
-            scenario=self.scenario,
-        )
-
-    # -- convenience accessors over the per-observation objects ----------------
+    shard: ShardScanResult
+    reduced: ReducedCampaignResults
 
     def quic_deployments(self) -> List[DomainDeployment]:
         return self.population.quic_services()
-
-    def https_only_deployments(self) -> List[DomainDeployment]:
-        return self.population.https_only_services()
-
-    def reachable_handshakes(self) -> List[HandshakeObservation]:
-        return [o for o in self.handshakes if o.reachable]
-
-    def provider_of(self, domain: str) -> Optional[str]:
-        """Provider of a scanned domain.
-
-        Routes through the shared stage-5 lookup, so Meta PoP service domains
-        resolve to ``"meta"`` even when absent from the population (they are
-        always probed); any other unknown domain is ``None``.
-        """
-        return provider_of_domain(domain, self.population.deployment)
 
 
 class MeasurementCampaign:
@@ -159,8 +92,10 @@ class MeasurementCampaign:
 
     A campaign runs one of two paths:
 
-    * the default in-process serial path, the object reference: ``run()``
-      returns :class:`CampaignResults` with every per-domain observation;
+    * the default in-process serial path: stages 1–4 run as one object shard
+      over the materialised population, and ``run()`` returns
+      :class:`CampaignResults` with the shard's per-domain observations next
+      to its finalised reduction;
     * ``stream=True``, the streaming reduction pipeline
       (:mod:`repro.scanners.streaming`): the population is regenerated shard
       by shard inside the workers, every shard is reduced to a compact
@@ -173,10 +108,9 @@ class MeasurementCampaign:
 
     Everything that shapes the shard dispatch — ``workers``, ``shard_size``,
     ``scan_backend="columnar"``, ``checkpoint_dir``/``resume`` — exists on
-    the streamed path only and is rejected without ``stream=True``.  The
-    telescope/ZMap stage (5) always runs in the parent process: it is cheap,
-    global (spoof-target selection scans the whole population) and identical
-    either way.
+    the streamed path only and is rejected without ``stream=True``.  Both
+    paths end in :meth:`finalize_streaming`: the telescope/ZMap stage (5)
+    runs in the parent process over the reduced spoof targets.
 
     ``scenario`` runs the campaign under a what-if
     :class:`~repro.scenarios.ScenarioSpec`: the population config is derived
@@ -302,74 +236,36 @@ class MeasurementCampaign:
         return self._run_serial()
 
     def _run_serial(self) -> CampaignResults:
-        cache_before = flight_plan_cache_info()
-        population = self.population
-        resolver = population.build_resolver()
-        origins = population.build_origins()
-        network = population.build_network()
+        """Stages 1–4 as one in-process object shard over the whole population.
 
-        # 1. HTTPS certificate collection.
-        https_scanner = HttpsScanner(resolver, origins)
-        names = [(d.domain, d.rank) for d in population.deployments]
-        https_scan = https_scanner.scan(names)
-
-        # 2. QUIC handshake classification at the analysis Initial size.
-        quicreach = QuicReach(network)
-        targets = [
-            (d.domain, d.rank, d.provider)
-            for d in population.deployments
-            if d.category is ServiceCategory.QUIC
-        ]
-        handshakes = quicreach.scan_many(
-            targets, self.analysis_initial_size, compression=self.analysis_compression
-        )
-
-        # 2b. Optional full Initial-size sweep (Figure 3); sampled for speed.
-        # The stride is the one streamed workers select with, so serial and
-        # streamed runs sweep identical targets.
-        sweep: Optional[SweepResult] = None
+        The shard is scanned, reduced and finalised exactly as a streamed
+        shard is; its Figure 3 sample is the global stride from QUIC index 0.
+        """
+        deployments = self.population.deployments
+        sweep_selection = None
         if self.run_sweep:
-            sample = global_sweep_sample(population.deployments, self.sweep_sample_size)
-            sweep = InitialSizeSweep(quicreach).run(sample)
-
-        # 3. Certificates over QUIC and comparison with HTTPS.
-        qscanner = QScanner(network)
-        quic_domains = [domain for domain, _, _ in targets]
-        quic_certificates = qscanner.fetch_many(quic_domains)
-        https_chains = https_scan.chains_by_requested_domain()
-        certificate_comparison = qscanner.compare_with_https(quic_certificates, https_chains)
-
-        # 4. Certificate-compression support.
-        compression_scanner = CompressionScanner(network)
-        compression = compression_scanner.scan_many(quic_domains)
-
-        # 5. Incomplete handshakes: telescope backscatter and the Meta PoP.
-        backscatter, meta_probe_before, meta_probe_after = (
-            self._run_incomplete_handshake_stage(network)
-        )
-
-        cache_after = flight_plan_cache_info()
-        flight_cache = FlightCacheInfo(
-            hits=cache_after.hits - cache_before.hits,
-            misses=cache_after.misses - cache_before.misses,
-            currsize=cache_after.currsize,
-            maxsize=cache_after.maxsize,
-        )
-
-        return CampaignResults(
-            population=population,
-            https_scan=https_scan,
-            handshakes=handshakes,
-            sweep=sweep,
-            quic_certificates=quic_certificates,
-            certificate_comparison=certificate_comparison,
-            compression=compression,
-            backscatter=backscatter,
-            meta_probe_before=meta_probe_before,
-            meta_probe_after=meta_probe_after,
+            quic_count = sum(1 for d in deployments if d.category is ServiceCategory.QUIC)
+            sweep_selection = (0, sweep_sample_stride(quic_count, self.sweep_sample_size))
+        task = ShardTask(
+            index=0,
+            population_config=dataclasses.replace(
+                self.population_config, scenario=self.scenario
+            ),
+            start=0,
+            stop=len(deployments),
             analysis_initial_size=self.analysis_initial_size,
-            flight_cache=flight_cache,
-            scenario=self.scenario,
+            analysis_compression=self.analysis_compression,
+            run_sweep=self.run_sweep,
+            sweep_local_selection=sweep_selection,
+        )
+        spec = ReductionSpec(spoof_limit_per_provider=self.spoofed_targets_per_provider)
+        shard = scan_shard(task, deployments=deployments)
+        reducer = CampaignReducer(spec=spec, run_sweep=self.run_sweep)
+        reducer.add(summarize_shard(task, deployments, shard, spec))
+        return CampaignResults(
+            population=self.population,
+            shard=shard,
+            reduced=self.finalize_streaming(reducer.reduced_scan()),
         )
 
     def _run_streaming(self) -> ReducedCampaignResults:
@@ -395,17 +291,16 @@ class MeasurementCampaign:
     def finalize_streaming(self, scan, meta_probes=None) -> ReducedCampaignResults:
         """Stage 5 + result assembly over already-reduced stages 1–4.
 
-        The seam every streamed result passes through: single runs (resumed
-        ones included, whose reductions fold persisted ``ShardSummary``
-        checkpoints) and each member of :func:`run_grid_campaign`.  The
-        reduction's scenario fingerprint must match this campaign's: a
-        persisted what-if reduction finalised under the wrong (or no)
-        scenario would render a silently mislabeled report.  ``meta_probes``
-        is a :func:`probe_meta_pop` result to use instead of probing again
-        (a grid probes once for all members); its lookups are then not in
-        this result's flight-cache counters.
+        The seam every campaign result passes through: the serial shard,
+        streamed runs (resumed ones included, whose reductions fold persisted
+        ``ShardSummary`` checkpoints) and each member of
+        :func:`run_grid_campaign`.  The reduction's scenario fingerprint must
+        match this campaign's: a persisted what-if reduction finalised under
+        the wrong (or no) scenario would render a silently mislabeled report.
+        ``meta_probes`` is a :func:`probe_meta_pop` result to use instead of
+        probing again (a grid probes once for all members); its lookups are
+        then not in this result's flight-cache counters.
         """
-        config = self.population_config
         expected = (self.scenario or BASELINE).fingerprint()
         if scan.scenario_fingerprint != expected:
             raise ValueError(
@@ -414,23 +309,10 @@ class MeasurementCampaign:
                 "construct the campaign from the same scenario's population config"
             )
 
-        # Stage 5 over a mini-fabric of just the reduced spoof-target
-        # deployments: `probe_unvalidated` depends only on the probed host, so
-        # the backscatter and cache counters equal a full-fabric run.
         stage5_cache = FlightPlanCache()
-        network = build_network_for(scan.spoof_deployments, flight_cache=stage5_cache)
-        spoof_by_domain = {d.domain: d for d in scan.spoof_deployments}
-
-        def provider_of(domain: str) -> Optional[str]:
-            return provider_of_domain(domain, spoof_by_domain.get)
-
         backscatter, meta_probe_before, meta_probe_after = (
             self._run_incomplete_handshake_stage(
-                network,
-                flight_cache=stage5_cache,
-                spoof_deployments=scan.spoof_deployments,
-                provider_of=provider_of,
-                meta_probes=meta_probes,
+                scan.spoof_deployments, stage5_cache, meta_probes
             )
         )
 
@@ -444,7 +326,7 @@ class MeasurementCampaign:
 
         return ReducedCampaignResults(
             scan=scan,
-            population_size=config.size,
+            population_size=scan.deployment_count,
             backscatter=backscatter,
             meta_probe_before=meta_probe_before,
             meta_probe_after=meta_probe_after,
@@ -455,65 +337,38 @@ class MeasurementCampaign:
 
     def _run_incomplete_handshake_stage(
         self,
-        network: UdpNetwork,
-        flight_cache=None,
-        spoof_deployments: Optional[Sequence[DomainDeployment]] = None,
-        provider_of=None,
+        spoof_deployments: Sequence[DomainDeployment],
+        flight_cache: FlightPlanCache,
         meta_probes=None,
     ):
-        """Stage 5: spoofed-source campaign plus the Meta PoP probes."""
-        # 5a. Spoofed handshakes observed at the telescope.
+        """Stage 5: spoofed-source campaign plus the Meta PoP probes.
+
+        Runs on a mini-fabric of just the reduced spoof-target deployments:
+        ``probe_unvalidated`` depends only on the probed host, so the
+        backscatter and cache counters equal a run over the whole fabric.
+        """
+        # 5a. Spoofed handshakes observed at the telescope.  The Meta PoP
+        # hosts are always targeted, so Meta backscatter is observed even when
+        # the population holds few Meta-hosted domains.
+        network = build_network_for(spoof_deployments, flight_cache=flight_cache)
         telescope = Telescope()
         network.attach_telescope(TELESCOPE_PREFIX, telescope)
-        if spoof_deployments is None:
-            spoof_deployments = self._pick_spoof_deployments()
-        spoof_targets = self._spoof_targets(network, spoof_deployments)
-        simulate_spoofed_campaign(network, spoof_targets, TELESCOPE_PREFIX)
-        analyzer = BackscatterAnalyzer(telescope, provider_of or self._provider_of_domain)
-        backscatter = analyzer.analyze()
+        hosts = (network.host_for_domain(d.domain) for d in spoof_deployments)
+        targets = [host.address for host in hosts if host is not None]
+        for host in build_meta_point_of_presence(patched=False, prefix=META_POP_PREFIX):
+            network.attach_host(host)
+            targets.append(host.address)
+        simulate_spoofed_campaign(network, targets, TELESCOPE_PREFIX)
+        spoof_by_domain = {d.domain: d for d in spoof_deployments}
+        backscatter = BackscatterAnalyzer(
+            telescope, lambda domain: provider_of_domain(domain, spoof_by_domain.get)
+        ).analyze()
 
         # 5b. ZMap-style scan of the Meta point of presence, before and after
         # the responsible disclosure.
         if meta_probes is None:
             meta_probes = probe_meta_pop(flight_cache=flight_cache)
         return (backscatter, *meta_probes)
-
-    # -- helpers -----------------------------------------------------------------
-
-    def _provider_of_domain(self, domain: str) -> Optional[str]:
-        return provider_of_domain(domain, self.population.deployment)
-
-    def _pick_spoof_deployments(self) -> List[DomainDeployment]:
-        """The hypergiant-hosted services an attacker would reflect off.
-
-        First ``spoofed_targets_per_provider`` QUIC deployments per hypergiant
-        in deployment (= rank) order — the same selection (and the same code,
-        :func:`~repro.scanners.streaming.take_per_provider`) the streaming
-        reducer assembles from per-shard candidates.
-        """
-        return take_per_provider(
-            self.population.quic_services(),
-            self.spoofed_targets_per_provider,
-            SPOOF_PROVIDERS,
-        )
-
-    def _spoof_targets(
-        self, network: UdpNetwork, spoof_deployments: Sequence[DomainDeployment]
-    ) -> List:
-        """Resolve spoof deployments to addresses and add the Meta PoP hosts.
-
-        The Meta PoP hosts are always included so Meta backscatter is observed
-        even when the sampled population contains few Meta-hosted domains.
-        """
-        targets = []
-        for deployment in spoof_deployments:
-            host = network.host_for_domain(deployment.domain)
-            if host is not None:
-                targets.append(host.address)
-        for host in build_meta_point_of_presence(patched=False, prefix=META_POP_PREFIX):
-            network.attach_host(host)
-            targets.append(host.address)
-        return targets
 
 
 def probe_meta_pop(

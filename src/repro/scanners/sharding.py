@@ -24,6 +24,7 @@ campaign reports:
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures import TimeoutError as FutureTimeoutError
@@ -118,9 +119,8 @@ class ShardTask:
     #: ``(quic_index_offset, stride)``.  The parent never sees the
     #: deployments, so the worker selects its own sweep targets — the QUIC
     #: targets of the shard whose *global* QUIC index (offset + local
-    #: position) is a multiple of the stride — reproducing exactly the
-    #: ``targets[::stride]`` sample of :func:`global_sweep_sample` without
-    #: shipping any target list.
+    #: position) is a multiple of the stride — the ``targets[::stride]``
+    #: sample of the whole population, without shipping any target list.
     sweep_local_selection: Optional[Tuple[int, int]] = None
     sweep_initial_sizes: Tuple[int, ...] = SWEEP_INITIAL_SIZES
     #: Which shard-scan implementation the worker runs: ``"object"`` (the
@@ -230,7 +230,7 @@ class ShardScanResult:
 
 
 def scan_shard(
-    task: ShardTask, deployments: Optional[Tuple[DomainDeployment, ...]] = None
+    task: ShardTask, deployments: Optional[Sequence[DomainDeployment]] = None
 ) -> ShardScanResult:
     """Run pipeline stages 1–4 over one shard.
 
@@ -238,7 +238,9 @@ def scan_shard(
     pickle it; the worker builds the shard's own resolver/origins/network and
     warms its own flight-plan cache.  ``deployments`` lets callers that have
     already resolved the shard (the streaming reducer, which also summarises
-    it) skip a second regeneration; it must equal ``task.resolve_deployments()``.
+    it, and the serial campaign, whose one shard is its materialised
+    population) skip a regeneration; it must equal the task's ``[start,
+    stop)`` deployments.
     """
     cache = FlightPlanCache()
     if deployments is None:
@@ -326,8 +328,10 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts <= 0:
             raise ValueError("max_attempts must be positive")
-        if self.shard_timeout is not None and self.shard_timeout <= 0:
-            raise ValueError("shard_timeout must be positive")
+        # Written so NaN fails too; an infinite timeout would overflow the
+        # pool's wait.
+        if self.shard_timeout is not None and not 0 < self.shard_timeout < math.inf:
+            raise ValueError("shard_timeout must be positive and finite")
 
     def backoff(self, attempt: int) -> float:
         return min(self.backoff_cap, self.backoff_base * (2 ** attempt))
@@ -494,27 +498,11 @@ def dispatch_with_retry(
 def sweep_sample_stride(total_quic_targets: int, sweep_sample_size: Optional[int]) -> int:
     """The sampling stride of the Figure 3 sweep over the global QUIC targets.
 
-    Shared by :func:`global_sweep_sample` (the serial path, where the parent
-    holds the targets) and the streaming runner (where workers select locally
-    from ``(offset, stride)``), so the two sampling paths cannot drift apart.
+    Shared by the serial campaign (one shard, offset 0) and the streaming
+    runner (where each shard's offset is the QUIC-target count before it), so
+    every shard selects its part of the sample locally from
+    ``(offset, stride)`` in :func:`scan_shard`.
     """
     if sweep_sample_size is None or total_quic_targets <= sweep_sample_size:
         return 1
     return max(1, total_quic_targets // sweep_sample_size)
-
-
-def global_sweep_sample(
-    deployments: Sequence[DomainDeployment],
-    sweep_sample_size: Optional[int],
-) -> List[ScanTarget]:
-    """The sweep sample over the whole population, in deployment order.
-
-    The serial orchestrator's sample; streamed workers reproduce it shard by
-    shard from ``(offset, stride)`` via the same :func:`sweep_sample_stride`.
-    """
-    targets: List[ScanTarget] = [
-        (d.domain, d.rank, d.provider)
-        for d in deployments
-        if d.category is ServiceCategory.QUIC
-    ]
-    return targets[::sweep_sample_stride(len(targets), sweep_sample_size)]

@@ -23,8 +23,7 @@ The streaming reduction contract (see docs/ARCHITECTURE.md):
 * **Finalisation does not depend on the shard split.**  Every reduced figure
   input — float-summation order for means and stable-sort tie-breaks
   included — is the same for any shard size and worker count, and for the
-  serial path, which reduces as one shard
-  (:meth:`~repro.scanners.orchestrator.CampaignResults.reduced`), so
+  serial path, which scans and reduces as one in-process shard, so
   ``build_report`` renders the same bytes either way
   (``tests/test_streaming_reduction.py``).
 """
@@ -108,9 +107,7 @@ def provider_of_domain(domain: str, deployment_lookup) -> Optional[str]:
     ``deployment_lookup`` returns the deployment (or ``None``) for a domain;
     Meta PoP service domains fall back to ``"meta"`` even when the sampled
     population holds no deployment for them (stage 5 always probes the Meta
-    /24).  Shared by the eager :class:`~repro.scanners.orchestrator.CampaignResults`
-    accessor, the campaign's stage-5 analyzer and the streaming finalisation,
-    so the three cannot drift apart.
+    /24).  The campaign's stage-5 analyzer looks providers up through it.
     """
     deployment = deployment_lookup(domain)
     if deployment is not None and deployment.provider is not None:
@@ -127,9 +124,9 @@ def take_per_provider(
 ) -> List[DomainDeployment]:
     """First ``limit`` deployments per provider, in iteration order.
 
-    The one implementation of the spoof-target cap walk: the eager picker,
-    the per-shard candidate collection and the reducer's final selection all
-    route through it, so the three stay byte-identical by construction.
+    The one implementation of the spoof-target cap walk: the per-shard
+    candidate collection and the reducer's final selection both route
+    through it, so any shard split selects the same targets.
     ``providers`` restricts which providers are eligible (``None``: all).
     """
     taken: List[DomainDeployment] = []
@@ -1015,8 +1012,8 @@ class ReducedCampaignResults:
     """A full campaign's results in reduced form: the contract every report reads.
 
     Streamed runs return it; a serial
-    :class:`repro.scanners.orchestrator.CampaignResults` converts to it
-    through :meth:`~repro.scanners.orchestrator.CampaignResults.reduced`.
+    :class:`repro.scanners.orchestrator.CampaignResults` carries it as its
+    ``reduced`` field.
     Stage 5 (backscatter, Meta PoP) is carried at full fidelity, like the
     (small, sampled) sweep.
     """
@@ -1032,7 +1029,7 @@ class ReducedCampaignResults:
     #: non-identity scenarios are stamped into the report header.
     scenario: Optional["ScenarioSpec"] = None
 
-    # -- convenience accessors mirroring CampaignResults ----------------------
+    # -- convenience accessors over the reduced scan ---------------------------
 
     @property
     def quic_count(self) -> int:

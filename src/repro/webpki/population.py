@@ -157,17 +157,6 @@ class InternetPopulation:
             for category in ServiceCategory
         }
 
-    # -- materialising the simulated network -----------------------------------
-
-    def build_resolver(self) -> SimulatedResolver:
-        return build_resolver_for(self.deployments)
-
-    def build_origins(self) -> Dict[str, HttpOrigin]:
-        return build_origins_for(self.deployments)
-
-    def build_network(self) -> UdpNetwork:
-        return build_network_for(self.deployments)
-
 
 # ---------------------------------------------------------------------------
 # Materialising the simulated network for any deployment subset

@@ -51,7 +51,7 @@ def campaign_results(small_population: InternetPopulation) -> CampaignResults:
 @pytest.fixture(scope="session")
 def reduced_scan(campaign_results: CampaignResults) -> ReducedScanResults:
     """The campaign's stages 1–4 in the reduced contract every figure reads."""
-    return campaign_results.reduced().scan
+    return campaign_results.reduced.scan
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,11 @@ import sys
 
 import pytest
 
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - not a POSIX platform
+    fcntl = None
+
 import repro
 from repro.__main__ import _observed
 from repro.cli import build_parser, main
@@ -317,6 +322,15 @@ class TestDurabilityFlags:
         ) == 2
         assert "shard_timeout must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "0", "inf"])
+    def test_unusable_shard_timeout_exits_2_with_one_line(self, value, capsys):
+        assert main(
+            ["campaign", "--size", "250", "--stream", "--shard-timeout", value]
+        ) == 2
+        error = capsys.readouterr().err
+        assert error.count("\n") == 1
+        assert "shard_timeout must be positive and finite" in error
+
     def test_mismatched_resume_directory_fails_readably(self, tmp_path, capsys):
         checkpoint_dir = str(tmp_path / "ckpt")
         assert main(
@@ -561,6 +575,36 @@ class TestNumericFlags:
         assert f"argument {flag}: must be a positive integer" in error
         assert "Traceback" not in error
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["campaign", "--scenario", ""],
+            ["campaign", "--scenario-grid", ""],
+            ["compare", "--scenarios", " "],
+            ["compare", "--grid", ""],
+            ["scenarios", "--grid", ""],
+        ],
+        ids=["scenario", "scenario-grid", "compare-scenarios", "compare-grid", "scenarios-grid"],
+    )
+    def test_empty_scenario_names_exit_2_with_one_line(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        error = capsys.readouterr().err
+        assert error.count("\n") == 1
+        assert f"argument {argv[1]}: must not be empty" in error
+
+    @pytest.mark.parametrize("action", ["stats", "gc"])
+    def test_inspecting_a_missing_skeleton_cache_creates_nothing(
+        self, action, tmp_path, capsys
+    ):
+        missing = tmp_path / "no-cache"
+        assert main(["skeletons", action, str(missing)]) == 2
+        error = capsys.readouterr().err
+        assert error.count("\n") == 1
+        assert "no skeleton cache directory" in error
+        assert not missing.exists()
+
     @pytest.mark.parametrize("value", ["1199", "1473", "0"])
     def test_initial_size_outside_the_wire_model_exits_2_with_one_line(self, value, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -609,14 +653,18 @@ class TestLightSubcommandImports:
 def _run_module(argv, **kwargs):
     """``python -m repro ARGV`` in a fresh interpreter, with block-buffered
     standard streams (what a redirected run gets by default)."""
-    env = dict(os.environ)
-    env.pop("PYTHONUNBUFFERED", None)
-    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
     kwargs.setdefault("stdout", subprocess.PIPE)
     return subprocess.run(
         [sys.executable, "-m", "repro", *argv],
-        stderr=subprocess.PIPE, text=True, timeout=300, env=env, **kwargs,
+        stderr=subprocess.PIPE, text=True, timeout=300, env=_module_env(), **kwargs,
     )
+
+
+def _module_env():
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+    return env
 
 
 def _processes_mentioning(marker: str):
@@ -715,6 +763,28 @@ class TestModuleExitPath:
     def test_profile_function_keeps_the_normal_exit(self, unobserved):
         unobserved.setattr(sys, "getprofile", lambda: print)
         assert _observed()
+
+    @pytest.mark.skipif(
+        getattr(fcntl, "F_SETPIPE_SZ", None) is None, reason="needs a resizable pipe (Linux)"
+    )
+    def test_reader_closing_the_pipe_ends_the_run_quietly(self):
+        # A one-page pipe holds less than the report, so the writer is still
+        # blocked when the reader closes it after the first line.
+        read_end, write_end = os.pipe()
+        fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+        try:
+            with open(write_end, "wb") as stdout:
+                process = subprocess.Popen(
+                    [sys.executable, "-m", "repro", "campaign", "--size", "250"],
+                    stdout=stdout, stderr=subprocess.PIPE, env=_module_env(),
+                )
+            with open(read_end, "rb") as reader:
+                first_line = reader.readline()
+        finally:
+            _, stderr = process.communicate(timeout=300)
+        assert first_line.startswith(b"QUIC / TLS certificate interplay")
+        assert process.returncode == 1
+        assert stderr == b""
 
     @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc to list processes")
     def test_worker_run_leaves_no_child_process(self, tmp_path):

@@ -16,7 +16,7 @@ from repro.tls.cert_compression import CertificateCompressionAlgorithm
 
 class TestFigure09:
     def test_meta_amplifies_most(self, campaign_results):
-        result = figure09.compute(campaign_results.backscatter)
+        result = figure09.compute(campaign_results.reduced.backscatter)
         assert {"cloudflare", "google", "meta"} <= set(result.providers())
         assert result.maximum("meta") > 15
         assert result.maximum("meta") > result.maximum("cloudflare")
@@ -29,7 +29,7 @@ class TestFigure09:
 
 class TestMetaPrefix:
     def test_three_groups_with_expected_factors(self, campaign_results):
-        result = meta_prefix.compute(campaign_results.meta_probe_before)
+        result = meta_prefix.compute(campaign_results.reduced.meta_probe_before)
         assert result.probed_addresses == 256
         assert result.count(1) > 100
         assert result.count(2) > 10
@@ -42,7 +42,7 @@ class TestMetaPrefix:
 class TestFigure11:
     def test_disclosure_reduces_amplification(self, campaign_results):
         result = figure11.compute(
-            campaign_results.meta_probe_before, campaign_results.meta_probe_after
+            campaign_results.reduced.meta_probe_before, campaign_results.reduced.meta_probe_after
         )
         assert result.before.max_amplification > 20
         assert result.after.max_amplification < 8
@@ -62,7 +62,7 @@ class TestTable01:
             reduced_scan.wild_all_three,
             reduced_scan.wild_count,
         )
-        assert result.scanned_services == len(campaign_results.compression)
+        assert result.scanned_services == len(campaign_results.shard.compression)
         brotli = CertificateCompressionAlgorithm.BROTLI
         assert result.support_shares[brotli] == pytest.approx(0.96, abs=0.05)
         assert result.mean_rates[brotli] == pytest.approx(0.73, abs=0.10)
@@ -82,7 +82,7 @@ class TestTable03:
 class TestFunnel:
     def test_funnel_shares(self, campaign_results):
         result = funnel.compute(
-            campaign_results.https_scan.funnel, len(campaign_results.quic_deployments())
+            campaign_results.shard.funnel, len(campaign_results.quic_deployments())
         )
         assert result.resolved_share == pytest.approx(0.976, abs=0.03)
         assert result.a_record_share == pytest.approx(0.866, abs=0.05)

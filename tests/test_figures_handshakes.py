@@ -14,7 +14,7 @@ from repro.webpki.population import InternetPopulation
 
 class TestFigure03:
     def test_class_shares_match_paper_at_default_size(self, campaign_results):
-        result = figure03.compute(campaign_results.sweep)
+        result = figure03.compute(campaign_results.reduced.sweep)
         size = 1360  # closest sweep point to the 1362-byte analysis size
         assert size in result.counts or 1362 in result.counts
         probe_size = size if size in result.counts else 1362
@@ -26,24 +26,24 @@ class TestFigure03:
         assert one_rtt < 0.06
 
     def test_amplification_independent_of_initial_size(self, campaign_results):
-        result = figure03.compute(campaign_results.sweep)
+        result = figure03.compute(campaign_results.reduced.sweep)
         sizes = result.initial_sizes()
         counts = [result.counts[s].get(HandshakeClass.AMPLIFICATION, 0) for s in sizes]
         assert max(counts) - min(counts) <= max(3, 0.1 * max(counts))
 
     def test_larger_initials_shift_multi_rtt_towards_one_rtt(self, campaign_results):
-        result = figure03.compute(campaign_results.sweep)
+        result = figure03.compute(campaign_results.reduced.sweep)
         sizes = result.initial_sizes()
         first, last = sizes[0], sizes[-1]
         assert result.share(last, HandshakeClass.ONE_RTT) >= result.share(first, HandshakeClass.ONE_RTT)
         assert result.share(last, HandshakeClass.MULTI_RTT) <= result.share(first, HandshakeClass.MULTI_RTT)
 
     def test_reachability_drops_slightly_for_large_initials(self, campaign_results):
-        result = figure03.compute(campaign_results.sweep)
+        result = figure03.compute(campaign_results.reduced.sweep)
         assert 0.0 < result.reachability_drop() < 0.10
 
     def test_table_and_text(self, campaign_results):
-        result = figure03.compute(campaign_results.sweep)
+        result = figure03.compute(campaign_results.reduced.sweep)
         table = result.as_table()
         assert len(table) == len(result.initial_sizes())
         assert "Figure 3" in result.render_text()

@@ -40,8 +40,8 @@ class TestSection41HandshakeClasses:
     def test_cloudflare_explains_most_amplifying_handshakes(self, campaign_results):
         """§4.1: 96 % of amplifying handshakes come from one provider's stack."""
         amplifying = [
-            o for o in campaign_results.reachable_handshakes()
-            if o.handshake_class is HandshakeClass.AMPLIFICATION
+            o for o in campaign_results.shard.handshakes
+            if o.reachable and o.handshake_class is HandshakeClass.AMPLIFICATION
         ]
         cloudflare = sum(1 for o in amplifying if o.provider == "cloudflare")
         assert cloudflare / len(amplifying) > 0.9

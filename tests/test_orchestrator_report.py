@@ -5,49 +5,68 @@ import pytest
 from repro.analysis.report import build_report, class_shares
 from repro.quic.handshake import HandshakeClass
 from repro.scanners import MeasurementCampaign
+from repro.scanners.streaming import provider_of_domain
 from repro.webpki import PopulationConfig, generate_population
 
 
 class TestCampaignResults:
     def test_results_are_internally_consistent(self, campaign_results):
-        results = campaign_results
-        quic_count = len(results.quic_deployments())
-        assert len(results.handshakes) == quic_count
-        assert len(results.quic_certificates) == quic_count
-        assert len(results.compression) == quic_count
-        assert results.sweep is not None
-        assert len(results.meta_probe_before) == 256
-        assert len(results.meta_probe_after) == 256
-        assert results.analysis_initial_size == 1362
+        shard, reduced = campaign_results.shard, campaign_results.reduced
+        quic_count = len(campaign_results.quic_deployments())
+        assert len(shard.handshakes) == quic_count
+        assert len(shard.quic_certificates) == quic_count
+        assert len(shard.compression) == quic_count
+        assert shard.sweep_observations
+        assert len(reduced.meta_probe_before) == 256
+        assert len(reduced.meta_probe_after) == 256
+        assert reduced.analysis_initial_size == 1362
 
     def test_all_quic_handshakes_reachable_at_default_size(self, campaign_results):
         # At 1362 bytes, only heavily tunnelled services could drop out; the
         # overwhelming majority must respond.
-        reachable = len(campaign_results.reachable_handshakes())
-        assert reachable / len(campaign_results.handshakes) > 0.95
+        handshakes = campaign_results.shard.handshakes
+        reachable = sum(1 for o in handshakes if o.reachable)
+        assert reachable / len(handshakes) > 0.95
 
     def test_provider_lookup(self, campaign_results):
+        lookup = campaign_results.population.deployment
         deployment = campaign_results.quic_deployments()[0]
-        assert campaign_results.provider_of(deployment.domain) == deployment.provider
-        assert campaign_results.provider_of("definitely-not-scanned.example") is None
+        assert provider_of_domain(deployment.domain, lookup) == deployment.provider
+        assert provider_of_domain("definitely-not-scanned.example", lookup) is None
 
     def test_reduced_carries_every_stage(self, campaign_results):
-        reduced = campaign_results.reduced()
+        shard, reduced = campaign_results.shard, campaign_results.reduced
         scan = reduced.scan
         assert scan.deployment_count == reduced.population_size == len(
             campaign_results.population
         )
         assert scan.quic_count == len(campaign_results.quic_deployments())
-        assert scan.handshake_total == len(campaign_results.handshakes)
-        assert scan.reachable_count == len(campaign_results.reachable_handshakes())
-        assert scan.funnel.as_dict() == campaign_results.https_scan.funnel.as_dict()
-        assert scan.certificate_comparison == campaign_results.certificate_comparison
-        assert scan.sweep.observations == campaign_results.sweep.observations
-        assert reduced.backscatter is campaign_results.backscatter
-        assert reduced.meta_probe_before is campaign_results.meta_probe_before
-        assert reduced.meta_probe_after is campaign_results.meta_probe_after
-        assert reduced.flight_cache == campaign_results.flight_cache
-        assert reduced.analysis_initial_size == campaign_results.analysis_initial_size
+        assert scan.handshake_total == len(shard.handshakes)
+        assert scan.reachable_count == sum(1 for o in shard.handshakes if o.reachable)
+        assert scan.funnel.as_dict() == shard.funnel.as_dict()
+        assert scan.certificate_comparison == shard.comparison
+        assert scan.sweep.observations == shard.sweep_observations
+        assert reduced.flight_cache.hits >= shard.flight_cache.hits
+        assert reduced.analysis_initial_size == 1362
+
+    def test_flight_cache_counts_like_one_streamed_shard(self):
+        """Serial counters come from the shard's own cache plus stage 5's, so
+        they equal a one-shard streamed run and do not depend on what the
+        process simulated before."""
+        config = PopulationConfig(size=600, seed=11)
+        kwargs = dict(run_sweep=True, sweep_sample_size=50, spoofed_targets_per_provider=10)
+
+        def serial():
+            population = generate_population(config)
+            return MeasurementCampaign(population=population, **kwargs).run()
+
+        cold = serial().reduced.flight_cache
+        streamed = MeasurementCampaign(
+            population_config=config, stream=True, shard_size=config.size, **kwargs
+        ).run()
+        assert cold.hits + cold.misses > 0
+        assert streamed.flight_cache == cold
+        assert serial().reduced.flight_cache == cold
 
     def test_class_shares_sum_to_one(self, campaign_results):
         shares = class_shares(campaign_results)
@@ -57,8 +76,9 @@ class TestCampaignResults:
     def test_campaign_without_sweep(self):
         population = generate_population(PopulationConfig(size=400, seed=5))
         results = MeasurementCampaign(population=population, run_sweep=False).run()
-        assert results.sweep is None
-        assert len(results.handshakes) == len(results.quic_deployments())
+        assert results.reduced.sweep is None
+        assert results.shard.sweep_observations == ()
+        assert len(results.shard.handshakes) == len(results.quic_deployments())
 
 
 class TestEvaluationReport:

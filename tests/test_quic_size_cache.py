@@ -263,7 +263,7 @@ class TestFlightPlanCache:
         assert cache.cache_info().currsize == 2
 
     def test_campaign_surfaces_hit_rate(self, campaign_results):
-        info = campaign_results.flight_cache
+        info = campaign_results.reduced.flight_cache
         assert info is not None
         assert info.hits + info.misses > 0
         assert info.hit_rate > 0.8

@@ -74,7 +74,7 @@ class TestHttpsScannerUnit:
 
 class TestHttpsScannerOnPopulation:
     def test_funnel_matches_paper_shape(self, campaign_results):
-        funnel = campaign_results.https_scan.funnel
+        funnel = campaign_results.shard.funnel
         total = funnel.names_total
         assert funnel.dns_noerror / total == pytest.approx(0.976, abs=0.03)
         assert funnel.with_a_record / total == pytest.approx(0.866, abs=0.05)
@@ -87,5 +87,5 @@ class TestHttpsScannerOnPopulation:
             for d in population.deployments
             if d.category.has_certificate
         }
-        collected = {record.requested_domain for record in campaign_results.https_scan.records}
+        collected = {record.requested_domain for record in campaign_results.shard.https_records}
         assert with_cert <= collected

@@ -56,7 +56,7 @@ class TestQScanner:
         assert comparison.different_share == pytest.approx(0.5)
 
     def test_comparison_in_campaign_matches_paper(self, campaign_results):
-        comparison = campaign_results.certificate_comparison
+        comparison = campaign_results.shard.comparison
         assert comparison.identical_share == pytest.approx(0.967, abs=0.03)
 
 
@@ -96,7 +96,7 @@ class TestCompressionScanner:
         assert CompressionScanner.mean_compression_rate([], CertificateCompressionAlgorithm.ZSTD) is None
 
     def test_campaign_brotli_support_matches_paper(self, campaign_results):
-        observations = campaign_results.compression
+        observations = campaign_results.shard.compression
         support = CompressionScanner.support_share(
             observations, CertificateCompressionAlgorithm.BROTLI
         )

@@ -64,7 +64,7 @@ class TestBackscatter:
         assert meta.share_exceeding(3.0) > 0.9
 
     def test_campaign_backscatter_shapes(self, campaign_results):
-        backscatter = campaign_results.backscatter
+        backscatter = campaign_results.reduced.backscatter
         assert {"cloudflare", "google", "meta"} <= set(backscatter)
         assert backscatter["meta"].max_amplification > backscatter["cloudflare"].max_amplification
         assert backscatter["cloudflare"].max_amplification < 12

@@ -306,16 +306,15 @@ class TestWhatIfScenarios:
             )
 
     def test_streamed_equals_eager_for_a_what_if(self):
-        """The streaming-reduction byte-identity contract holds per scenario."""
-        scenario = BUILTIN_SCENARIOS["trimmed-chains"]
-        streamed = run_streamed(scenario, size=300)
-        eager = MeasurementCampaign(
-            population=generate_population(scenario.population_config(size=300, seed=SEED))
-        ).run()
-        assert (
-            build_report(streamed, include_sweep=False).text
-            == build_report(eager, include_sweep=False).text
-        )
+        """The streaming-reduction byte-identity contract holds for every
+        built-in scenario, the Figure 3 sweep included."""
+        for name, scenario in BUILTIN_SCENARIOS.items():
+            streamed = run_streamed(scenario, size=300, run_sweep=True)
+            eager = MeasurementCampaign(
+                population=generate_population(scenario.population_config(size=300, seed=SEED)),
+                run_sweep=True,
+            ).run()
+            assert build_report(streamed).text == build_report(eager).text, name
 
 
 class TestScenarioFingerprintGuard:

@@ -154,9 +154,9 @@ class TestShardedScanDeterminism:
             population=subset, run_sweep=True, sweep_sample_size=60,
             spoofed_targets_per_provider=10,
         ).run()
-        assert serial.sweep.observations
-        reachable = [o for o in serial.sweep.observations if o.reachable]
-        assert len(reachable) > len(serial.sweep.observations) * 0.9
+        assert serial.reduced.sweep.observations
+        reachable = [o for o in serial.reduced.sweep.observations if o.reachable]
+        assert len(reachable) > len(serial.reduced.sweep.observations) * 0.9
 
     def test_sweep_reuses_per_shard_caches(self):
         results = _streamed(workers=1, shard_size=SHARD_SIZE)

@@ -15,7 +15,11 @@ import pytest
 from repro.analysis.export import export_evaluation
 from repro.analysis.report import build_report
 from repro.scanners import MeasurementCampaign
-from repro.scanners.streaming import ReducedCampaignResults
+from repro.scanners.streaming import (
+    SPOOF_PROVIDERS,
+    ReducedCampaignResults,
+    take_per_provider,
+)
 from repro.webpki.population import PopulationConfig, generate_population
 
 #: Sized to span several scan shards at the shard sizes below while keeping
@@ -131,10 +135,8 @@ class TestReducedResultsShape:
     def test_spoof_selection_matches_eager_walk(self):
         config = PopulationConfig(size=POPULATION_SIZE, seed=3)
         population = generate_population(config)
-        campaign = MeasurementCampaign(
-            population=population, spoofed_targets_per_provider=12
-        )
-        eager_domains = [d.domain for d in campaign._pick_spoof_deployments()]
+        eager = take_per_provider(population.quic_services(), 12, SPOOF_PROVIDERS)
+        eager_domains = [d.domain for d in eager]
         streamed = _streamed(config, shard_size=128)
         streamed_domains = [d.domain for d in streamed.scan.spoof_deployments]
         assert streamed_domains == eager_domains

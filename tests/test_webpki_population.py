@@ -19,6 +19,9 @@ from repro.webpki.population import (
     META_HIGH_AMPLIFICATION_OCTETS,
     META_NO_SERVICE_OCTETS,
     build_meta_point_of_presence,
+    build_network_for,
+    build_origins_for,
+    build_resolver_for,
     meta_domain_for_octet,
 )
 from repro.x509.ca import default_hierarchy
@@ -121,15 +124,15 @@ class TestGeneratedPopulation:
             assert top_share > rest_share
 
     def test_build_resolver_and_network_cover_population(self, small_population):
-        resolver = small_population.build_resolver()
-        network = small_population.build_network()
+        resolver = build_resolver_for(small_population.deployments)
+        network = build_network_for(small_population.deployments)
         assert len(network) == len(small_population.quic_services())
         quic_domain = small_population.quic_services()[0].domain
         assert resolver.resolve(quic_domain).has_address
         assert network.host_for_domain(quic_domain) is not None
 
     def test_build_origins_include_redirect_targets(self, small_population):
-        origins = small_population.build_origins()
+        origins = build_origins_for(small_population.deployments)
         redirecting = [d for d in small_population.deployments if d.redirect_to and d.supports_https]
         assert redirecting, "expected some redirecting deployments"
         sample = redirecting[0]
