@@ -28,7 +28,7 @@ from ..netsim.network import UdpNetwork
 from ..netsim.telescope import Telescope
 from ..quic.server import FlightCacheInfo, FlightPlanCache
 from ..scenarios import BASELINE, ScenarioSpec
-from ..webpki.deployment import DomainDeployment, ServiceCategory
+from ..webpki.deployment import DomainDeployment
 from ..webpki.population import (
     InternetPopulation,
     PopulationConfig,
@@ -244,7 +244,7 @@ class MeasurementCampaign:
         deployments = self.population.deployments
         sweep_selection = None
         if self.run_sweep:
-            quic_count = sum(1 for d in deployments if d.category is ServiceCategory.QUIC)
+            quic_count = len(self.population.quic_services())
             sweep_selection = (0, sweep_sample_stride(quic_count, self.sweep_sample_size))
         task = ShardTask(
             index=0,
