@@ -3,7 +3,8 @@
 Times exactly what the streaming pipeline pays per shard — the object path
 as ``scan_shard`` + ``summarize_shard`` (stages 1–4 over real DNS/TLS/QUIC
 fabric objects, then the reduction summary), the columnar path as the single
-fused ``summarize_shard_columnar`` kernel.  Both produce identical
+fused ``summarize_shard_columnar`` kernel over the lowered deployments
+(``lower_deployments``, as a cold columnar shard visit pays it).  Both produce identical
 ``ShardSummary`` values (tests/test_columnar_scan.py and
 tests/test_properties.py pin it); this module only compares wall time, so
 perf PRs can quote a like-for-like per-shard number next to the end-to-end
@@ -20,6 +21,7 @@ import os
 import pytest
 
 from repro.scanners.columnar import summarize_shard_columnar
+from repro.scanners.shard_columns import lower_deployments
 from repro.scanners.sharding import DEFAULT_SHARD_SIZE, ShardTask, plan_shards, scan_shard
 from repro.scanners.streaming import ReductionSpec, summarize_shard
 from repro.webpki.population import PopulationConfig
@@ -58,7 +60,8 @@ def _scan_object(work) -> int:
 def _scan_columnar(work) -> int:
     quic = 0
     for task, deployments in work:
-        summary = summarize_shard_columnar(task, deployments, _SPEC)
+        columns = lower_deployments(deployments)
+        summary = summarize_shard_columnar(task, columns, _SPEC)
         quic += summary.quic_count
     return quic
 

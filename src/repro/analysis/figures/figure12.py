@@ -79,10 +79,19 @@ def encode_category_run(
     rank, with :data:`RANK_GAP_CODE` at every rank it does not hold.  An empty
     shard encodes as ``(empty_start, b"")``.
     """
-    if not deployments:
+    return encode_category_columns(
+        [d.rank for d in deployments], [d.category for d in deployments], empty_start
+    )
+
+
+def encode_category_columns(
+    ranks: Sequence[int], categories: Sequence[ServiceCategory], empty_start: int
+) -> Tuple[int, bytes]:
+    """:func:`encode_category_run` over a shard's rank and category columns."""
+    if not ranks:
         return empty_start, b""
-    ranks = [d.rank for d in deployments]
-    codes = [CATEGORY_CODES[d.category] for d in deployments]
+    ranks = list(ranks)
+    codes = [CATEGORY_CODES[category] for category in categories]
     start = ranks[0]
     if ranks == list(range(start, start + len(ranks))):
         return start, bytes(codes)

@@ -635,13 +635,31 @@ def _run_compare(args: argparse.Namespace) -> int:
 
 
 def _run_skeletons(args: argparse.Namespace) -> int:
-    from .scanners.skeleton_store import SkeletonStore, SkeletonStoreError, warm
+    from .scanners.skeleton_store import (
+        SkeletonStore,
+        SkeletonStoreError,
+        check_shard_indices,
+        warm,
+    )
     from .webpki import PopulationConfig
 
     if args.action != "warm" and not os.path.isdir(args.directory):
         # Only warm fills a cache; inspecting a missing one creates nothing.
         print(f"error: no skeleton cache directory at {args.directory}", file=sys.stderr)
         return 2
+    indices = None
+    if args.action == "warm" and args.shards:
+        # Checked before the store exists: a bad index creates nothing.
+        try:
+            indices = [int(part) for part in args.shards.split(",") if part.strip()]
+        except ValueError:
+            print(f"error: --shards must be integers: {args.shards!r}", file=sys.stderr)
+            return 2
+        try:
+            check_shard_indices(indices, args.size)
+        except ValueError as error:
+            print(f"error: --shards: {error}", file=sys.stderr)
+            return 2
     try:
         store = SkeletonStore(args.directory)
     except SkeletonStoreError as error:
@@ -649,13 +667,6 @@ def _run_skeletons(args: argparse.Namespace) -> int:
         return 2
     if args.action == "warm":
         config = PopulationConfig(size=args.size, seed=args.seed)
-        indices = None
-        if args.shards:
-            try:
-                indices = [int(part) for part in args.shards.split(",") if part.strip()]
-            except ValueError:
-                print(f"error: --shards must be integers: {args.shards!r}", file=sys.stderr)
-                return 2
         try:
             hits, misses = warm(store, config, shard_indices=indices)
         except SkeletonStoreError as error:

@@ -3,32 +3,38 @@
 ``scan_shard`` builds a resolver, an origin map, a UDP fabric and thousands of
 frozen QUIC/TLS wire objects per shard, only to reduce them to the counters and
 compact rows of a :class:`~repro.scanners.streaming.ShardSummary` moments
-later.  This module fuses the two steps: it lowers a shard's deployments into
-flat columns (chain payload lengths, DEFLATE lengths, CertificateVerify sizes,
-behaviour profiles, Initial sizes) and computes the wire-size arithmetic,
+later.  This module fuses the two steps: it reads a shard as one
+:class:`~repro.scanners.shard_columns.ShardColumns` record — deployment
+columns plus a chain table of leaf DER bytes, field-size rows, DEFLATE
+lengths and shared chain shapes — and computes the wire-size arithmetic,
 handshake classification and amplification-ratio math as batch passes over
 those columns, emitting the ``ShardSummary`` directly.
 
 The backend contract (see docs/ARCHITECTURE.md, "Columnar scan core"):
 
-* **Byte-identical output.**  ``summarize_shard_columnar(task, deployments,
-  spec)`` returns exactly the summary ``summarize_shard(task, deployments,
-  scan_shard(task), spec)`` returns — same counters, same float-summation
-  order, same flight-plan cache counters (replayed against a real
-  :class:`~repro.quic.server.FlightPlanCache` with sentinel entries).  The
-  object path stays the differential reference
+* **One input type.**  A warm store-backed shard reaches the kernel as the
+  columns of its verified ``.skel`` payload
+  (:func:`~repro.scanners.skeleton_store.columns_for_range`); every other
+  shard is lowered from deployments by
+  :func:`~repro.scanners.shard_columns.lower_deployments`.
+* **Byte-identical output.**  ``summarize_shard_columnar(task,
+  lower_deployments(deployments), spec)`` returns exactly the summary
+  ``summarize_shard(task, deployments, scan_shard(task), spec)`` returns —
+  same counters, same float-summation order, same flight-plan cache counters
+  (replayed against a real :class:`~repro.quic.server.FlightPlanCache` with
+  sentinel entries).  The object path stays the differential reference
   (``tests/test_columnar_scan.py``).
 * **Constants come from the real objects.**  TLS message sizes are read off
   freshly built :mod:`~repro.tls.handshake_messages` instances at import time,
   so the kernel cannot drift from the wire model silently; only the *per
   domain* arithmetic is mirrored by hand (and pinned per formula by
   ``tests/test_properties.py``).
-* **One DEFLATE per chain.**  The object path compresses a chain once per
-  negotiated flight plus once per supported algorithm in the compression scan
-  plus once in the synthetic reduction; the kernel runs zlib once per distinct
-  chain and scales the calibrated per-algorithm factors off that measurement
-  (the same split :func:`~repro.tls.cert_compression.compressed_size_for_deflate`
-  exposes).
+* **One DEFLATE per chain at most.**  The object path compresses a chain once
+  per negotiated flight plus once per supported algorithm in the compression
+  scan plus once in the synthetic reduction; the kernel reads the length the
+  skeleton store recorded, or runs zlib once per chain, and scales the
+  calibrated per-algorithm factors off that measurement (the same split
+  :func:`~repro.tls.cert_compression.compressed_size_for_deflate` exposes).
 
 Backend selection is threaded through ``ShardTask.scan_backend``; use
 ``--scan-backend {object,columnar}`` on the CLI or the ``REPRO_SCAN_BACKEND``
@@ -40,7 +46,7 @@ from __future__ import annotations
 
 import os
 from array import array
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..analysis.figures import figure02b, figure07, figure08, figure12, figure13, table02
 from ..netsim.dns import DnsRcode
@@ -54,8 +60,6 @@ from ..quic.server import FlightPlanCache
 from ..quic.varint import varint_size
 from ..tls.cert_compression import (
     CertificateCompressionAlgorithm,
-    chain_deflate_size,
-    chain_payload_size,
     compressed_size_for_deflate,
 )
 from ..tls.handshake_messages import (
@@ -64,21 +68,14 @@ from ..tls.handshake_messages import (
     Finished,
     ServerHello,
 )
-from ..webpki.deployment import DomainDeployment, ServiceCategory
-from ..x509.certificate import Certificate
-from ..x509.chain import (
-    CertificateChain,
-    certificates_correctly_ordered,
-    chain_fingerprint,
-    parent_chain_labels,
-)
-from ..x509.field_sizes import field_size_row, san_byte_share
+from ..webpki.deployment import ServiceCategory
 from ..x509.keys import KeyAlgorithm
 from .compression_scanner import ALL_ALGORITHMS
 from .https_scanner import ScanFunnel
 from .quicreach import HandshakeObservation
+from .shard_columns import ChainShape, ShardColumns
 from .sharding import ScanTarget, ShardTask
-from .streaming import ReductionSpec, ShardSummary, take_per_provider
+from .streaming import ReductionSpec, ShardSummary, select_per_provider
 
 # ---------------------------------------------------------------------------
 # Backend selection
@@ -325,34 +322,12 @@ def _first_rtt_split(
 
 
 # ---------------------------------------------------------------------------
-# Per-chain columns
+# Per-handshake arithmetic over the chain table
 # ---------------------------------------------------------------------------
 
-class _ChainColumns:
-    """The numbers the kernel needs from one certificate chain.
-
-    Payload and DEFLATE lengths live as memos *on the chain instance*
-    (:func:`~repro.tls.cert_compression.chain_payload_size` /
-    :func:`~repro.tls.cert_compression.chain_deflate_size`), so the handshake
-    path and the ground-truth folds share one measurement per chain —
-    ``deflate_len`` stays lazy: only chains that actually negotiate or
-    measure compression pay the zlib pass, and exactly once.
-    """
-
-    __slots__ = ("chain", "payload_len", "verify_size")
-
-    def __init__(self, chain: CertificateChain) -> None:
-        self.chain = chain
-        self.payload_len = chain_payload_size(chain)
-        self.verify_size = _CERT_VERIFY_SIZE[chain.leaf.key_algorithm]
-
-    @property
-    def deflate_len(self) -> int:
-        return chain_deflate_size(self.chain)
-
-
 def _certificate_message_size(
-    columns: _ChainColumns,
+    columns: ShardColumns,
+    chain: int,
     profile: ServerBehaviorProfile,
     offer: Tuple[CertificateCompressionAlgorithm, ...],
 ) -> int:
@@ -360,7 +335,8 @@ def _certificate_message_size(
 
     Uncompressed: 4-byte handshake header + 1-byte request context + payload.
     Compressed (RFC 8879): header + 2-byte algorithm + 3-byte uncompressed
-    length + compressed payload.
+    length + compressed payload.  The DEFLATE length is read (or measured)
+    only when an algorithm is negotiated.
     """
     negotiated = None
     if offer:
@@ -369,8 +345,8 @@ def _certificate_message_size(
                 negotiated = algorithm
                 break
     if negotiated is None:
-        return 5 + columns.payload_len
-    return 9 + compressed_size_for_deflate(negotiated, columns.deflate_len)
+        return 5 + columns.payload_len(chain)
+    return 9 + compressed_size_for_deflate(negotiated, columns.deflate_len(chain))
 
 
 def _flight_cache_entry():
@@ -381,31 +357,34 @@ def _flight_cache_entry():
 def _measure(
     domain: str,
     profile: ServerBehaviorProfile,
-    columns: _ChainColumns,
+    columns: ShardColumns,
+    chain: int,
     offer: Tuple[CertificateCompressionAlgorithm, ...],
     initial_size: int,
     cache: FlightPlanCache,
 ) -> Tuple[HandshakeClass, int, int, int, int, int]:
     """One handshake's observables: (class, first-RTT, total, TLS, overhead, RTTs).
 
-    Replays the object path's flight-plan cache key sequence against ``cache``
-    so the per-shard cache counters stay byte-identical.
+    ``chain`` indexes ``columns``' chain table.  Replays the object path's
+    flight-plan cache key sequence against ``cache`` so the per-shard cache
+    counters stay byte-identical.
     """
-    certificate_size = _certificate_message_size(columns, profile, offer)
+    verify_size = _CERT_VERIFY_SIZE[columns.shapes[chain].leaf_algorithm]
+    certificate_size = _certificate_message_size(columns, chain, profile, offer)
     tls_total = (
         _SERVER_HELLO_SIZE
         + _ENCRYPTED_EXTENSIONS_SIZE
         + certificate_size
-        + columns.verify_size
+        + verify_size
         + _FINISHED_SIZE
     )
-    # Keyed by identity, not content: within one kernel call chain instances
-    # are stable and no two distinct instances encode the same bytes (every
-    # leaf embeds its domain), and behaviour profiles are the module
-    # singletons of repro.quic.profiles (pairwise unequal), so the hit/miss
-    # sequence — the part the differential suite pins — matches the object
-    # path's fingerprint-keyed cache without hashing chains or profiles.
-    key = (domain, id(profile), id(columns.chain), offer)
+    # Keyed by chain index, not content: a domain's handshakes all resolve
+    # to one host row and so to one chain index, and behaviour profiles are
+    # the module singletons of repro.quic.profiles (pairwise unequal), so the
+    # hit/miss sequence — the part the differential suite pins — matches the
+    # object path's fingerprint-keyed cache without hashing chains or
+    # profiles.
+    key = (domain, id(profile), chain, offer)
     cache.get_or_build(key, _flight_cache_entry)
     if profile.retry_policy is RetryPolicy.ALWAYS:
         # The client echoes the token and the server responds again (second
@@ -413,7 +392,7 @@ def _measure(
         cache.get_or_build(key, _flight_cache_entry)
         token_len = _RETRY_TOKEN_PREFIX_LEN + len(domain.encode("ascii")[:32])
         retry_size = _RETRY_BASE + token_len
-        _, flight_total = _flight_rows(profile, certificate_size, columns.verify_size)
+        _, flight_total = _flight_rows(profile, certificate_size, verify_size)
         first = total = retry_size + flight_total
         return (
             HandshakeClass.RETRY,
@@ -424,7 +403,7 @@ def _measure(
             2,
         )
     first, deferred = _first_rtt_split(
-        profile, certificate_size, columns.verify_size, initial_size
+        profile, certificate_size, verify_size, initial_size
     )
     total = first + deferred
     if deferred:
@@ -443,56 +422,9 @@ def _measure(
     )
 
 
-def _accepts_initial(deployment: DomainDeployment, initial_size: int) -> bool:
+def _accepts_initial(encapsulation_overhead: int, initial_size: int) -> bool:
     """Mirror QuicServiceHost.accepts_initial (path MTU 1500, UDP/IP 28)."""
-    return initial_size <= 1500 - 28 - deployment.encapsulation_overhead
-
-
-# ---------------------------------------------------------------------------
-# Shape-deduplicated ground-truth folds
-# ---------------------------------------------------------------------------
-
-class _ParentFold:
-    """Leaf-independent facts of one distinct non-leaf certificate tuple.
-
-    Every chain in a shard is pairwise distinct (each leaf embeds its domain
-    name), but the certificates *above* the leaf are a handful of shared CA
-    hierarchy instances.  This record computes everything the ground-truth
-    figure folds need from that shared suffix — field-size rows, Figure 7
-    labels / internal ordering / per-depth sizes, key-algorithm counts — once,
-    and the kernel scales it by how many delivered chains carry the tuple
-    (the shape-dedup contract, see docs/ARCHITECTURE.md).
-    """
-
-    __slots__ = (
-        "parent_sizes", "parent_total", "parents_ordered", "link_subject",
-        "pc_key", "row_counts", "alg_counts",
-        "delivered", "quic_small", "quic_large", "https_count",
-    )
-
-    def __init__(self, parents: Tuple[Certificate, ...]) -> None:
-        self.parent_sizes = tuple(cert.size for cert in parents)
-        self.parent_total = sum(self.parent_sizes)
-        # The leaf -> first-parent link is per chain; everything internal to
-        # the parent tuple is shared.
-        self.parents_ordered = certificates_correctly_ordered(parents)
-        self.link_subject = parents[0].subject.encode() if parents else None
-        labels = parent_chain_labels(parents)
-        self.pc_key: Optional[Tuple[str, ...]] = tuple(labels) if labels else None
-        row_counts: Dict[tuple, int] = {}
-        alg_counts: Dict[KeyAlgorithm, int] = {}
-        for cert in parents:
-            row = field_size_row(cert)
-            row_counts[row] = row_counts.get(row, 0) + 1
-            algorithm = cert.key_algorithm
-            alg_counts[algorithm] = alg_counts.get(algorithm, 0) + 1
-        self.row_counts = row_counts
-        self.alg_counts = alg_counts
-        # Multiplicities, filled in by the category passes.
-        self.delivered = 0    # delivered chains carrying this tuple (Fig. 2b)
-        self.quic_small = 0   # QUIC chains of total size <= threshold (Fig. 8)
-        self.quic_large = 0   # QUIC chains above the threshold
-        self.https_count = 0  # HTTPS-only delivered chains (Table 2)
+    return initial_size <= 1500 - 28 - encapsulation_overhead
 
 
 # ---------------------------------------------------------------------------
@@ -501,64 +433,97 @@ class _ParentFold:
 
 def summarize_shard_columnar(
     task: ShardTask,
-    deployments: Sequence[DomainDeployment],
+    columns: ShardColumns,
     spec: ReductionSpec,
 ) -> ShardSummary:
-    """Scan and reduce one shard in a single pass, no intermediate objects.
+    """Scan and reduce one shard in a single pass over its columns.
 
-    Byte-identical to ``summarize_shard(task, deployments,
-    scan_shard(task, deployments=deployments), spec)``; the differential
-    suite pins the equality per figure artefact.
+    ``columns`` is the shard as a :class:`ShardColumns` record — read from the
+    skeleton store (:func:`~repro.scanners.skeleton_store.columns_for_range`)
+    or lowered from deployments
+    (:func:`~repro.scanners.shard_columns.lower_deployments`).  Byte-identical
+    to ``summarize_shard(task, deployments, scan_shard(task,
+    deployments=deployments), spec)``; the differential suite pins the
+    equality per figure artefact.
     """
     cache = FlightPlanCache()
-    quic_deployments = [d for d in deployments if d.category is ServiceCategory.QUIC]
-    https_only = [d for d in deployments if d.category is ServiceCategory.HTTPS_ONLY]
+    domains = columns.domains
+    ranks = columns.ranks
+    providers = columns.providers
+    categories = columns.categories
+    behaviors = columns.behaviors
+    encapsulations = columns.encapsulations
+    https_slots = columns.https
+    quic_slots = columns.quic
+    leaf_ders = columns.leaf_ders
+    field_rows = columns.field_rows
+    san_shares = columns.san_shares
+    shapes = columns.shapes
+    deflate_lens = columns.deflate_lens
+    quic_category = ServiceCategory.QUIC
+    https_category = ServiceCategory.HTTPS_ONLY
+    quic_rows: List[int] = []
+    https_rows: List[int] = []
+    # Rows outside the two analysed categories that still deliver a chain.
+    other_rows: List[int] = []
 
     # Stage 1 — the DNS/origin fabric as two dicts (build_resolver_for /
     # build_origins_for + HttpsScanner's lowercasing, last-wins like the real
     # dict construction order).  One pass fills both dicts plus the QUIC host
-    # table: each dict sees its entries in the same deployment order the
-    # staged builders produce, so last-wins resolution is unchanged.
+    # table (lower-cased domain -> row): each dict sees its entries in the
+    # same deployment order the staged builders produce, so last-wins
+    # resolution is unchanged.
+    noerror = DnsRcode.NOERROR
+    # The zone's values, shared instead of built per row.
+    resolved = (noerror, True)
+    unresolved = {rcode: (rcode, False) for rcode in DnsRcode}
     dns_zone: Dict[str, Tuple[DnsRcode, bool]] = {}
     # lower-cased name -> (origin domain, https chain, explicit redirect hop).
-    origins: Dict[str, Tuple[str, Optional[CertificateChain], Optional[str]]] = {}
-    hosts: Dict[str, DomainDeployment] = {}
+    origins: Dict[str, Tuple[str, Optional[int], Optional[str]]] = {}
+    hosts: Dict[str, int] = {}
     lowered_domains: List[str] = []
-    for deployment in deployments:
-        lowered = deployment.domain.lower()
+    for row, (domain, category, rcode, addressed, redirect, chain) in enumerate(
+        zip(domains, categories, columns.rcodes, columns.addressed, columns.redirects, https_slots)
+    ):
+        lowered = domain.lower()
         lowered_domains.append(lowered)
-        if deployment.supports_quic and deployment.address is not None:
-            hosts[lowered] = deployment
-        if deployment.dns_rcode is not DnsRcode.NOERROR:
-            dns_zone[lowered] = (deployment.dns_rcode, False)
+        if category is quic_category:
+            quic_rows.append(row)
+            if addressed and quic_slots[row] is not None:
+                hosts[lowered] = row
+        elif category is https_category:
+            https_rows.append(row)
+        elif chain is not None or quic_slots[row] is not None:
+            other_rows.append(row)
+        if rcode is not noerror or not addressed:
+            dns_zone[lowered] = unresolved[rcode]
             continue
-        if deployment.address is None:
-            dns_zone[lowered] = (DnsRcode.NOERROR, False)
-            continue
-        dns_zone[lowered] = (DnsRcode.NOERROR, True)
-        redirect = deployment.redirect_to
+        dns_zone[lowered] = resolved
         if redirect:
-            dns_zone[redirect.lower()] = (DnsRcode.NOERROR, True)
-        chain = deployment.https_chain
+            dns_zone[redirect.lower()] = resolved
         if redirect and chain is not None:
             origins[redirect.lower()] = (redirect, chain, None)
-            origins[lowered] = (
-                deployment.domain,
-                chain,
-                target_domain(f"https://{redirect}/"),
-            )
+            origins[lowered] = (domain, chain, target_domain(f"https://{redirect}/"))
         else:
-            origins[lowered] = (deployment.domain, chain, None)
-        if deployment.supports_quic:
-            hosts[lowered] = deployment
+            origins[lowered] = (domain, chain, None)
+
+    # Chain fingerprints (CertificateChain.fingerprint's bytes), at most
+    # once per chain.
+    digests: Dict[int, bytes] = {}
+
+    def digest_of(chain: int) -> bytes:
+        digest = digests.get(chain)
+        if digest is None:
+            digest = digests[chain] = columns.digest(chain)
+        return digest
 
     # The funnel walk of HttpsScanner.scan/_scan_one.
-    funnel = ScanFunnel(names_total=len(deployments))
-    https_fingerprints: set = set()
-    chains_by_requested: Dict[str, CertificateChain] = {}
+    funnel = ScanFunnel(names_total=len(domains))
+    https_digests: set = set()
+    chains_by_requested: Dict[str, int] = {}
     for requested in lowered_domains:
         rcode, has_address = dns_zone.get(requested, (DnsRcode.NXDOMAIN, False))
-        if rcode is DnsRcode.NOERROR:
+        if rcode is noerror:
             funnel.dns_noerror += 1
         elif rcode is DnsRcode.SERVFAIL:
             funnel.dns_servfail += 1
@@ -585,7 +550,7 @@ def summarize_shard_columnar(
             # The dominant shape — a plain HTTPS site serving the requested
             # name directly.  The general walk would take exactly one hop and
             # land here; folding it inline skips the per-name walk state.
-            https_fingerprints.add(chain_fingerprint(chain))
+            https_digests.add(digest_of(chain))
             chains_by_requested[requested] = chain
             funnel.names_with_certificates += 1
             funnel.port_80_open += 1
@@ -605,7 +570,7 @@ def summarize_shard_columnar(
             origin_domain, chain, redirect_next = origin
             if chain is not None:
                 collected = True
-                https_fingerprints.add(chain_fingerprint(chain))
+                https_digests.add(digest_of(chain))
                 if requested not in chains_by_requested or not via_redirect:
                     chains_by_requested[requested] = chain
             next_target = None
@@ -631,22 +596,12 @@ def summarize_shard_columnar(
                 funnel.port_443_open += 1
     funnel_counts = funnel.as_dict()
     funnel_counts.pop("unique_certificate_chains")
-    chain_digests = frozenset(
-        bytes.fromhex(fingerprint) for fingerprint in https_fingerprints
-    )
+    chain_digests = frozenset(https_digests)
 
     # Stage 2 fabric — hosts by lower-cased domain (build_network_for),
     # filled by the stage-1 pass above.
-    targets = [(d.domain, d.rank, d.provider) for d in quic_deployments]
-
-    columns_by_chain: Dict[int, _ChainColumns] = {}
-
-    def columns_for(chain: CertificateChain) -> _ChainColumns:
-        columns = columns_by_chain.get(id(chain))
-        if columns is None:
-            columns = _ChainColumns(chain)
-            columns_by_chain[id(chain)] = columns
-        return columns
+    targets = [(domains[row], ranks[row], providers[row]) for row in quic_rows]
+    target_names = [lowered_domains[row] for row in quic_rows]
 
     # Stages 2, 3 and 4 — handshake classification, QUIC-vs-HTTPS certificate
     # comparison, and compression support / wild rates — fused into one pass
@@ -673,20 +628,20 @@ def summarize_shard_columnar(
     wild_rates: Dict[CertificateCompressionAlgorithm, array] = {
         algorithm: array("d") for algorithm in ALL_ALGORITHMS
     }
-    for domain, rank, _provider in targets:
-        lowered = domain.lower()
+    for (domain, rank, _provider), lowered in zip(targets, target_names):
         host = hosts.get(lowered)
         if host is None:
             continue
-        quic_chain = host.quic_chain
-        profile = host.server_behavior
+        quic_chain = quic_slots[host]
+        profile = behaviors[host]
 
         # Stage 2 fold — handshake classification at the analysis Initial size.
-        if _accepts_initial(host, analysis_size):
+        if _accepts_initial(encapsulations[host], analysis_size):
             handshake_class, first, total, tls_total, overhead, _round_trips = _measure(
                 domain,
                 profile,
-                columns_for(quic_chain),
+                columns,
+                quic_chain,
                 analysis_offer,
                 analysis_size,
                 cache,
@@ -712,9 +667,7 @@ def summarize_shard_columnar(
         https_chain = chains_by_requested.get(lowered)
         if https_chain is not None:
             comparison_total += 1
-            if https_chain is quic_chain or chain_fingerprint(
-                https_chain
-            ) == chain_fingerprint(quic_chain):
+            if https_chain == quic_chain or digest_of(https_chain) == digest_of(quic_chain):
                 comparison_identical += 1
 
         # Stage 4 fold — compression support and wild rates.  Each profile's
@@ -733,9 +686,8 @@ def summarize_shard_columnar(
         if len(supported_rows) == 3:
             wild_all_three += 1
         if supported_rows:
-            columns = columns_for(quic_chain)
-            uncompressed = columns.payload_len
-            deflate_len = columns.deflate_len
+            uncompressed = columns.payload_len(quic_chain)
+            deflate_len = deflate_lens[quic_chain] or columns.deflate_len(quic_chain)
             for algorithm, rates in supported_rows:
                 compressed = compressed_size_for_deflate(algorithm, deflate_len)
                 rates.append(1.0 - compressed / uncompressed)
@@ -756,7 +708,7 @@ def summarize_shard_columnar(
         for initial_size in task.sweep_initial_sizes:
             for domain, rank, provider in sweep_targets:
                 host = hosts.get(domain.lower())
-                if host is None or not _accepts_initial(host, initial_size):
+                if host is None or not _accepts_initial(encapsulations[host], initial_size):
                     collected_sweep.append(
                         HandshakeObservation(
                             domain=domain, rank=rank, provider=provider,
@@ -764,10 +716,12 @@ def summarize_shard_columnar(
                         )
                     )
                     continue
+                quic_chain = quic_slots[host]
                 handshake_class, first, total, tls_total, overhead, round_trips = _measure(
                     domain,
-                    host.server_behavior,
-                    columns_for(host.quic_chain),
+                    behaviors[host],
+                    columns,
+                    quic_chain,
                     (),  # the sweep scans without an RFC 8879 offer
                     initial_size,
                     cache,
@@ -785,34 +739,24 @@ def summarize_shard_columnar(
                         tls_payload_bytes=tls_total,
                         quic_overhead_bytes=overhead,
                         round_trips=round_trips,
-                        chain_size=host.quic_chain.total_size,
+                        chain_size=columns.total_size(quic_chain),
                     )
                 )
         sweep_observations = tuple(collected_sweep)
 
     # Ground-truth (population) reductions, deduplicated per chain shape.
     # Full chains never repeat (every leaf names its domain), so the dedup
-    # lever is the shared non-leaf suffix: one `_ParentFold` per distinct
-    # parent certificate tuple carries every leaf-independent fact, the two
-    # category passes below fold only the per-leaf contributions in
-    # deployment order (order-critical series stay in order), and the flush
-    # after the passes scales each fold by its multiplicity.  Keying by
-    # certificate ids is sound for the duration of the call — `deployments`
-    # keeps every certificate alive.  Equality with the object path's
-    # per-certificate folds is pinned per artefact by the differential and
-    # property suites (tests/test_columnar_scan.py, tests/test_properties.py).
-    parent_folds: Dict[object, _ParentFold] = {}
-
-    def parent_fold_for(chain: CertificateChain) -> _ParentFold:
-        parents = chain.certificates[1:]
-        # A bare id for the dominant one-parent shape (an int key can never
-        # equal a tuple key, so the two forms coexist in one dict).
-        key = id(parents[0]) if len(parents) == 1 else tuple(map(id, parents))
-        fold = parent_folds.get(key)
-        if fold is None:
-            fold = _ParentFold(parents)
-            parent_folds[key] = fold
-        return fold
+    # lever is the shared shape: a ChainShape carries every leaf-independent
+    # fact, the category passes below fold only the per-leaf contributions
+    # (the leaf's field-size row) in deployment order (order-critical series
+    # stay in order) and count each shape's multiplicities, and the flush
+    # after the passes scales each shape by them.  Equality with the object
+    # path's per-certificate folds is pinned per artefact by the differential
+    # and property suites (tests/test_columnar_scan.py, tests/test_properties.py).
+    delivered: Dict[ChainShape, int] = {}    # delivered chains (Fig. 2b)
+    quic_small: Dict[ChainShape, int] = {}   # QUIC chains of size <= threshold (Fig. 8)
+    quic_large: Dict[ChainShape, int] = {}   # QUIC chains above the threshold
+    https_counts: Dict[ChainShape, int] = {}  # HTTPS-only delivered chains (Table 2)
 
     field_size_counts: Dict[str, Dict[int, int]] = {
         name: {} for name in figure02b.FIELD_NAMES
@@ -850,63 +794,58 @@ def summarize_shard_columnar(
     synth_limit = spec.limit_bytes
     base_offset = task.start
 
-    for position, deployment in enumerate(quic_deployments):
-        chain = deployment.delivered_chain
+    for position, row in enumerate(quic_rows):
+        chain = quic_slots[row]
         if chain is None:
-            continue
-        fold = parent_fold_for(chain)
-        leaf = chain.certificates[0]
-        row = field_size_row(leaf)
+            chain = https_slots[row]
+            if chain is None:
+                continue
+        shape = shapes[chain]
+        base = 7 * chain
+        subject, issuer, spki, extensions, signature, other, leaf_size = field_rows[
+            base : base + 7
+        ]
         # Figure 2(b): the unique leaf now, the shared parents in the flush.
-        subject_counts[row[0]] = subject_counts.get(row[0], 0) + 1
-        issuer_counts[row[1]] = issuer_counts.get(row[1], 0) + 1
-        spki_counts[row[2]] = spki_counts.get(row[2], 0) + 1
-        ext_counts[row[3]] = ext_counts.get(row[3], 0) + 1
-        sig_counts[row[4]] = sig_counts.get(row[4], 0) + 1
+        subject_counts[subject] = subject_counts.get(subject, 0) + 1
+        issuer_counts[issuer] = issuer_counts.get(issuer, 0) + 1
+        spki_counts[spki] = spki_counts.get(spki, 0) + 1
+        ext_counts[extensions] = ext_counts.get(extensions, 0) + 1
+        sig_counts[signature] = sig_counts.get(signature, 0) + 1
         certificate_count += 1
-        fold.delivered += 1
-        leaf_size = row[6]
-        total_size = fold.parent_total + leaf_size
+        delivered[shape] = delivered.get(shape, 0) + 1
+        total_size = shape.parent_total + leaf_size
         quic_chain_size_counts[total_size] = (
             quic_chain_size_counts.get(total_size, 0) + 1
         )
         # Figure 8 / Table 2, leaf halves (parents are scaled in the flush).
         if total_size > chain_size_threshold:
-            fold.quic_large += 1
+            quic_large[shape] = quic_large.get(shape, 0) + 1
             acc = large_leaf_acc
             large_leaf_n += 1
         else:
-            fold.quic_small += 1
+            quic_small[shape] = quic_small.get(shape, 0) + 1
             acc = small_leaf_acc
             small_leaf_n += 1
-        acc[0] += row[0]
-        acc[1] += row[1]
-        acc[2] += row[2]
-        acc[3] += row[3]
-        acc[4] += row[4]
-        acc[5] += row[5]
-        acc[6] += row[6]
-        algorithm = leaf.key_algorithm
-        quic_leaf_algs[algorithm] = quic_leaf_algs.get(algorithm, 0) + 1
-        # Figure 7: shared parent verdict plus the per-chain leaf link.
-        if fold.parents_ordered and (
-            fold.link_subject is None or leaf.issuer.encode() == fold.link_subject
-        ):
+        acc[0] += subject
+        acc[1] += issuer
+        acc[2] += spki
+        acc[3] += extensions
+        acc[4] += signature
+        acc[5] += other
+        acc[6] += leaf_size
+        # Figure 7: the shape's group (None: not correctly ordered).
+        group_key = shape.group_key
+        if group_key is not None:
             quic_group_total += 1
-            group_key = (
-                fold.pc_key
-                if fold.pc_key is not None
-                else (leaf.issuer.common_name or "unknown",)
-            )
             figure07.fold_group_member(
                 quic_groups, group_key, leaf_size, base_offset + position,
-                fold.parent_sizes,
+                shape.parent_sizes,
             )
         # Synthetic compression: ratio and both limit checks only need the
-        # payload and DEFLATE lengths (one zlib pass per chain, memoized).
-        uncompressed = chain_payload_size(chain)
+        # payload and DEFLATE lengths (one zlib pass per chain at most).
+        uncompressed = shape.payload_base + leaf_size
         compressed = compressed_size_for_deflate(
-            synth_algorithm, chain_deflate_size(chain)
+            synth_algorithm, deflate_lens[chain] or columns.deflate_len(chain)
         )
         synth_rates.append(
             0.0 if uncompressed == 0 else 1.0 - compressed / uncompressed
@@ -917,98 +856,93 @@ def summarize_shard_columnar(
         if compressed <= synth_limit:
             synth_below_compressed += 1
         fig14_leaf_sizes.append(leaf_size)
-        fig14_san_shares.append(san_byte_share(leaf))
+        fig14_san_shares.append(san_shares[chain])
 
-    for position, deployment in enumerate(https_only):
-        chain = deployment.delivered_chain
+    for position, row in enumerate(https_rows):
+        https_chain = https_slots[row]
+        chain = quic_slots[row]
+        if chain is None:
+            chain = https_chain
         total_size = None
         if chain is not None:
-            fold = parent_fold_for(chain)
-            leaf = chain.certificates[0]
-            row = field_size_row(leaf)
-            subject_counts[row[0]] = subject_counts.get(row[0], 0) + 1
-            issuer_counts[row[1]] = issuer_counts.get(row[1], 0) + 1
-            spki_counts[row[2]] = spki_counts.get(row[2], 0) + 1
-            ext_counts[row[3]] = ext_counts.get(row[3], 0) + 1
-            sig_counts[row[4]] = sig_counts.get(row[4], 0) + 1
+            shape = shapes[chain]
+            base = 7 * chain
+            subject, issuer, spki, extensions, signature, _, leaf_size = field_rows[
+                base : base + 7
+            ]
+            subject_counts[subject] = subject_counts.get(subject, 0) + 1
+            issuer_counts[issuer] = issuer_counts.get(issuer, 0) + 1
+            spki_counts[spki] = spki_counts.get(spki, 0) + 1
+            ext_counts[extensions] = ext_counts.get(extensions, 0) + 1
+            sig_counts[signature] = sig_counts.get(signature, 0) + 1
             certificate_count += 1
-            fold.delivered += 1
-            fold.https_count += 1
-            leaf_size = row[6]
-            total_size = fold.parent_total + leaf_size
-            algorithm = leaf.key_algorithm
-            https_leaf_algs[algorithm] = https_leaf_algs.get(algorithm, 0) + 1
-            if fold.parents_ordered and (
-                fold.link_subject is None
-                or leaf.issuer.encode() == fold.link_subject
-            ):
+            delivered[shape] = delivered.get(shape, 0) + 1
+            https_counts[shape] = https_counts.get(shape, 0) + 1
+            total_size = shape.parent_total + leaf_size
+            group_key = shape.group_key
+            if group_key is not None:
                 https_group_total += 1
-                group_key = (
-                    fold.pc_key
-                    if fold.pc_key is not None
-                    else (leaf.issuer.common_name or "unknown",)
-                )
                 figure07.fold_group_member(
                     https_groups, group_key, leaf_size, base_offset + position,
-                    fold.parent_sizes,
+                    shape.parent_sizes,
                 )
-        https_chain = deployment.https_chain
         if https_chain is not None:
-            size = total_size if https_chain is chain else https_chain.total_size
+            size = total_size if https_chain == chain else columns.total_size(https_chain)
             https_chain_size_counts[size] = https_chain_size_counts.get(size, 0) + 1
 
     # Deployments outside the two analysed categories normally deliver no
     # chain; when a hand-built population does, Figure 2(b) still counts it.
-    for deployment in deployments:
-        category = deployment.category
-        if category is ServiceCategory.QUIC or category is ServiceCategory.HTTPS_ONLY:
-            continue
-        chain = deployment.delivered_chain
+    for row in other_rows:
+        chain = quic_slots[row]
         if chain is None:
-            continue
-        fold = parent_fold_for(chain)
-        row = field_size_row(chain.certificates[0])
-        subject_counts[row[0]] = subject_counts.get(row[0], 0) + 1
-        issuer_counts[row[1]] = issuer_counts.get(row[1], 0) + 1
-        spki_counts[row[2]] = spki_counts.get(row[2], 0) + 1
-        ext_counts[row[3]] = ext_counts.get(row[3], 0) + 1
-        sig_counts[row[4]] = sig_counts.get(row[4], 0) + 1
+            chain = https_slots[row]
+        base = 7 * chain
+        subject_counts[field_rows[base]] = subject_counts.get(field_rows[base], 0) + 1
+        issuer_counts[field_rows[base + 1]] = issuer_counts.get(field_rows[base + 1], 0) + 1
+        spki_counts[field_rows[base + 2]] = spki_counts.get(field_rows[base + 2], 0) + 1
+        ext_counts[field_rows[base + 3]] = ext_counts.get(field_rows[base + 3], 0) + 1
+        sig_counts[field_rows[base + 4]] = sig_counts.get(field_rows[base + 4], 0) + 1
         certificate_count += 1
-        fold.delivered += 1
+        shape = shapes[chain]
+        delivered[shape] = delivered.get(shape, 0) + 1
 
-    # The flush: every leaf-independent contribution, scaled by multiplicity.
-    for fold in parent_folds.values():
-        if fold.delivered:
-            certificate_count += figure02b.accumulate_row_counts(
-                (
-                    (row, count * fold.delivered)
-                    for row, count in fold.row_counts.items()
-                ),
-                field_size_counts,
-            )
-        if fold.quic_small:
-            for row, count in fold.row_counts.items():
+    # The flush: every leaf-independent contribution, scaled by multiplicity
+    # (leaf key algorithms are shape constants too, counted in first-seen
+    # order per category).
+    for shape, count_delivered in delivered.items():
+        row_counts = shape.row_counts
+        certificate_count += figure02b.accumulate_row_counts(
+            ((row, count * count_delivered) for row, count in row_counts.items()),
+            field_size_counts,
+        )
+        small = quic_small.get(shape, 0)
+        if small:
+            for row, count in row_counts.items():
                 figure08.accumulate_row_sums(
-                    "<=4000, Non-leaf", row, count * fold.quic_small,
-                    field_sums, field_counts,
+                    "<=4000, Non-leaf", row, count * small, field_sums, field_counts,
                 )
-        if fold.quic_large:
-            for row, count in fold.row_counts.items():
+        large = quic_large.get(shape, 0)
+        if large:
+            for row, count in row_counts.items():
                 figure08.accumulate_row_sums(
-                    ">4000, Non-leaf", row, count * fold.quic_large,
-                    field_sums, field_counts,
+                    ">4000, Non-leaf", row, count * large, field_sums, field_counts,
                 )
-        quic_chains = fold.quic_small + fold.quic_large
-        if quic_chains:
+        if small + large:
+            algorithm = shape.leaf_algorithm
+            quic_leaf_algs[algorithm] = quic_leaf_algs.get(algorithm, 0) + small + large
             table02.accumulate_algorithm_counts(
-                "QUIC", "Non-leaf", fold.alg_counts, quic_chains,
+                "QUIC", "Non-leaf", shape.alg_counts, small + large,
                 key_alg_counters, key_alg_totals,
             )
-        if fold.https_count:
+        https_count = https_counts.get(shape, 0)
+        if https_count:
             table02.accumulate_algorithm_counts(
-                "HTTPS-only", "Non-leaf", fold.alg_counts, fold.https_count,
+                "HTTPS-only", "Non-leaf", shape.alg_counts, https_count,
                 key_alg_counters, key_alg_totals,
             )
+    for shape, https_count in https_counts.items():
+        algorithm = shape.leaf_algorithm
+        https_leaf_algs[algorithm] = https_leaf_algs.get(algorithm, 0) + https_count
     for label, acc, leaves in (
         ("<=4000, Leaf", small_leaf_acc, small_leaf_n),
         (">4000, Leaf", large_leaf_acc, large_leaf_n),
@@ -1030,17 +964,23 @@ def summarize_shard_columnar(
         "HTTPS-only": https_group_total,
     }
 
-    spoof_candidates = take_per_provider(
-        quic_deployments, spec.spoof_limit_per_provider, spec.spoof_providers
+    # Stage 5 inputs: only the capped spoof-target candidates become objects.
+    chosen = select_per_provider(
+        [providers[row] for row in quic_rows],
+        spec.spoof_limit_per_provider,
+        spec.spoof_providers,
     )
-    start_rank, category_codes = figure12.encode_category_run(deployments, task.start + 1)
+    spoof_candidates = tuple(columns.deployment(quic_rows[index]) for index in chosen)
+    start_rank, category_codes = figure12.encode_category_columns(
+        ranks, categories, task.start + 1
+    )
 
     return ShardSummary(
         index=task.index,
         scenario_fingerprint=task.scenario_fingerprint(),
-        deployment_count=len(deployments),
-        quic_count=len(quic_deployments),
-        https_only_count=len(https_only),
+        deployment_count=len(domains),
+        quic_count=len(quic_rows),
+        https_only_count=len(https_rows),
         funnel_counts=funnel_counts,
         chain_digests=chain_digests,
         handshake_total=len(targets),
@@ -1082,6 +1022,6 @@ def summarize_shard_columnar(
         synth_count=synth_count,
         fig14_leaf_sizes=fig14_leaf_sizes,
         fig14_san_shares=fig14_san_shares,
-        spoof_candidates=tuple(spoof_candidates),
+        spoof_candidates=spoof_candidates,
         flight_cache=cache.cache_info(),
     )

@@ -54,6 +54,13 @@ integers little-endian::
     u8 n, n bytes                  zlib.ZLIB_RUNTIME_VERSION of those lengths
     leaf DERs, concatenated
 
+A read returns a :class:`StoredShard` record — the payload's columns, no
+per-domain objects — and the store's decoded-shard memo holds records, not
+objects.  Objects (the :class:`SkeletonShard` and its spec → chain cache)
+are an on-demand view of a record, kept once a consumer builds them; the
+warm columnar kernel reads the columns directly
+(:func:`columns_for_range`).
+
 Because the payload codec is deterministic and python-version independent
 (no pickle), the files double as the interchange format the ROADMAP's
 multi-host dispatcher ships to remote workers: a host that has the shard
@@ -69,10 +76,12 @@ import os
 import struct
 import warnings
 import zlib
+from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import accumulate, islice
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from itertools import accumulate
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..core.ioutil import (
     SelfVerifyingFormatError,
@@ -89,16 +98,19 @@ from ..webpki.population import (
     generate_tranco_list,
 )
 from ..tls.cert_compression import chain_deflate_size
+from ..webpki.deployment import DomainDeployment
 from ..webpki.skeleton import (
     ChainSpec,
     SkeletonCodecError,
-    decode_skeleton_shard,
+    SkeletonColumns,
+    decode_skeleton_columns,
     encode_skeleton_shard,
     materialize_skeletons,
 )
 from ..x509.ca import WebPkiHierarchy, default_hierarchy
 from ..x509.chain import CertificateChain
 from ..x509.issuance import leaf_from_record, leaf_record, leaf_template
+from .shard_columns import ChainShape, ShardColumns, spec_chain_shape
 
 #: Skeleton file format tag; bump on any incompatible layout change so old
 #: files are quarantined (and regenerated) instead of misparsed.
@@ -118,10 +130,13 @@ QUARANTINE_DIRNAME = "quarantine"
 #: Filename suffix of skeleton shard files.
 SKELETON_SUFFIX = ".skel"
 
-#: Decoded-shard memo capacity per store.  Scan shards rarely straddle more
-#: than two generation shards at a time, so a small window is enough to make
-#: sequential range reads decode each file once.
-MEMO_CAPACITY = 8
+#: Decoded-record memo capacity per store.  A scan shard of up to
+#: ``2 * GENERATION_SHARD_SIZE`` rows (the default scan shard size) covers at
+#: most three generation shards, and sequential range reads revisit at most
+#: the previous scan shard's last one, so three records make every file
+#: decode once per visit.  A record generated on a miss also keeps its
+#: objects; a wider window only raises peak memory.
+MEMO_CAPACITY = 3
 
 
 class SkeletonStoreError(RuntimeError):
@@ -292,74 +307,263 @@ def _encode_leaf_annex(
     )
 
 
-def _decode_leaf_annex(
-    payload: bytes,
-    pos: int,
-    shard: SkeletonShard,
-    hierarchy: WebPkiHierarchy,
-) -> ChainCache:
-    """Rebuild the shard's chain cache from its issued-leaf annex.
+class StoredShard:
+    """One generation shard as the store holds it: the payload's columns.
 
-    A stored DEFLATE length seeds its chain's ``_deflate_size`` memo (see
-    :func:`~repro.tls.cert_compression.chain_deflate_size`) only when the
-    annex was written under the running zlib; otherwise the scan measures
-    the chain again.
+    ``skeleton`` holds the skeleton codec's columns
+    (:class:`~repro.webpki.skeleton.SkeletonColumns`); the issued-leaf annex
+    stays as the payload bytes plus its DER bounds, flattened field-size rows
+    and DEFLATE lengths (``None`` when the annex was written under another
+    zlib).  No per-domain object is built on decode.
+
+    Objects are an on-demand view of the same record, built on first use and
+    then kept: :attr:`shard` (the :class:`SkeletonShard`) and
+    :attr:`chain_cache` (spec → chain, rebuilt from the annex).  The record
+    unpacks as ``(shard, chain_cache)`` for the object consumers — the
+    object backend, scenario transforms and the sweep discovery pass.  The
+    columnar kernel reads :meth:`extend_columns` instead and builds neither;
+    :meth:`deployment` materialises a single row (stage 5's spoof targets).
+
+    A record generated on a miss carries the objects it was generated from
+    as its views, and the columns of the bytes it was saved as.  A
+    skeleton-only miss (``populate=False``) carries the shard view alone.
     """
-    specs = [spec for spec, _ in _iter_specs(shard)]
+
+    __slots__ = (
+        "index", "start_rank", "length", "skeleton", "payload", "der_bounds",
+        "rows", "deflate", "_shard", "_chain_cache", "_chain_table_memo", "_rebuild",
+    )
+
+    def __init__(self, index: int, start_rank: int, length: int) -> None:
+        self.index = index
+        self.start_rank = start_rank
+        self.length = length
+        self.skeleton: Optional[SkeletonColumns] = None
+        self.payload = b""
+        self.der_bounds: Optional[List[int]] = None
+        self.rows: Tuple[int, ...] = ()
+        self.deflate: Optional[Tuple[int, ...]] = None
+        self._shard: Optional[SkeletonShard] = None
+        self._chain_cache: Optional[ChainCache] = None
+        self._chain_table_memo: Optional[tuple] = None
+        self._rebuild: Optional[Callable[[int, ChainSpec], CertificateChain]] = None
+
+    @classmethod
+    def of_shard(cls, shard: SkeletonShard) -> "StoredShard":
+        """A record holding only a generated shard's skeleton objects."""
+        record = cls(shard.index, shard.start_rank, len(shard.skeletons))
+        record._shard = shard
+        return record
+
+    @property
+    def populated(self) -> bool:
+        """Whether the issued-leaf annex was decoded (chains are available)."""
+        return self.der_bounds is not None
+
+    def __iter__(self) -> Iterator:
+        """The object view as a pair: ``shard, chain_cache = record``."""
+        return iter((self.shard, self.chain_cache))
+
+    def __getitem__(self, position: int):
+        return tuple(self)[position]
+
+    # -- the object view -------------------------------------------------------
+
+    @property
+    def shard(self) -> SkeletonShard:
+        if self._shard is None:
+            self._shard = self.skeleton.shard()
+        return self._shard
+
+    @property
+    def chain_cache(self) -> Optional[ChainCache]:
+        """Spec → chain for every chain spec (``None`` without the annex).
+
+        A stored DEFLATE length seeds its chain's ``_deflate_size`` memo (see
+        :func:`~repro.tls.cert_compression.chain_deflate_size`) only when
+        the annex was written under the running zlib; otherwise the scan
+        measures the chain again.
+        """
+        if self._chain_cache is None and self.populated:
+            rebuild = self._chain_builder()
+            self._chain_cache = {
+                spec: rebuild(position, spec)
+                for position, (spec, _) in enumerate(_iter_specs(self.shard))
+            }
+        return self._chain_cache
+
+    def _chain_builder(self) -> Callable[[int, ChainSpec], CertificateChain]:
+        """``rebuild(spec position, spec)``: one annex record's chain."""
+        if self._rebuild is not None:
+            return self._rebuild
+        hierarchy = default_hierarchy()
+        profiles = hierarchy.profiles
+        payload, bounds, rows, deflate = self.payload, self.der_bounds, self.rows, self.deflate
+        # Per-(profile, key algorithm) template + delivered-chain memo, and a
+        # CertificateChain constructor bypass for the overwhelmingly common
+        # no-bloat/no-trim spec.
+        templates: Dict[Tuple[str, object], tuple] = {}
+        chain_new = CertificateChain.__new__
+        set_field = object.__setattr__
+
+        def rebuild(position: int, spec: ChainSpec) -> CertificateChain:
+            entry = templates.get((spec.ca_profile, spec.key_algorithm))
+            if entry is None:
+                profile = profiles[spec.ca_profile]
+                entry = templates[(spec.ca_profile, spec.key_algorithm)] = (
+                    leaf_template(
+                        profile.issuer, spec.key_algorithm or profile.leaf_key_algorithm
+                    ),
+                    profile.delivered_chain,
+                )
+            template, delivered = entry
+            leaf = leaf_from_record(
+                template,
+                spec,
+                payload[bounds[position] : bounds[position + 1]],
+                rows[7 * position : 7 * position + 7],
+            )
+            if spec.bloat_extras or spec.trim_to is not None:
+                chain = spec.assemble(leaf, hierarchy)
+            else:
+                chain = chain_new(CertificateChain)
+                set_field(chain, "certificates", (leaf,) + delivered)
+            if deflate is not None and deflate[position]:
+                set_field(chain, "_deflate_size", deflate[position])
+            return chain
+
+        self._rebuild = rebuild
+        return rebuild
+
+    def deployment(self, row: int) -> DomainDeployment:
+        """Materialise one row: through the chain view when one was built
+        (a generated record's issued chains), else rebuilding the row's
+        chains from the annex."""
+        if self._chain_cache is not None:
+            return self.shard.skeletons[row].materialize(
+                default_hierarchy(), self._chain_cache
+            )
+        skeleton = self.skeleton.skeleton(row)
+        rebuild = self._chain_builder()
+        position = self.skeleton.spec_starts[row]
+        cache: ChainCache = {}
+        for spec in (skeleton.https_spec, skeleton.quic_spec):
+            if spec is not None:
+                cache[spec] = rebuild(position, spec)
+                position += 1
+        return skeleton.materialize(default_hierarchy(), cache)
+
+    # -- the column view -------------------------------------------------------
+
+    def _chain_table(self) -> tuple:
+        """Per row its HTTPS/QUIC spec index; per spec its chain shape and
+        its leaf's fixed-extension size.  Computed once per record."""
+        if self._chain_table_memo is None:
+            skeleton = self.skeleton
+            shapes: List[ChainShape] = []
+            fixed_sizes: List[int] = []
+            blob = skeleton.bloat_blob
+            cursor = 0
+            unbloated: Dict[tuple, Tuple[ChainShape, int]] = {}
+            for ca_profile, key_algorithm, trim, bloat in zip(
+                skeleton.spec_cas, skeleton.spec_keys, skeleton.spec_trims, skeleton.spec_bloats
+            ):
+                if bloat:
+                    extras = tuple(blob[cursor : cursor + bloat])
+                    cursor += bloat
+                    entry = spec_chain_shape(ca_profile, key_algorithm, extras, trim or None)
+                else:
+                    key = (ca_profile, key_algorithm, trim)
+                    entry = unbloated.get(key)
+                    if entry is None:
+                        entry = unbloated[key] = spec_chain_shape(
+                            ca_profile, key_algorithm, (), trim or None
+                        )
+                shapes.append(entry[0])
+                fixed_sizes.append(entry[1])
+            self._chain_table_memo = (*skeleton.chain_slots(), shapes, fixed_sizes)
+        return self._chain_table_memo
+
+    def extend_columns(self, columns: ShardColumns, start: int, stop: int) -> None:
+        """Append rows ``[start, stop)`` and the chains they use to ``columns``."""
+        skeleton = self.skeleton
+        https, quic, shapes, fixed_sizes = self._chain_table()
+        first = skeleton.spec_starts[start]
+        last = skeleton.spec_starts[stop]
+        shift = len(columns.leaf_ders) - first
+        rows = slice(start, stop)
+        columns.domains += skeleton.domains[rows]
+        columns.ranks += skeleton.ranks[rows]
+        columns.providers += skeleton.providers[rows]
+        columns.categories += skeleton.categories[rows]
+        columns.rcodes += skeleton.rcodes[rows]
+        columns.addressed += skeleton.flags[rows].translate(_ADDRESS_BIT)
+        columns.behaviors += skeleton.behaviors[rows]
+        columns.encapsulations += skeleton.encapsulations[rows]
+        columns.redirects += skeleton.redirects[rows]
+        columns.https += [None if spec is None else spec + shift for spec in https[rows]]
+        columns.quic += [None if spec is None else spec + shift for spec in quic[rows]]
+        payload, bounds = self.payload, self.der_bounds
+        columns.leaf_ders += [
+            payload[lo:hi] for lo, hi in zip(bounds[first:last], bounds[first + 1 : last + 1])
+        ]
+        columns.field_rows += self.rows[7 * first : 7 * last]
+        # The SAN byte share as san_byte_share computes it for a deferred
+        # leaf: its extensions total minus the template's fixed extensions,
+        # over its size.
+        columns.san_shares += [
+            (extensions - fixed) / size if size else 0.0
+            for extensions, fixed, size in zip(
+                self.rows[7 * first + 3 : 7 * last : 7],
+                fixed_sizes[first:last],
+                self.rows[7 * first + 6 : 7 * last : 7],
+            )
+        ]
+        columns.shapes += shapes[first:last]
+        columns.deflate_lens += (
+            self.deflate[first:last] if self.deflate is not None else [0] * (last - first)
+        )
+
+
+#: ``bytes.translate`` table: a row's flag byte -> 1 when it has an address.
+_ADDRESS_BIT = bytes(flag & 1 for flag in range(256))
+
+
+def _read_payload(payload: bytes, populate: bool) -> StoredShard:
+    """Decode a verified payload's columns (and, if ``populate``, its annex)."""
+    base = KEY_DIGEST_LENGTH
+    (skeleton_length,) = struct.unpack_from("<I", payload, base)
+    skeleton = decode_skeleton_columns(payload[base + 4 : base + 4 + skeleton_length])
+    record = StoredShard(skeleton.index, skeleton.start_rank, len(skeleton))
+    record.skeleton = skeleton
+    if not populate:
+        return record
+    pos = base + 4 + skeleton_length
     (count,) = struct.unpack_from("<I", payload, pos)
     pos += 4
-    if count != len(specs):
+    if count != skeleton.spec_count:
         raise SkeletonStoreError(
-            f"leaf annex carries {count} records for {len(specs)} chain specs"
+            f"leaf annex carries {count} records for {skeleton.spec_count} chain specs"
         )
     der_lens = struct.unpack_from(f"<{count}I", payload, pos)
     pos += 4 * count
     rows = struct.unpack_from(f"<{7 * count}I", payload, pos)
     pos += 28 * count
-    deflate_lens = struct.unpack_from(f"<{count}I", payload, pos)
+    deflate = struct.unpack_from(f"<{count}I", payload, pos)
     pos += 4 * count
     stamp_end = pos + 1 + payload[pos]
     if payload[pos + 1 : stamp_end] != DEFLATE_STAMP:
-        deflate_lens = (0,) * count
+        deflate = None
+    if rows[6::7] != der_lens:
+        raise SkeletonStoreError("leaf annex field-size rows disagree with its DER lengths")
     der_bounds = list(accumulate(der_lens, initial=stamp_end))
     if der_bounds[-1] != len(payload):
         raise SkeletonStoreError("leaf annex is truncated or has trailing bytes")
-    profiles = hierarchy.profiles
-    cache: ChainCache = {}
-    # Per-(profile, key algorithm) template + delivered-chain memo, and a
-    # CertificateChain constructor bypass for the overwhelmingly common
-    # no-bloat/no-trim spec: this loop rebuilds every issued chain of a
-    # shard and is the warm path's largest single cost.
-    templates: Dict[Tuple[str, object], tuple] = {}
-    chain_new = CertificateChain.__new__
-    set_field = object.__setattr__
-    for spec, start, end, row, deflate_len in zip(
-        specs,
-        der_bounds,
-        islice(der_bounds, 1, None),
-        range(0, 7 * count, 7),
-        deflate_lens,
-    ):
-        entry = templates.get((spec.ca_profile, spec.key_algorithm))
-        if entry is None:
-            profile = profiles[spec.ca_profile]
-            entry = templates[(spec.ca_profile, spec.key_algorithm)] = (
-                leaf_template(
-                    profile.issuer, spec.key_algorithm or profile.leaf_key_algorithm
-                ),
-                profile.delivered_chain,
-            )
-        template, delivered = entry
-        leaf = leaf_from_record(template, spec, payload[start:end], rows[row : row + 7])
-        if spec.bloat_extras or spec.trim_to is not None:
-            chain = spec.assemble(leaf, hierarchy)
-        else:
-            chain = chain_new(CertificateChain)
-            set_field(chain, "certificates", (leaf,) + delivered)
-        if deflate_len:
-            set_field(chain, "_deflate_size", deflate_len)
-        cache[spec] = chain
-    return cache
+    record.payload = payload
+    record.der_bounds = der_bounds
+    record.rows = rows
+    record.deflate = deflate
+    return record
 
 
 #: Length of the content-address digest embedded at the start of every
@@ -385,6 +589,17 @@ def encode_skeleton_file(
     on the store's write path); without one a placeholder is stored and the
     file will fail any keyed load.
     """
+    return encode_self_verifying(
+        SKELETON_FORMAT, _encode_payload(shard, chain_cache, hierarchy, key)
+    )
+
+
+def _encode_payload(
+    shard: SkeletonShard,
+    chain_cache: Optional[ChainCache],
+    hierarchy: Optional[WebPkiHierarchy],
+    key: Optional[SkeletonKey],
+) -> bytes:
     hierarchy = hierarchy or default_hierarchy()
     if chain_cache is None:
         chain_cache = {}
@@ -393,23 +608,21 @@ def encode_skeleton_file(
     )
     skeleton_bytes = encode_skeleton_shard(shard)
     annex = _encode_leaf_annex(shard, chain_cache, hierarchy)
-    payload = (
-        address + struct.pack("<I", len(skeleton_bytes)) + skeleton_bytes + annex
-    )
-    return encode_self_verifying(SKELETON_FORMAT, payload)
+    return address + struct.pack("<I", len(skeleton_bytes)) + skeleton_bytes + annex
 
 
 def decode_skeleton_file(
     data: bytes, populate: bool = True, key: Optional[SkeletonKey] = None
-) -> Tuple[SkeletonShard, Optional[ChainCache]]:
-    """Verify and deserialise skeleton file bytes.
+) -> StoredShard:
+    """Verify skeleton file bytes and read their columns into a :class:`StoredShard`.
 
-    With ``populate=True`` the issued-leaf annex is decoded into a chain
-    cache (the warm path); ``populate=False`` skips the annex entirely, so
-    skeleton-only consumers (the sweep discovery pass) stay issuance-free.
-    A ``key`` additionally checks the payload's embedded content address, so
-    a foreign file renamed to the expected filename is rejected even when it
-    is internally consistent.
+    With ``populate=True`` the issued-leaf annex is read too (the warm path);
+    ``populate=False`` skips it, so skeleton-only consumers (the sweep
+    discovery pass) stay issuance-free.  A ``key`` additionally checks the
+    payload's embedded content address, so a foreign file renamed to the
+    expected filename is rejected even when it is internally consistent.
+    No per-domain object is built; the record unpacks as ``(shard,
+    chain_cache)`` (``chain_cache`` ``None`` without the annex) on demand.
 
     Raises :class:`SkeletonStoreError` on any defect — bad header, truncated
     write, digest mismatch, stale format, foreign content address or a
@@ -427,19 +640,11 @@ def decode_skeleton_file(
                 f"{key.digest()!r} — a foreign or renamed file"
             )
     try:
-        base = KEY_DIGEST_LENGTH
-        (skeleton_length,) = struct.unpack_from("<I", payload, base)
-        shard = decode_skeleton_shard(payload[base + 4 : base + 4 + skeleton_length])
-        if not populate:
-            return shard, None
-        cache = _decode_leaf_annex(
-            payload, base + 4 + skeleton_length, shard, default_hierarchy()
-        )
+        return _read_payload(payload, populate)
     except SkeletonStoreError:
         raise
     except (SkeletonCodecError, struct.error, IndexError, OverflowError, KeyError) as error:
         raise SkeletonStoreError(f"skeleton shard payload is invalid: {error}") from error
-    return shard, cache
 
 
 class SkeletonStore:
@@ -458,10 +663,9 @@ class SkeletonStore:
         self.write_errors = 0
         # Decoded-shard memo: scan shards smaller than the generation shard
         # size straddle generation shards, so consecutive range reads would
-        # otherwise decode the same file repeatedly.
-        self._memo: "OrderedDict[str, Tuple[SkeletonShard, Optional[ChainCache]]]" = (
-            OrderedDict()
-        )
+        # otherwise decode the same file repeatedly.  It holds records (the
+        # payload's columns), plus whatever object view a consumer built.
+        self._memo: "OrderedDict[str, StoredShard]" = OrderedDict()
 
     def reset_memo(self) -> None:
         """Drop in-process decoded shards.
@@ -471,16 +675,11 @@ class SkeletonStore:
         """
         self._memo.clear()
 
-    def _memoize(
-        self,
-        digest: str,
-        shard: SkeletonShard,
-        cache: Optional[ChainCache],
-    ) -> None:
+    def _memoize(self, digest: str, record: StoredShard) -> None:
         existing = self._memo.get(digest)
-        if existing is not None and existing[1] is not None and cache is None:
-            cache = existing[1]  # never downgrade a populated entry
-        self._memo[digest] = (shard, cache)
+        if existing is not None and existing.populated and not record.populated:
+            record = existing  # never downgrade a populated entry
+        self._memo[digest] = record
         self._memo.move_to_end(digest)
         while len(self._memo) > MEMO_CAPACITY:
             self._memo.popitem(last=False)
@@ -563,21 +762,45 @@ class SkeletonStore:
         key: SkeletonKey,
         shard: SkeletonShard,
         chain_cache: Optional[ChainCache] = None,
-    ) -> str:
-        """Atomically persist one generation shard; returns the file path.
+    ) -> StoredShard:
+        """Persist one generation shard atomically; return the saved record.
+
+        The record reads its columns from the bytes just encoded and keeps
+        ``shard`` and ``chain_cache`` (filled with every spec's chain, issued
+        here if missing) as its object view.  A write that fails with
+        ``OSError`` (full disk, read-only or permission-denied directory)
+        costs the cache, never the campaign: the record is returned uncached,
+        counted as ``write_errors`` in :func:`cache_counters` with one
+        warning per store.
 
         No attempt bookkeeping is needed (unlike checkpoints): shard bytes
         are a deterministic function of the key, so concurrent or repeated
         writes race towards identical content.
         """
-        path = self.path_for(key)
-        atomic_write_bytes(path, encode_skeleton_file(shard, chain_cache, key=key))
-        return path
+        if chain_cache is None:
+            chain_cache = {}
+        payload = _encode_payload(shard, chain_cache, None, key)
+        try:
+            atomic_write_bytes(
+                self.path_for(key), encode_self_verifying(SKELETON_FORMAT, payload)
+            )
+        except OSError as error:
+            self.write_errors += 1
+            _CACHE_COUNTERS["write_errors"] += 1
+            if self.write_errors == 1:
+                warnings.warn(
+                    f"skeleton cache directory {self.directory!r} is not writable "
+                    f"({error}); continuing without caching new shards",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+        record = _read_payload(payload, populate=True)
+        record._shard = shard
+        record._chain_cache = chain_cache
+        return record
 
-    def load(
-        self, key: SkeletonKey, populate: bool = True
-    ) -> Optional[Tuple[SkeletonShard, Optional[ChainCache]]]:
-        """Load one generation shard (and, if ``populate``, its chain cache).
+    def load(self, key: SkeletonKey, populate: bool = True) -> Optional[StoredShard]:
+        """Load one generation shard's record (with its annex if ``populate``).
 
         Returns ``None`` — after quarantining the file — on any defect: bad
         header, truncation, corruption, stale format, a foreign content
@@ -592,18 +815,18 @@ class SkeletonStore:
         except FileNotFoundError:
             return None
         try:
-            shard, cache = decode_skeleton_file(data, populate=populate, key=key)
+            record = decode_skeleton_file(data, populate=populate, key=key)
         except SkeletonStoreError:
             self.quarantine(path)
             return None
         if (
-            shard.index != key.index
-            or shard.start_rank != key.index * key.shard_size + 1
-            or len(shard.skeletons) != key.expected_length()
+            record.index != key.index
+            or record.start_rank != key.index * key.shard_size + 1
+            or record.length != key.expected_length()
         ):
             self.quarantine(path)
             return None
-        return shard, cache
+        return record
 
     def quarantine(self, path: str) -> str:
         """Move a failed-verification file into ``quarantine/`` (kept, not trusted)."""
@@ -615,29 +838,26 @@ class SkeletonStore:
         shard_index: int,
         tranco=None,
         populate: bool = True,
-    ) -> Tuple[SkeletonShard, Optional[ChainCache]]:
+    ) -> StoredShard:
         """One generation shard of the *baseline* population, cache-first.
 
         ``config`` must be scenario-free (the caller strips scenarios before
         consulting the store and applies transforms after); a scenario here
         would poison the cache for every other consumer.
 
-        With ``populate=True`` a hit also returns the shard's chain cache
-        (rebuilt from the issued-leaf annex) and a miss issues every spec's
-        chain, stores it, and returns the freshly built cache — so the warm
-        path never issues and the cold path issues exactly once, sharing the
-        chains with the campaign that triggered generation.  With
-        ``populate=False`` (skeleton-only consumers: the sweep discovery
-        pass) the annex is neither decoded nor — on a miss — produced: the
-        store reads through without writing, because writing would force the
-        issuance the skeleton pass exists to skip.
+        With ``populate=True`` a hit reads the issued-leaf annex too and a
+        miss issues every spec's chain, stores it and keeps the chains as the
+        record's object view — so the warm path never issues and the cold
+        path issues exactly once, sharing the chains with the campaign that
+        triggered generation.  With ``populate=False`` (skeleton-only
+        consumers: the sweep discovery pass) the annex is neither read nor —
+        on a miss — produced: the store reads through without writing,
+        because writing would force the issuance the skeleton pass exists to
+        skip.
 
         The ranked list is built only on a miss (``tranco`` lets a caller
         that already holds it skip even that): a warm hit reads every domain
-        name from the stored skeletons.  A write that fails with ``OSError``
-        (full disk, read-only or permission-denied directory) returns the
-        freshly built shard uncached, counted as ``write_errors`` in
-        :func:`cache_counters` with one warning per store.
+        name from the stored skeletons.
         """
         if config.scenario is not None and not config.scenario.is_identity:
             raise SkeletonStoreError(
@@ -648,16 +868,16 @@ class SkeletonStore:
 
         key = SkeletonKey.for_config(config, shard_index)
         memoed = self._memo.get(key.digest())
-        if memoed is not None and (memoed[1] is not None or not populate):
+        if memoed is not None and (memoed.populated or not populate):
             self._memo.move_to_end(key.digest())
             self.hits += 1
             _CACHE_COUNTERS["hits"] += 1
-            return (memoed[0], memoed[1]) if populate else (memoed[0], None)
+            return memoed
         loaded = self.load(key, populate=populate)
         if loaded is not None:
             self.hits += 1
             _CACHE_COUNTERS["hits"] += 1
-            self._memoize(key.digest(), loaded[0], loaded[1])
+            self._memoize(key.digest(), loaded)
             return loaded
         self.misses += 1
         _CACHE_COUNTERS["misses"] += 1
@@ -671,26 +891,9 @@ class SkeletonStore:
         shard = SkeletonShard(
             index=shard_index, start_rank=shard_start + 1, skeletons=tuple(skeletons)
         )
-        if not populate:
-            self._memoize(key.digest(), shard, None)
-            return shard, None
-        chain_cache: ChainCache = {}
-        try:
-            self.save(key, shard, chain_cache)
-        except OSError as error:
-            # A full, read-only or permission-denied disk costs the cache,
-            # never the campaign: the shard and its chains are already built.
-            self.write_errors += 1
-            _CACHE_COUNTERS["write_errors"] += 1
-            if self.write_errors == 1:
-                warnings.warn(
-                    f"skeleton cache directory {self.directory!r} is not writable "
-                    f"({error}); continuing without caching new shards",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-        self._memoize(key.digest(), shard, chain_cache)
-        return shard, chain_cache
+        record = self.save(key, shard) if populate else StoredShard.of_shard(shard)
+        self._memoize(key.digest(), record)
+        return record
 
     # -- inspection / maintenance ---------------------------------------------
 
@@ -777,8 +980,15 @@ def warm(
     """Pre-populate a cache with the baseline shards of ``config``.
 
     Returns ``(hits, misses)`` over the warmed indices — a second warm run
-    reports all hits.  Used by ``repro skeletons --warm`` and tests.
+    reports all hits.  Used by ``repro skeletons warm`` and tests.  Raises
+    :class:`ValueError`, before touching the directory, when an index lies
+    outside ``range(shard_count(config.size))``.
     """
+    if shard_indices is None:
+        indices: Iterable[int] = range(shard_count(config.size))
+    else:
+        indices = list(shard_indices)
+        check_shard_indices(indices, config.size)
     if isinstance(store, str):
         store = SkeletonStore(store)
     base = (
@@ -788,9 +998,6 @@ def warm(
     )
     store.bind(base)
     hits = misses = 0
-    indices = (
-        range(shard_count(base.size)) if shard_indices is None else shard_indices
-    )
     for index in indices:
         before = store.hits
         store.load_or_generate(base, index)
@@ -804,11 +1011,39 @@ def warm(
     return hits, misses
 
 
+def check_shard_indices(indices: Iterable[int], size: int) -> None:
+    """Raise :class:`ValueError` unless every index names a generation shard."""
+    count = shard_count(size)
+    for index in indices:
+        if not 0 <= index < count:
+            raise ValueError(
+                f"shard index {index} is out of range: a {size}-domain population "
+                f"has generation shards 0..{count - 1}"
+            )
+
+
 def _covering_shards(start: int, stop: int) -> range:
     """Generation-shard indices covering the rank range ``[start, stop)``."""
     first = start // GENERATION_SHARD_SIZE
     last = max(first, (stop - 1) // GENERATION_SHARD_SIZE) if stop > start else first
     return range(first, last + 1)
+
+
+def _baseline_range(
+    store: "SkeletonStore | str", config: PopulationConfig, start: int, stop: int
+) -> Tuple["SkeletonStore", PopulationConfig]:
+    """Check ``[start, stop)``; bind ``store`` to ``config``'s baseline."""
+    if isinstance(store, str):
+        store = SkeletonStore(store)
+    if not 0 <= start <= stop <= config.size:
+        raise ValueError(f"range [{start}, {stop}) out of bounds for size {config.size}")
+    base = (
+        config
+        if config.scenario is None
+        else dataclasses.replace(config, scenario=None)
+    )
+    store.bind(base)
+    return store, base
 
 
 def skeletons_for_range(
@@ -828,36 +1063,64 @@ def skeletons_for_range(
     baseline order the shard visit uses, so results are byte-identical
     to cache-free generation.
 
-    Passing ``chain_cache`` additionally decodes the covering shards'
-    issued-leaf annexes into it (a shard visit seeds its shared spec→chain
-    cache this way, so member-scenario materialisation skips issuance for
-    every untouched spec).
+    Passing ``chain_cache`` additionally rebuilds the covering shards'
+    chains from their issued-leaf annexes into it (a shard visit seeds its
+    shared spec→chain cache this way, so member-scenario materialisation
+    skips issuance for every untouched spec).
     """
-    if isinstance(store, str):
-        store = SkeletonStore(store)
-    if not 0 <= start <= stop <= config.size:
-        raise ValueError(f"range [{start}, {stop}) out of bounds for size {config.size}")
-    base = (
-        config
-        if config.scenario is None
-        else dataclasses.replace(config, scenario=None)
-    )
-    store.bind(base)
+    store, base = _baseline_range(store, config, start, stop)
     skeletons: List = []
     for shard_index in _covering_shards(start, stop):
-        shard, cache = store.load_or_generate(
+        record = store.load_or_generate(
             base, shard_index, tranco=tranco, populate=chain_cache is not None
         )
-        if cache and chain_cache is not None:
-            chain_cache.update(cache)
+        if chain_cache is not None:
+            chain_cache.update(record.chain_cache)
         shard_start = shard_index * GENERATION_SHARD_SIZE
         skeletons.extend(
-            shard.skeletons[max(start - shard_start, 0) : max(stop - shard_start, 0)]
+            record.shard.skeletons[max(start - shard_start, 0) : max(stop - shard_start, 0)]
         )
     scenario = config.scenario
     if scenario is not None and not scenario.is_identity:
         skeletons = list(scenario.transform_skeletons(skeletons))
     return skeletons
+
+
+def columns_for_range(
+    store: "SkeletonStore | str", config: PopulationConfig, start: int, stop: int
+) -> ShardColumns:
+    """The kernel's :class:`ShardColumns` for ``[start, stop)``, cache-first.
+
+    Reads each covering baseline shard's columns straight from its verified
+    payload (a miss generates, saves and reads the bytes it saved) and builds
+    no per-domain object; ``deployment(row)`` materialises single rows on
+    demand.  ``config`` must not carry a transforming scenario: transformed
+    members go through :func:`skeletons_for_range` and
+    :func:`~repro.scanners.shard_columns.lower_deployments`.
+    """
+    scenario = config.scenario
+    if scenario is not None and not scenario.is_identity:
+        raise SkeletonStoreError(
+            "stored columns are the baseline's; transform skeletons and lower "
+            "the deployments instead"
+        )
+    store, base = _baseline_range(store, config, start, stop)
+    #: ``(first row in the columns, record, first row in the record)``.
+    segments: List[Tuple[int, StoredShard, int]] = []
+
+    def deployment(row: int) -> DomainDeployment:
+        first, record, offset = segments[bisect_right(segments, row, key=itemgetter(0)) - 1]
+        return record.deployment(offset + row - first)
+
+    columns = ShardColumns(deployment)
+    for shard_index in _covering_shards(start, stop):
+        record = store.load_or_generate(base, shard_index)
+        shard_start = shard_index * GENERATION_SHARD_SIZE
+        lo = min(max(start - shard_start, 0), record.length)
+        hi = min(max(stop - shard_start, 0), record.length)
+        segments.append((len(columns), record, lo))
+        record.extend_columns(columns, lo, hi)
+    return columns
 
 
 def deployments_for_range(

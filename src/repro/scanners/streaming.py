@@ -39,6 +39,7 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -76,6 +77,7 @@ from .quicreach import (
 )
 from .checkpoint import CheckpointError, CheckpointKey, CheckpointStore
 from .faults import FaultPlan
+from .shard_columns import lower_deployments
 from .sharding import (
     DEFAULT_SHARD_SIZE,
     RetryPolicy,
@@ -117,29 +119,45 @@ def provider_of_domain(domain: str, deployment_lookup) -> Optional[str]:
     return None
 
 
-def take_per_provider(
-    deployments,
+def select_per_provider(
+    provider_names: Sequence[Optional[str]],
     limit: int,
     providers: Optional[Tuple[str, ...]] = None,
-) -> List[DomainDeployment]:
-    """First ``limit`` deployments per provider, in iteration order.
+) -> List[int]:
+    """Positions of the first ``limit`` entries per provider, in order.
 
-    The one implementation of the spoof-target cap walk: the per-shard
-    candidate collection and the reducer's final selection both route
-    through it, so any shard split selects the same targets.
+    The one implementation of the spoof-target cap walk, over provider
+    names (``None`` counts as ``"unknown"``): the per-shard candidate
+    collection of both scan backends and the reducer's final selection all
+    route through it, so any shard split selects the same targets.
     ``providers`` restricts which providers are eligible (``None``: all).
     """
-    taken: List[DomainDeployment] = []
+    taken: List[int] = []
     per_provider: Dict[str, int] = {}
-    for deployment in deployments:
-        provider = deployment.provider or "unknown"
+    for position, provider in enumerate(provider_names):
+        provider = provider or "unknown"
         if providers is not None and provider not in providers:
             continue
         if per_provider.get(provider, 0) >= limit:
             continue
         per_provider[provider] = per_provider.get(provider, 0) + 1
-        taken.append(deployment)
+        taken.append(position)
     return taken
+
+
+def take_per_provider(
+    deployments: Iterable[DomainDeployment],
+    limit: int,
+    providers: Optional[Tuple[str, ...]] = None,
+) -> List[DomainDeployment]:
+    """First ``limit`` deployments per provider (:func:`select_per_provider`)."""
+    deployments = list(deployments)
+    return [
+        deployments[position]
+        for position in select_per_provider(
+            [deployment.provider for deployment in deployments], limit, providers
+        )
+    ]
 
 
 @dataclass(frozen=True)
@@ -451,6 +469,11 @@ def _summarize_visit(task: ShardTask, spec: ReductionSpec) -> Tuple[ShardSummary
     chains, and specs embed their domain, so no two deployments of one scan
     share an entry: each summary is byte-identical to the one an independent
     single-scenario campaign produces for this shard.
+
+    A columnar member that needs no transform and has a skeleton store reads
+    the stored columns directly and builds no per-domain object; any other
+    columnar member lowers its materialised deployments into the same
+    :class:`~repro.scanners.shard_columns.ShardColumns` record.
     """
     members = (
         tuple(task.for_scenario(scenario) for scenario in task.grid_scenarios)
@@ -460,8 +483,8 @@ def _summarize_visit(task: ShardTask, spec: ReductionSpec) -> Tuple[ShardSummary
     hierarchy = default_hierarchy()
     chain_cache: Dict = {}
     baselines: Dict[PopulationConfig, Sequence] = {}
-    summaries = []
-    for member in members:
+
+    def deployments_of(member: ShardTask) -> Tuple[DomainDeployment, ...]:
         base = dataclasses.replace(member.population_config, scenario=None)
         if base not in baselines:
             # With a skeleton store, the issued-leaf annexes also seed the
@@ -473,15 +496,33 @@ def _summarize_visit(task: ShardTask, spec: ReductionSpec) -> Tuple[ShardSummary
         scenario = member.population_config.scenario
         if scenario is not None and not scenario.is_identity:
             skeletons = scenario.transform_skeletons(skeletons)
-        deployments = tuple(materialize_skeletons(skeletons, hierarchy, chain_cache))
-        if member.scan_backend == "columnar":
-            # Imported lazily: columnar imports this module at top level.
-            from .columnar import summarize_shard_columnar
+        return tuple(materialize_skeletons(skeletons, hierarchy, chain_cache))
 
-            summaries.append(summarize_shard_columnar(member, deployments, spec))
-        else:
+    summaries = []
+    for member in members:
+        if member.scan_backend != "columnar":
+            deployments = deployments_of(member)
             scan = scan_shard(member, deployments=deployments)
             summaries.append(summarize_shard(member, deployments, scan, spec))
+            continue
+        # Imported lazily: columnar imports this module at top level.
+        from . import columnar
+
+        scenario = member.population_config.scenario
+        if member.skeleton_cache_dir is not None and (
+            scenario is None or scenario.is_identity
+        ):
+            from .skeleton_store import columns_for_range, store_for
+
+            columns = columns_for_range(
+                store_for(member.skeleton_cache_dir),
+                member.population_config,
+                member.start,
+                member.stop,
+            )
+        else:
+            columns = lower_deployments(deployments_of(member))
+        summaries.append(columnar.summarize_shard_columnar(member, columns, spec))
     return tuple(summaries)
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 import struct
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..netsim.address import IPv4Address
@@ -363,8 +364,10 @@ def category_counts(skeletons) -> Dict[ServiceCategory, int]:
 # unlike pickle — and (b) fast to decode, because decode time is the warm
 # path's generation phase.  The layout is columnar, mirroring the columnar
 # scan core: one struct-packed array per field, decoded with a handful of
-# C-level ``struct.unpack_from`` calls and a single constructor loop, plus a
-# per-shard string table so each domain/provider/profile label is stored once.
+# C-level ``struct.unpack_from`` calls into :class:`SkeletonColumns` (which
+# the columnar kernel reads as they are), plus a per-shard string table so
+# each domain/provider/profile label is stored once.  Objects are built from
+# the columns only on demand (:meth:`SkeletonColumns.skeleton`).
 #
 # Enum and builtin-profile columns store indices into the fixed orderings
 # below.  Any change to those orderings, the field set, or the column layout
@@ -530,118 +533,73 @@ def encode_skeleton_shard(shard) -> bytes:
     return bytes(out)
 
 
-def decode_skeleton_shard(data: bytes):
-    """Decode :func:`encode_skeleton_shard` bytes back into a ``SkeletonShard``.
+class SkeletonColumns:
+    """One decoded skeleton shard as the codec's columns: no per-row objects.
 
-    Raises :class:`SkeletonCodecError` on any structural defect.  Bit-level
-    corruption is already excluded by the store's self-verifying header; this
-    guards against foreign or stale-layout payloads.
+    Enum, behaviour-profile and string-table columns are translated to their
+    values during decode (every reference is resolved there, so a malformed
+    payload fails in :func:`decode_skeleton_columns`, never on first use).
+    The row and chain-spec columns are plain ``bytes``, tuples of ints and
+    lists of values; :meth:`skeleton` builds one row's
+    :class:`DeploymentSkeleton` (and :meth:`spec` one :class:`ChainSpec`)
+    only for the consumers that need objects.
+
+    Chain specs are stored in row order: row ``i`` owns the specs
+    ``[spec_starts[i], spec_starts[i + 1])`` — its HTTPS spec (flag bit 2)
+    first, then its QUIC spec (flag bit 4) — and spec ``j``'s bloat-pool
+    indices are ``bloat_blob[bloat_starts[j] :][: spec_bloats[j]]``.
     """
-    try:
-        return _decode_skeleton_shard(data)
-    except SkeletonCodecError:
-        raise
-    except (struct.error, IndexError, KeyError, UnicodeDecodeError, ValueError) as error:
-        raise SkeletonCodecError(f"skeleton shard payload is malformed: {error}") from error
 
+    __slots__ = (
+        "index", "start_rank",
+        "ranks", "flags", "categories", "rcodes", "behaviors", "encapsulations",
+        "addresses", "domains", "providers", "archetypes", "ca_profiles", "redirects",
+        "spec_domains", "spec_cas", "spec_keys", "spec_sans", "spec_stems",
+        "spec_validities", "spec_trims", "spec_bloats", "bloat_blob", "spec_starts",
+        "bloat_starts",
+    )
 
-def _decode_skeleton_shard(data: bytes):
-    from .population import SkeletonShard
+    def __len__(self) -> int:
+        return len(self.ranks)
 
-    index, start_rank, n, m = struct.unpack_from("<QQII", data, 0)
-    pos = 24
-    (n_strings,) = struct.unpack_from("<I", data, pos)
-    pos += 4
-    if n_strings >= _NO_REF:
-        raise SkeletonCodecError("shard string table overflows u16 refs")
-    table: List[str] = []
-    for _ in range(n_strings):
-        (length,) = struct.unpack_from("<H", data, pos)
-        pos += 2
-        end = pos + length
-        if end > len(data):
-            raise SkeletonCodecError("shard string table is truncated")
-        table.append(data[pos:end].decode("utf-8"))
-        pos = end
+    @property
+    def spec_count(self) -> int:
+        return len(self.spec_domains)
 
-    ranks = struct.unpack_from(f"<{n}I", data, pos)
-    pos += 4 * n
-    flags = data[pos : pos + n]
-    pos += n
-    categories = data[pos : pos + n]
-    pos += n
-    rcodes = data[pos : pos + n]
-    pos += n
-    behaviors = data[pos : pos + n]
-    pos += n
-    encapsulations = data[pos : pos + n]
-    pos += n
-    if len(encapsulations) != n:
-        raise SkeletonCodecError("shard byte columns are truncated")
-    addresses = struct.unpack_from(f"<{n}I", data, pos)
-    pos += 4 * n
-    string_columns = []
-    for _ in range(5):
-        string_columns.append(struct.unpack_from(f"<{n}H", data, pos))
-        pos += 2 * n
-    domains, providers, archetypes, ca_profiles, redirects = string_columns
-    spec_domains = struct.unpack_from(f"<{m}H", data, pos)
-    pos += 2 * m
-    spec_cas = struct.unpack_from(f"<{m}H", data, pos)
-    pos += 2 * m
-    spec_keys = data[pos : pos + m]
-    pos += m
-    spec_sans = struct.unpack_from(f"<{m}H", data, pos)
-    pos += 2 * m
-    spec_stems = struct.unpack_from(f"<{m}H", data, pos)
-    pos += 2 * m
-    spec_validities = struct.unpack_from(f"<{m}H", data, pos)
-    pos += 2 * m
-    spec_trims = data[pos : pos + m]
-    pos += m
-    spec_bloats = data[pos : pos + m]
-    pos += m
-    if len(spec_bloats) != m:
-        raise SkeletonCodecError("shard spec columns are truncated")
-    bloat_total = sum(spec_bloats)
-    bloat_blob = data[pos : pos + bloat_total]
-    pos += bloat_total
-    if pos != len(data):
-        raise SkeletonCodecError(
-            f"shard payload has {len(data) - pos} unexpected trailing bytes"
-        )
+    def chain_slots(self) -> Tuple[List[Optional[int]], List[Optional[int]]]:
+        """Per row, the shard-local spec index of its HTTPS and QUIC chain.
 
-    # Construction bypasses the frozen-dataclass __init__ (decode is the warm
-    # path's generation phase; ~3k objects per shard) — field sets below must
-    # stay in lockstep with the ChainSpec / DeploymentSkeleton fields.  Every
-    # column is translated to field values in C (``map`` over the column),
-    # so the row loops only assemble records.
-    refs = dict(enumerate(table))
-    refs[_NO_REF] = None
-    string_at = table.__getitem__
-    optional_string_at = refs.__getitem__
-    spec_new = ChainSpec.__new__
-    specs: List[ChainSpec] = []
-    append_spec = specs.append
-    bp = 0  # bloat-blob cursor
-    for domain, ca_profile, key, san_count, name_stem, validity_days, trim, bloat in zip(
-        map(string_at, spec_domains),
-        map(string_at, spec_cas),
-        spec_keys,
-        spec_sans,
-        map(string_at, spec_stems),
-        spec_validities,
-        spec_trims,
-        spec_bloats,
-    ):
+        ``None`` where the row delivers no such chain; a QUIC service that
+        shares the HTTPS chain (flag bit 8) names the HTTPS spec, exactly
+        like :meth:`DeploymentSkeleton.materialize`.
+        """
+        pairs = zip(self.spec_starts, self.flags)
+        https = [first if flag & 2 else None for first, flag in pairs]
+        quic = [
+            https_spec if flag & 8 else (first + (flag >> 1 & 1) if flag & 4 else None)
+            for first, flag, https_spec in zip(self.spec_starts, self.flags, https)
+        ]
+        return https, quic
+
+    def spec(self, position: int) -> ChainSpec:
+        """The :class:`ChainSpec` at ``position`` (shard-local spec index)."""
+        bloat = self.spec_bloats[position]
         if bloat:
-            extras = tuple(bloat_blob[bp : bp + bloat])
-            bp += bloat
+            start = self.bloat_starts[position]
+            extras = tuple(self.bloat_blob[start : start + bloat])
         else:
             extras = ()
-        trim_to = trim or None
-        key_algorithm = _KEY_ALGORITHM_AT[key]
-        spec = spec_new(ChainSpec)
+        domain = self.spec_domains[position]
+        ca_profile = self.spec_cas[position]
+        key_algorithm = self.spec_keys[position]
+        san_count = self.spec_sans[position]
+        name_stem = self.spec_stems[position]
+        validity_days = self.spec_validities[position]
+        trim_to = self.spec_trims[position] or None
+        # Construction bypasses the frozen-dataclass __init__ (decode feeds
+        # thousands of specs per shard to the object view) — the field set
+        # must stay in lockstep with the ChainSpec fields.
+        spec = ChainSpec.__new__(ChainSpec)
         spec.__dict__.update(
             {
                 "domain": domain,
@@ -669,55 +627,163 @@ def _decode_skeleton_shard(data: bytes):
                 ),
             }
         )
-        append_spec(spec)
+        return spec
 
-    used = sum(flags.translate(_SPECS_PER_FLAG))
-    if used != m:
-        raise SkeletonCodecError(f"shard names {m} chain specs but its rows use {used}")
-    next_spec = iter(specs).__next__
-    skeleton_new = DeploymentSkeleton.__new__
-    address_new = IPv4Address.__new__
-    set_field = object.__setattr__
-    skeletons: List[DeploymentSkeleton] = []
-    append = skeletons.append
-    for rank, flag, category, rcode, behavior, encapsulation, address_value, domain, provider, archetype, ca_profile, redirect_to in zip(
-        ranks,
-        flags,
-        map(_CATEGORIES.__getitem__, categories),
-        map(_RCODES.__getitem__, rcodes),
-        map(_BEHAVIOR_AT.__getitem__, behaviors),
-        encapsulations,
-        addresses,
-        map(string_at, domains),
-        map(optional_string_at, providers),
-        map(optional_string_at, archetypes),
-        map(optional_string_at, ca_profiles),
-        map(optional_string_at, redirects),
-    ):
+    def skeleton(self, row: int) -> DeploymentSkeleton:
+        """Row ``row`` as a :class:`DeploymentSkeleton` (its specs included)."""
+        flag = self.flags[row]
+        position = self.spec_starts[row]
+        https_spec = quic_spec = None
+        if flag & 2:
+            https_spec = self.spec(position)
+            position += 1
+        if flag & 4:
+            quic_spec = self.spec(position)
         if flag & 1:
             # One field: set it in place, so no per-instance dict is built.
-            address = address_new(IPv4Address)
-            set_field(address, "value", address_value)
+            address = IPv4Address.__new__(IPv4Address)
+            object.__setattr__(address, "value", self.addresses[row])
         else:
             address = None
-        skeleton = skeleton_new(DeploymentSkeleton)
+        # Bypasses the frozen-dataclass __init__ like :meth:`spec`; the field
+        # set must stay in lockstep with the DeploymentSkeleton fields.
+        skeleton = DeploymentSkeleton.__new__(DeploymentSkeleton)
         skeleton.__dict__.update(
             {
-                "domain": domain,
-                "rank": rank,
-                "category": category,
-                "dns_rcode": rcode,
+                "domain": self.domains[row],
+                "rank": self.ranks[row],
+                "category": self.categories[row],
+                "dns_rcode": self.rcodes[row],
                 "address": address,
-                "server_behavior": behavior,
-                "provider": provider,
-                "archetype": archetype,
-                "ca_profile": ca_profile,
-                "encapsulation_overhead": encapsulation,
-                "redirect_to": redirect_to,
-                "https_spec": next_spec() if flag & 2 else None,
-                "quic_spec": next_spec() if flag & 4 else None,
+                "server_behavior": self.behaviors[row],
+                "provider": self.providers[row],
+                "archetype": self.archetypes[row],
+                "ca_profile": self.ca_profiles[row],
+                "encapsulation_overhead": self.encapsulations[row],
+                "redirect_to": self.redirects[row],
+                "https_spec": https_spec,
+                "quic_spec": quic_spec,
                 "quic_shares_https": bool(flag & 8),
             }
         )
-        append(skeleton)
-    return SkeletonShard(index=index, start_rank=start_rank, skeletons=tuple(skeletons))
+        return skeleton
+
+    def skeletons(self) -> List[DeploymentSkeleton]:
+        """Every row as a :class:`DeploymentSkeleton`."""
+        return list(map(self.skeleton, range(len(self))))
+
+    def shard(self):
+        """The whole shard as a :class:`~repro.webpki.population.SkeletonShard`."""
+        from .population import SkeletonShard
+
+        return SkeletonShard(
+            index=self.index, start_rank=self.start_rank, skeletons=tuple(self.skeletons())
+        )
+
+
+def decode_skeleton_columns(data: bytes) -> SkeletonColumns:
+    """Decode :func:`encode_skeleton_shard` bytes into :class:`SkeletonColumns`.
+
+    Raises :class:`SkeletonCodecError` on any structural defect.  Bit-level
+    corruption is already excluded by the store's self-verifying header; this
+    guards against foreign or stale-layout payloads.
+    """
+    try:
+        return _decode_skeleton_columns(data)
+    except SkeletonCodecError:
+        raise
+    except (struct.error, IndexError, KeyError, UnicodeDecodeError, ValueError) as error:
+        raise SkeletonCodecError(f"skeleton shard payload is malformed: {error}") from error
+
+
+def _decode_skeleton_columns(data: bytes) -> SkeletonColumns:
+    index, start_rank, n, m = struct.unpack_from("<QQII", data, 0)
+    pos = 24
+    (n_strings,) = struct.unpack_from("<I", data, pos)
+    pos += 4
+    if n_strings >= _NO_REF:
+        raise SkeletonCodecError("shard string table overflows u16 refs")
+    table: List[str] = []
+    append = table.append
+    for _ in range(n_strings):
+        # u16 little-endian length, then the UTF-8 bytes.
+        start = pos + 2
+        pos = start + (data[pos] | data[pos + 1] << 8)
+        append(data[start:pos].decode("utf-8"))
+    if pos > len(data):
+        raise SkeletonCodecError("shard string table is truncated")
+
+    columns = SkeletonColumns()
+    columns.index = index
+    columns.start_rank = start_rank
+    columns.ranks = struct.unpack_from(f"<{n}I", data, pos)
+    pos += 4 * n
+    byte_columns = []
+    for _ in range(5):
+        byte_columns.append(data[pos : pos + n])
+        pos += n
+    flags, categories, rcodes, behaviors, encapsulations = byte_columns
+    if len(encapsulations) != n:
+        raise SkeletonCodecError("shard byte columns are truncated")
+    columns.addresses = struct.unpack_from(f"<{n}I", data, pos)
+    pos += 4 * n
+    string_columns = []
+    for _ in range(5):
+        string_columns.append(struct.unpack_from(f"<{n}H", data, pos))
+        pos += 2 * n
+    domains, providers, archetypes, ca_profiles, redirects = string_columns
+    spec_domains = struct.unpack_from(f"<{m}H", data, pos)
+    pos += 2 * m
+    spec_cas = struct.unpack_from(f"<{m}H", data, pos)
+    pos += 2 * m
+    spec_keys = data[pos : pos + m]
+    pos += m
+    columns.spec_sans = struct.unpack_from(f"<{m}H", data, pos)
+    pos += 2 * m
+    spec_stems = struct.unpack_from(f"<{m}H", data, pos)
+    pos += 2 * m
+    columns.spec_validities = struct.unpack_from(f"<{m}H", data, pos)
+    pos += 2 * m
+    columns.spec_trims = data[pos : pos + m]
+    pos += m
+    spec_bloats = columns.spec_bloats = data[pos : pos + m]
+    pos += m
+    if len(spec_bloats) != m:
+        raise SkeletonCodecError("shard spec columns are truncated")
+    bloat_starts = columns.bloat_starts = list(accumulate(spec_bloats, initial=0))
+    bloat_total = bloat_starts[-1]
+    columns.bloat_blob = data[pos : pos + bloat_total]
+    pos += bloat_total
+    if pos != len(data):
+        raise SkeletonCodecError(
+            f"shard payload has {len(data) - pos} unexpected trailing bytes"
+        )
+    spec_starts = columns.spec_starts = list(
+        accumulate(flags.translate(_SPECS_PER_FLAG), initial=0)
+    )
+    if spec_starts[-1] != m:
+        raise SkeletonCodecError(
+            f"shard names {m} chain specs but its rows use {spec_starts[-1]}"
+        )
+
+    # Every column is translated to field values in C (``map`` over the
+    # column); an out-of-range index or string reference raises here.
+    refs = dict(enumerate(table))
+    refs[_NO_REF] = None
+    string_at = table.__getitem__
+    optional_string_at = refs.__getitem__
+    columns.flags = flags
+    columns.categories = list(map(_CATEGORIES.__getitem__, categories))
+    columns.rcodes = list(map(_RCODES.__getitem__, rcodes))
+    columns.behaviors = list(map(_BEHAVIOR_AT.__getitem__, behaviors))
+    columns.encapsulations = encapsulations
+    columns.domains = list(map(string_at, domains))
+    columns.providers = list(map(optional_string_at, providers))
+    columns.archetypes = list(map(optional_string_at, archetypes))
+    columns.ca_profiles = list(map(optional_string_at, ca_profiles))
+    columns.redirects = list(map(optional_string_at, redirects))
+    columns.spec_domains = list(map(string_at, spec_domains))
+    columns.spec_cas = list(map(string_at, spec_cas))
+    columns.spec_keys = list(map(_KEY_ALGORITHM_AT.__getitem__, spec_keys))
+    columns.spec_stems = list(map(string_at, spec_stems))
+    return columns

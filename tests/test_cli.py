@@ -605,6 +605,21 @@ class TestNumericFlags:
         assert "no skeleton cache directory" in error
         assert not missing.exists()
 
+    @pytest.mark.parametrize("index", ["-1", "shard_count"])
+    def test_warm_shard_index_out_of_range_creates_nothing(self, index, tmp_path, capsys):
+        from repro.scanners.skeleton_store import shard_count
+
+        size = 50
+        if index == "shard_count":
+            index = str(shard_count(size))
+        directory = tmp_path / "skel"
+        argv = ["skeletons", "warm", str(directory), "--size", str(size), "--shards", index]
+        assert main(argv) == 2
+        error = capsys.readouterr().err
+        assert error.count("\n") == 1
+        assert "out of range" in error and "Traceback" not in error
+        assert not directory.exists()
+
     @pytest.mark.parametrize("value", ["1199", "1473", "0"])
     def test_initial_size_outside_the_wire_model_exits_2_with_one_line(self, value, capsys):
         with pytest.raises(SystemExit) as exit_info:

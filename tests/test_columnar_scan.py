@@ -27,6 +27,7 @@ from repro.scanners.columnar import (
     resolve_scan_backend,
     summarize_shard_columnar,
 )
+from repro.scanners.shard_columns import lower_deployments
 from repro.scanners.sharding import ShardTask, scan_shard
 from repro.scanners.streaming import (
     ReducedCampaignResults,
@@ -153,7 +154,8 @@ class TestColumnarMatchesObject:
             expected = summarize_shard(
                 task, deployments, scan_shard(task, deployments=deployments), spec
             )
-            assert summarize_shard_columnar(task, deployments, spec) == expected
+            columns = lower_deployments(deployments)
+            assert summarize_shard_columnar(task, columns, spec) == expected
 
 
 class TestCrossBackendResume:

@@ -292,13 +292,15 @@ from repro.quic.profiles import BUILTIN_PROFILES
 from repro.quic.server import FlightPlanCache
 from repro.scanners import columnar
 from repro.scanners.columnar import summarize_shard_columnar
+from repro.scanners.shard_columns import lower_deployments
 from repro.tls.cert_compression import (
     CertificateCompressionAlgorithm,
     chain_payload,
     compressed_size_for_deflate,
     deflate_size,
 )
-from repro.webpki.deployment import ServiceCategory
+from repro.netsim.dns import DnsRcode
+from repro.webpki.deployment import DomainDeployment, ServiceCategory
 from repro.webpki.population import generate_population
 from repro.x509.ca import default_hierarchy
 
@@ -337,22 +339,46 @@ def test_columnar_packet_arithmetic_matches_packet_objects(payload, packet_numbe
     )
 
 
+def _chain_columns(chain, domain):
+    """A one-deployment column record whose only chain (index 0) is ``chain``."""
+    return lower_deployments(
+        [
+            DomainDeployment(
+                domain=domain,
+                rank=1,
+                category=ServiceCategory.QUIC,
+                dns_rcode=DnsRcode.NOERROR,
+                https_chain=chain,
+                quic_chain=chain,
+            )
+        ]
+    )
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     ca=st.sampled_from(_CA_LABELS),
     algorithm=st.sampled_from(_COMPRESSION_ALGORITHMS),
 )
 def test_chain_columns_match_object_payload_sizes(ca, algorithm):
-    """_ChainColumns' payload/deflate lengths equal the real encoded payload,
-    and the split compression helpers equal CertificateCompressionAlgorithm's
-    own compressed_size."""
+    """The column record's payload/deflate lengths equal the real encoded
+    payload — measured through the chain's memo (a lowered chain) and from
+    the record's own payload bytes (a chain read from the store) — and the
+    split compression helpers equal CertificateCompressionAlgorithm's own
+    compressed_size."""
     chain = _issued_chain(ca, "columns.example")
-    columns = columnar._ChainColumns(chain)
+    columns = _chain_columns(chain, "columns.example")
     payload = chain_payload(cert.der for cert in chain.certificates)
-    assert columns.payload_len == len(payload)
-    assert columns.deflate_len == deflate_size(payload)
+    assert columns.payload(0) == payload
+    assert columns.payload_len(0) == len(payload)
+    assert columns.total_size(0) == chain.total_size
+    assert columns.deflate_len(0) == deflate_size(payload)
+    stored = _chain_columns(chain, "columns.example")
+    stored.chains = None
+    stored.deflate_lens[0] = 0
+    assert stored.deflate_len(0) == deflate_size(payload)
     assert compressed_size_for_deflate(
-        algorithm, columns.deflate_len
+        algorithm, columns.deflate_len(0)
     ) == algorithm.compressed_size(payload)
 
 
@@ -389,7 +415,8 @@ def test_columnar_measure_matches_simulated_handshake(
     measured = columnar._measure(
         domain,
         profile,
-        columnar._ChainColumns(chain),
+        _chain_columns(chain, domain),
+        0,
         offer,
         initial_size,
         FlightPlanCache(),
@@ -467,4 +494,74 @@ def test_edge_shards_identical_under_both_backends(case):
     )
     scan = scan_shard(task, deployments=deployments)
     expected = summarize_shard(task, deployments, scan, _REDUCTION_SPEC)
-    assert summarize_shard_columnar(task, deployments, _REDUCTION_SPEC) == expected
+    columns = lower_deployments(deployments)
+    assert summarize_shard_columnar(task, columns, _REDUCTION_SPEC) == expected
+
+
+# ---------------------------------------------------------------------------
+# The kernel's input: stored columns == lowered deployments == object oracle
+# ---------------------------------------------------------------------------
+
+from unittest import mock
+
+from repro.scanners import skeleton_store
+from repro.scanners.shard_columns import ShardColumns
+from repro.webpki.population import SkeletonShard, deployments_for_range
+from repro.webpki.skeleton import bloat_pool, materialize_skeletons
+
+
+@settings(max_examples=4, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    size=st.integers(min_value=20, max_value=160),
+    bloat=st.lists(
+        st.integers(min_value=0, max_value=len(bloat_pool()) - 1), min_size=1, max_size=6
+    ).map(tuple),
+    trim=st.integers(min_value=1, max_value=4),
+    every=st.integers(min_value=2, max_value=5),
+    stamp_matches=st.booleans(),
+)
+def test_stored_columns_equal_lowered_deployments_and_object_oracle(
+    seed, size, bloat, trim, every, stamp_matches
+):
+    """For a small population whose chain specs are bloated and trimmed, the
+    kernel over a ``.skel`` payload's columns — stored DEFLATE lengths, or a
+    zlib pass each when the stamp names another zlib — equals the kernel over
+    the lowered deployments, and both equal the object oracle."""
+    skeletons = deployments_for_range(
+        PopulationConfig(size=size, seed=seed), 0, size, skeleton=True
+    )
+    edited = []
+    for position, skeleton in enumerate(skeletons):
+        changes = {}
+        for field in ("https_spec", "quic_spec"):
+            chain_spec = getattr(skeleton, field)
+            if chain_spec is not None and position % every == 0:
+                changes[field] = replace(chain_spec, bloat_extras=bloat)
+            elif chain_spec is not None and position % every == 1:
+                changes[field] = replace(chain_spec, trim_to=trim)
+        edited.append(replace(skeleton, **changes))
+    shard = SkeletonShard(index=0, start_rank=1, skeletons=tuple(edited))
+    data = skeleton_store.encode_skeleton_file(shard)
+    stamp = skeleton_store.DEFLATE_STAMP if stamp_matches else b"0.0.0-other"
+    with mock.patch.object(skeleton_store, "DEFLATE_STAMP", stamp):
+        record = skeleton_store.decode_skeleton_file(data)
+    assert (record.deflate is not None) is stamp_matches
+    stored = ShardColumns(record.deployment)
+    record.extend_columns(stored, 0, record.length)
+
+    deployments = tuple(materialize_skeletons(edited, default_hierarchy(), {}))
+    task = ShardTask(
+        index=0,
+        start=0,
+        stop=size,
+        run_sweep=True,
+        sweep_local_selection=(0, 3),
+        sweep_initial_sizes=_REDUCTION_SWEEP_SIZES,
+    )
+    expected = summarize_shard(
+        task, deployments, scan_shard(task, deployments=deployments), _REDUCTION_SPEC
+    )
+    lowered = lower_deployments(deployments)
+    assert summarize_shard_columnar(task, lowered, _REDUCTION_SPEC) == expected
+    assert summarize_shard_columnar(task, stored, _REDUCTION_SPEC) == expected

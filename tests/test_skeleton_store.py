@@ -17,6 +17,8 @@ import json
 import os
 import pickle
 import shutil
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -25,6 +27,8 @@ from repro.analysis.export import export_evaluation
 from repro.analysis.report import build_report
 from repro.scanners import MeasurementCampaign, run_grid_campaign
 from repro.scanners import skeleton_store as skeleton_store_module
+from repro.scanners import streaming as streaming_module
+from repro.scanners.columnar import summarize_shard_columnar
 from repro.scanners.faults import corrupt_file, truncate_file
 from repro.scanners.skeleton_store import (
     GENERATION_SHARD_SIZE,
@@ -45,12 +49,15 @@ from repro.scanners.skeleton_store import (
     store_for,
     warm,
 )
+from repro.scanners.shard_columns import lower_deployments
+from repro.scanners.sharding import ShardTask
+from repro.scanners.streaming import ReductionSpec
 from repro.scenarios import load_scenario
 from repro.scenarios.grid import load_grid
 from repro.webpki import population as population_module
 from repro.webpki import tranco as tranco_module
 from repro.webpki.population import PopulationConfig, generate_population
-from repro.webpki.skeleton import ChainSpec, materialize_skeletons
+from repro.webpki.skeleton import ChainSpec, SkeletonColumns, materialize_skeletons
 from repro.x509 import issuance
 from repro.x509.ca import default_hierarchy
 from repro.x509.field_sizes import field_size_row, san_byte_share
@@ -729,3 +736,122 @@ class TestMaterializeSkeletons:
         # Warm: every spec hit, nothing issued.  Otherwise misses fell back
         # to ``materialize`` and extended the cache like the reference did.
         assert (len(fast_cache) == len(cache)) is (case == "warm-seeded")
+
+
+class TestWarmShardIndices:
+    @pytest.mark.parametrize("index", [-1, shard_count(POPULATION_SIZE)])
+    def test_out_of_range_index_is_rejected_before_any_write(self, config, tmp_path, index):
+        directory = tmp_path / "skel"
+        with pytest.raises(ValueError, match="out of range"):
+            warm(str(directory), config, shard_indices=[index])
+        assert not directory.exists()
+
+
+class TestConcurrentWarms:
+    """Concurrent writers race towards identical bytes: nothing is torn."""
+
+    def test_three_concurrent_warms_leave_one_file_per_key(self, tmp_path):
+        size = 3000
+        directory = tmp_path / "skel"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")]
+            + [env["PYTHONPATH"]] * bool(env.get("PYTHONPATH"))
+        )
+        argv = [sys.executable, "-m", "repro", "skeletons", "warm", str(directory),
+                "--size", str(size)]
+        processes = [
+            subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            for _ in range(3)
+        ]
+        for process in processes:
+            _, error = process.communicate(timeout=300)
+            assert process.returncode == 0, error.decode()
+        config = PopulationConfig(size=size, seed=2022)
+        expected = sorted(
+            SkeletonKey.for_config(config, index).filename()
+            for index in range(shard_count(size))
+        )
+        store = SkeletonStore(str(directory))
+        assert store.entries() == expected
+        assert sorted(os.listdir(directory)) == sorted(expected + ["skeletons.json"])
+        assert not os.path.isdir(store.quarantine_directory)
+        kwargs = dict(
+            stream=True, shard_size=700, scan_backend="columnar",
+            spoofed_targets_per_provider=SPOOFED,
+        )
+        reference = build_report(
+            MeasurementCampaign(population_config=config, **kwargs).run()
+        ).text
+        reset_stores()
+        warm_text = build_report(
+            MeasurementCampaign(
+                population_config=config, skeleton_cache_dir=str(directory), **kwargs
+            ).run()
+        ).text
+        assert cache_counters()["misses"] == 0
+        assert warm_text == reference
+
+
+class TestColumnPath:
+    """A warm columnar shard visit reads the stored columns, not objects."""
+
+    SPEC = ReductionSpec(spoof_limit_per_provider=SPOOFED)
+
+    @staticmethod
+    def _task(directory, start, stop, index):
+        return ShardTask(
+            index=index,
+            population_config=PopulationConfig(size=WARM_PATH_SIZE, seed=2022),
+            start=start,
+            stop=stop,
+            run_sweep=True,
+            sweep_local_selection=(index, 3),
+            scan_backend="columnar",
+            skeleton_cache_dir=directory,
+        )
+
+    @pytest.mark.parametrize("start, stop", [(0, 700), (700, 1400), (1400, 2000)])
+    def test_visit_builds_no_object_view_but_spoof_targets(
+        self, warm_path_dir, monkeypatch, start, stop
+    ):
+        task = self._task(warm_path_dir, start, stop, start // 700)
+        reference = streaming_module._summarize_visit(task, self.SPEC)
+        reset_stores()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the warm columnar visit built an object view")
+
+        for view in ("shard", "chain_cache"):
+            monkeypatch.setattr(skeleton_store_module.StoredShard, view, property(refuse))
+        monkeypatch.setattr(SkeletonColumns, "shard", refuse)
+        for module in (streaming_module, skeleton_store_module):
+            monkeypatch.setattr(module, "materialize_skeletons", refuse)
+        monkeypatch.setattr(streaming_module, "lower_deployments", refuse)
+        rows = []
+        materialise = skeleton_store_module.StoredShard.deployment
+
+        def counting_deployment(record, row):
+            rows.append(row)
+            return materialise(record, row)
+
+        monkeypatch.setattr(skeleton_store_module.StoredShard, "deployment", counting_deployment)
+        leaves = []
+        rebuild_leaf = skeleton_store_module.leaf_from_record
+
+        def counting_leaf(*args):
+            leaves.append(args[1])
+            return rebuild_leaf(*args)
+
+        monkeypatch.setattr(skeleton_store_module, "leaf_from_record", counting_leaf)
+        summaries = streaming_module._summarize_visit(task, self.SPEC)
+        assert summaries == reference
+        (summary,) = summaries
+        assert len(rows) == len(summary.spoof_candidates) > 0
+        assert len(leaves) <= 2 * len(rows)
+
+    def test_visit_equals_lowered_deployments(self, warm_path_dir):
+        task = self._task(warm_path_dir, 700, 1400, 1)
+        (summary,) = streaming_module._summarize_visit(task, self.SPEC)
+        deployments = dataclasses.replace(task, skeleton_cache_dir=None).resolve_deployments()
+        assert summarize_shard_columnar(task, lower_deployments(deployments), self.SPEC) == summary
