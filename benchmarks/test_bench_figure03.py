@@ -5,7 +5,7 @@ from repro.quic.handshake import HandshakeClass
 
 
 def test_bench_figure03(benchmark, campaign_results):
-    result = benchmark(figure03.compute, campaign_results.reduced.sweep)
+    result = benchmark(figure03.compute, campaign_results.reduced.scan.sweep)
     print()
     print(result.render_text())
     size = result.initial_sizes()[len(result.initial_sizes()) // 2]

@@ -7,7 +7,7 @@ def test_bench_funnel(benchmark, campaign_results):
     result = benchmark(
         funnel.compute,
         campaign_results.shard.funnel,
-        len(campaign_results.quic_deployments()),
+        len(campaign_results.population.quic_services()),
     )
     print()
     print(result.render_text())

@@ -29,7 +29,7 @@ def test_bench_certificate_chain_issuance(benchmark):
 
 
 def test_bench_handshake_simulation(benchmark, campaign_results):
-    deployment = campaign_results.quic_deployments()[0]
+    deployment = campaign_results.population.quic_services()[0]
     client = QuicClientConfig(initial_datagram_size=1362)
 
     outcome = benchmark(
@@ -43,7 +43,7 @@ def test_bench_quicreach_scan_100_services(benchmark, campaign_results):
     network = build_network_for(campaign_results.population.deployments)
     scanner = QuicReach(network)
     targets = [
-        (d.domain, d.rank, d.provider) for d in campaign_results.quic_deployments()[:100]
+        (d.domain, d.rank, d.provider) for d in campaign_results.population.quic_services()[:100]
     ]
 
     observations = benchmark(scanner.scan_many, targets)
@@ -52,9 +52,9 @@ def test_bench_quicreach_scan_100_services(benchmark, campaign_results):
 
 def test_bench_population_generation_small(benchmark):
     result = benchmark(generate_population, PopulationConfig(size=300, seed=1))
-    assert len(result) == 300
+    assert len(result.deployments) == 300
 
 
 def test_bench_full_report(benchmark, campaign_results):
     report = benchmark(build_report, campaign_results)
-    assert "figure06" in report.keys()
+    assert "figure06" in report.sections

@@ -45,14 +45,14 @@ def warm_tranco():
 
 def test_bench_skeleton_generation(benchmark):
     shard = benchmark(generate_shard, BENCH_CONFIG, 1, True)
-    assert len(shard) == GENERATION_SHARD_SIZE
+    assert len(shard.skeletons) == GENERATION_SHARD_SIZE
     counts = shard.category_counts()
     assert sum(counts.values()) == GENERATION_SHARD_SIZE
 
 
 def test_bench_full_generation(benchmark):
     shard = benchmark(generate_shard, BENCH_CONFIG, 1)
-    assert len(shard) == GENERATION_SHARD_SIZE
+    assert len(shard.deployments) == GENERATION_SHARD_SIZE
     assert any(d.https_chain is not None for d in shard.deployments)
 
 
@@ -68,7 +68,7 @@ def test_bench_streaming_population_generation(benchmark):
     def consume() -> int:
         total = 0
         for shard in iter_population_shards(PopulationConfig(size=4096, seed=7)):
-            total += len(shard)
+            total += len(shard.deployments)
         return total
 
     assert benchmark.pedantic(consume, rounds=1, iterations=1) == 4096

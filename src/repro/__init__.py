@@ -6,7 +6,9 @@ The package is organised bottom-up:
   :mod:`repro.quic`, :mod:`repro.netsim`, :mod:`repro.webpki`,
 * measurement: :mod:`repro.scanners`,
 * analysis: :mod:`repro.analysis` (one module per paper figure/table),
-* the paper's contribution as an API: :mod:`repro.core`.
+* the paper's contribution as an API: :mod:`repro.core` (handshake
+  prediction from a chain, the §4.2 compression study, the §5 client-side
+  Initial-size cache).
 
 Quickstart::
 
@@ -23,9 +25,7 @@ from .core import (
     ANTI_AMPLIFICATION_FACTOR,
     HandshakeClass,
     InitialSizeCache,
-    amplification_factor,
     amplification_limit,
-    classify_flight,
     predict_handshake,
     required_initial_size,
     run_compression_study,
@@ -38,9 +38,7 @@ __all__ = [
     "ANTI_AMPLIFICATION_FACTOR",
     "HandshakeClass",
     "InitialSizeCache",
-    "amplification_factor",
     "amplification_limit",
-    "classify_flight",
     "predict_handshake",
     "required_initial_size",
     "run_compression_study",

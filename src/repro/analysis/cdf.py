@@ -13,14 +13,14 @@ to the expanded form.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import accumulate, repeat
+from itertools import accumulate
 from typing import Iterable, List, Mapping, Tuple
 
 
 class EmpiricalCdf:
     """An empirical CDF over a sample of values (count-backed storage)."""
 
-    __slots__ = ("unique_values", "cumulative_counts", "_values")
+    __slots__ = ("unique_values", "cumulative_counts")
 
     def __init__(self, values: Iterable[float] = ()) -> None:
         ordered = sorted(float(v) for v in values)
@@ -34,9 +34,6 @@ class EmpiricalCdf:
                 cumulative[-1] = index + 1
         self.unique_values: Tuple[float, ...] = tuple(unique)
         self.cumulative_counts: Tuple[int, ...] = tuple(cumulative)
-        # Count-backed storage only: the expanded sample is rebuilt lazily by
-        # the ``values`` property for the rare caller that wants the multiset.
-        self._values = None
 
     @classmethod
     def from_values(cls, values: Iterable[float]) -> "EmpiricalCdf":
@@ -69,26 +66,9 @@ class EmpiricalCdf:
         cdf.cumulative_counts = tuple(
             accumulate(normalised[value] for value in unique)
         )
-        cdf._values = None
         return cdf
 
     # -- sample-level view -------------------------------------------------------
-
-    @property
-    def values(self) -> Tuple[float, ...]:
-        """The full sorted sample, expanded lazily (compatibility accessor).
-
-        Count-backed consumers never call this; it exists for callers that
-        want the raw multiset and is materialised at most once per instance.
-        """
-        if self._values is None:
-            expanded: List[float] = []
-            previous = 0
-            for value, cumulative in zip(self.unique_values, self.cumulative_counts):
-                expanded.extend(repeat(value, cumulative - previous))
-                previous = cumulative
-            self._values = tuple(expanded)
-        return self._values
 
     def value_at(self, index: int) -> float:
         """The ``index``-th (0-based) element of the sorted sample."""
@@ -103,14 +83,6 @@ class EmpiricalCdf:
         return (
             self.unique_values == other.unique_values
             and self.cumulative_counts == other.cumulative_counts
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.unique_values, self.cumulative_counts))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"EmpiricalCdf(n={len(self)}, distinct={len(self.unique_values)})"
         )
 
     @property
@@ -155,15 +127,3 @@ class EmpiricalCdf:
         if points[-1][1] != 1.0:
             points.append((self.unique_values[-1], 1.0))
         return points
-
-    def render_text(self, label: str = "value", width: int = 50, rows: int = 12) -> str:
-        """A coarse ASCII rendering of the CDF for terminal reports."""
-        if self.is_empty:
-            return f"(empty CDF of {label})"
-        lines = [f"CDF of {label} (n={len(self)})"]
-        for row in range(rows, 0, -1):
-            q = row / rows
-            x = self.quantile(q)
-            bar = "#" * int(width * q)
-            lines.append(f"{q:5.2f} | {bar:<{width}} {x:,.0f}")
-        return "\n".join(lines)

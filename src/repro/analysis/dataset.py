@@ -7,8 +7,8 @@ render itself as fixed-width text or CSV for reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, List, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -52,26 +52,8 @@ class Table:
     # -- access ------------------------------------------------------------------
 
     @property
-    def columns(self) -> Tuple[Column, ...]:
-        return self._columns
-
-    @property
     def column_names(self) -> Tuple[str, ...]:
         return tuple(c.name for c in self._columns)
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __iter__(self) -> Iterator[Dict[str, Any]]:
-        for row in self._rows:
-            yield dict(zip(self.column_names, row))
-
-    def rows(self) -> List[Dict[str, Any]]:
-        return list(iter(self))
-
-    def column(self, name: str) -> List[Any]:
-        index = self.column_names.index(name)
-        return [row[index] for row in self._rows]
 
     # -- rendering ----------------------------------------------------------------
 

@@ -33,9 +33,6 @@ class RankGroupHandshakeClasses:
     def share(self, group_label: str, handshake_class: HandshakeClass) -> float:
         return self.shares.get(group_label, {}).get(handshake_class, 0.0)
 
-    def top_group_label(self) -> str:
-        return self.group_labels[0] if self.group_labels else ""
-
     def one_rtt_share_top_vs_rest(self) -> Tuple[float, float]:
         """The paper's observation: 1-RTT is more common among the top 100k."""
         if not self.group_labels:

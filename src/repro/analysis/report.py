@@ -53,9 +53,6 @@ class EvaluationReport:
     def __getitem__(self, key: str):
         return self.sections[key]
 
-    def keys(self):
-        return self.sections.keys()
-
 
 AnyCampaignResults = Union[CampaignResults, ReducedCampaignResults]
 

@@ -6,7 +6,7 @@ ITU-T X.690) needed to build and size real X.509 v3 certificates:
 * tag/length/value framing with definite lengths,
 * the universal types used by RFC 5280 (BOOLEAN, INTEGER, BIT STRING,
   OCTET STRING, NULL, OBJECT IDENTIFIER, UTF8String, PrintableString,
-  IA5String, UTCTime, GeneralizedTime, SEQUENCE, SET),
+  IA5String, UTCTime, SEQUENCE, SET),
 * explicit context-specific tagging as used by ``TBSCertificate``.
 
 The reproduction uses this to *actually encode* certificates so that every
@@ -32,7 +32,6 @@ from .der import (
     encode_printable_string,
     encode_ia5_string,
     encode_utc_time,
-    encode_generalized_time,
     encode_sequence,
     encode_set,
     encode_explicit,
@@ -64,7 +63,6 @@ __all__ = [
     "encode_printable_string",
     "encode_ia5_string",
     "encode_utc_time",
-    "encode_generalized_time",
     "encode_sequence",
     "encode_set",
     "encode_explicit",

@@ -168,13 +168,6 @@ def encode_utc_time(moment: datetime) -> bytes:
     return encode_tlv(Tag.UTC_TIME, moment.strftime("%y%m%d%H%M%SZ").encode("ascii"))
 
 
-def encode_generalized_time(moment: datetime) -> bytes:
-    moment = moment.astimezone(timezone.utc)
-    return encode_tlv(
-        Tag.GENERALIZED_TIME, moment.strftime("%Y%m%d%H%M%SZ").encode("ascii")
-    )
-
-
 # ---------------------------------------------------------------------------
 # Constructed types
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 from .der import Asn1Error, encode_tlv
 from .tags import Tag
@@ -16,10 +15,6 @@ class ObjectIdentifier:
     dotted: str
     name: str = ""
 
-    @property
-    def arcs(self) -> Tuple[int, ...]:
-        return tuple(int(part) for part in self.dotted.split("."))
-
     def encode(self) -> bytes:
         # Memoized on the frozen instance: the OID registry is a fixed set of
         # objects that leaf issuance encodes millions of times per campaign.
@@ -28,9 +23,6 @@ class ObjectIdentifier:
             encoded = encode_oid(self.dotted)
             object.__setattr__(self, "_encoded", encoded)
         return encoded
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.name or self.dotted
 
 
 def encode_oid(dotted: str) -> bytes:

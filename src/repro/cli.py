@@ -75,9 +75,10 @@ def _probe_writable(path: str, directory: bool) -> None:
 
     Probed before any generation by creating and deleting a throwaway file
     where the output will go.  A report file needs an existing parent
-    directory (the atomic write does not create one); a directory output
-    (``--export-dir``, a grid's ``--output``) is created for the probe and
-    removed again, so a run that fails later leaves nothing behind.
+    directory (the atomic write does not create one), so a missing one fails
+    here and nothing is created; a directory output (``--export-dir``, a
+    grid's ``--output``) is created for the probe and removed again, so a run
+    that fails later leaves nothing behind.
     """
     created = []
     if directory:
@@ -89,8 +90,11 @@ def _probe_writable(path: str, directory: bool) -> None:
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     else:
         path = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(path):
+            raise FileNotFoundError(errno.ENOENT, "parent directory does not exist", path)
     try:
-        os.makedirs(path, exist_ok=True)
+        if created:
+            os.makedirs(path)
         tempfile.TemporaryFile(dir=path).close()
     finally:
         for leftover in created:

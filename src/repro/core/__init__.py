@@ -5,17 +5,19 @@ the substrates directly:
 
 * the anti-amplification limit, browser Initial sizes, and the history of the
   limit across QUIC drafts (:mod:`repro.core.limits`),
-* handshake classification and amplification-factor computation
-  (:mod:`repro.core.classification`, :mod:`repro.core.amplification`),
 * prediction of the handshake outcome from a certificate chain and a client
   Initial size *without* running a handshake — the interplay model the paper
   derives (:mod:`repro.core.interplay`),
 * the synthetic certificate-compression study of §4.2
   (:mod:`repro.core.compression_study`),
-* the §5 guidance, including the client-side Initial-size adaptation cache
+* the §5 client-side Initial-size adaptation cache
   (:mod:`repro.core.guidance`).
+
+Handshake classes are :class:`repro.quic.handshake.HandshakeClass`, whose
+``classify`` holds the §3.2 precedence.
 """
 
+from ..quic.handshake import HandshakeClass
 from .limits import (
     ANTI_AMPLIFICATION_FACTOR,
     MIN_INITIAL_SIZE,
@@ -25,13 +27,6 @@ from .limits import (
     DraftLimit,
     amplification_limit,
 )
-from .classification import HandshakeClass, classify_flight, classify_outcome
-from .amplification import (
-    amplification_factor,
-    exceeds_limit,
-    AmplificationReport,
-    summarize_amplification,
-)
 from .interplay import (
     HandshakePrediction,
     predict_handshake,
@@ -39,12 +34,7 @@ from .interplay import (
     server_flight_size,
 )
 from .compression_study import CompressionStudyResult, run_compression_study
-from .guidance import (
-    InitialSizeCache,
-    CacheEntry,
-    StakeholderGuidance,
-    derive_guidance,
-)
+from .guidance import InitialSizeCache, CacheEntry
 
 __all__ = [
     "ANTI_AMPLIFICATION_FACTOR",
@@ -55,12 +45,6 @@ __all__ = [
     "DraftLimit",
     "amplification_limit",
     "HandshakeClass",
-    "classify_flight",
-    "classify_outcome",
-    "amplification_factor",
-    "exceeds_limit",
-    "AmplificationReport",
-    "summarize_amplification",
     "HandshakePrediction",
     "predict_handshake",
     "required_initial_size",
@@ -69,6 +53,4 @@ __all__ = [
     "run_compression_study",
     "InitialSizeCache",
     "CacheEntry",
-    "StakeholderGuidance",
-    "derive_guidance",
 ]

@@ -9,7 +9,7 @@ multi-RTT handshakes back into 1-RTT handshakes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence
 
 from ..tls.cert_compression import (
     CertificateCompressionAlgorithm,
@@ -31,22 +31,6 @@ class CompressionStudyResult:
     share_below_limit_uncompressed: float
     share_below_limit_compressed: float
     limit_bytes: int
-
-    @property
-    def share_rescued(self) -> float:
-        """Chains that only fit under the limit thanks to compression."""
-        return self.share_below_limit_compressed - self.share_below_limit_uncompressed
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "algorithm": self.algorithm.label,
-            "chains": self.chain_count,
-            "median_rate": self.median_compression_rate,
-            "mean_rate": self.mean_compression_rate,
-            "below_limit_uncompressed": self.share_below_limit_uncompressed,
-            "below_limit_compressed": self.share_below_limit_compressed,
-            "limit_bytes": self.limit_bytes,
-        }
 
 
 def _median(values: Sequence[float]) -> float:
@@ -90,17 +74,6 @@ def run_compression_study(
         share_below_limit_compressed=below_compressed / count,
         limit_bytes=limit_bytes,
     )
-
-
-def run_all_algorithms(
-    chains: Sequence[CertificateChain],
-    limit_bytes: int = LARGER_COMMON_LIMIT,
-) -> Dict[CertificateCompressionAlgorithm, CompressionStudyResult]:
-    """Run the study once per RFC 8879 algorithm (the Table 1 "Rate" column)."""
-    return {
-        algorithm: run_compression_study(chains, algorithm, limit_bytes)
-        for algorithm in CertificateCompressionAlgorithm
-    }
 
 
 def study_from_reduction(

@@ -1,24 +1,16 @@
-"""The §5 guidance, as executable policy.
+"""The §5 client-side mitigation, as executable policy.
 
-Three pieces of the paper's discussion are turned into code:
-
-* :class:`InitialSizeCache` — the client-side mitigation the paper proposes:
-  remember, per server, how large the server's first flight was, and size the
-  next Initial so the flight fits within 3× of it (low latency without
-  certificate compression).
-* :func:`derive_guidance` — turns measurement results into the stakeholder
-  recommendations of §5 (protocol, server implementations, CAs), with the
-  supporting numbers attached so reports can cite them.
+:class:`InitialSizeCache` is the mitigation the paper proposes: remember, per
+server, how large the server's first flight was, and size the next Initial so
+the flight fits within 3× of it (low latency without certificate
+compression).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict
 
-from ..x509.chain import CertificateChain
-from .classification import HandshakeClass
-from .interplay import required_initial_size
 from .limits import ANTI_AMPLIFICATION_FACTOR, MAX_INITIAL_SIZE_AT_MTU_1500, MIN_INITIAL_SIZE
 
 
@@ -77,115 +69,3 @@ class InitialSizeCache:
         )
         self._entries[entry.server_name] = entry
         return entry
-
-    def record_chain(self, server_name: str, chain: CertificateChain) -> CacheEntry:
-        """Seed the cache from a known certificate chain (e.g. an HTTPS visit)."""
-        needed = required_initial_size(chain)
-        achieved = needed is not None
-        flight_estimate = chain.total_size + 700
-        entry = CacheEntry(
-            server_name=server_name.lower(),
-            observed_first_flight_bytes=flight_estimate,
-            achieved_one_rtt=achieved,
-            suggested_initial_size=min(needed or self._mtu_limit, self._mtu_limit),
-        )
-        self._entries[entry.server_name] = entry
-        return entry
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, server_name: str) -> bool:
-        return server_name.lower() in self._entries
-
-
-@dataclass(frozen=True)
-class StakeholderGuidance:
-    """One recommendation with the measurement numbers that justify it."""
-
-    audience: str
-    recommendation: str
-    supporting_metric: str
-    value: float
-
-
-def derive_guidance(
-    class_shares: Dict[HandshakeClass, float],
-    median_compression_rate: float,
-    share_compressed_below_limit: float,
-    share_quic_leaf_ecdsa: float,
-) -> List[StakeholderGuidance]:
-    """Produce the §5 recommendations from the measured quantities."""
-    guidance: List[StakeholderGuidance] = []
-    amplification_share = class_shares.get(HandshakeClass.AMPLIFICATION, 0.0)
-    multi_rtt_share = class_shares.get(HandshakeClass.MULTI_RTT, 0.0)
-    one_rtt_share = class_shares.get(HandshakeClass.ONE_RTT, 0.0)
-
-    guidance.append(
-        StakeholderGuidance(
-            audience="IETF / protocol",
-            recommendation=(
-                "Keep the 3x anti-amplification limit: it is tight but large enough for "
-                "1-RTT handshakes with small certificate chains and compression; focus on "
-                "loss handling during the handshake instead of raising the limit."
-            ),
-            supporting_metric="share of handshakes achieving 1-RTT today",
-            value=one_rtt_share,
-        )
-    )
-    guidance.append(
-        StakeholderGuidance(
-            audience="server implementations",
-            recommendation=(
-                "Count padding and retransmitted bytes against the limit, enable packet "
-                "coalescence, and integrate a TLS library with RFC 8879 support."
-            ),
-            supporting_metric="share of handshakes exceeding the limit (non-compliant)",
-            value=amplification_share,
-        )
-    )
-    guidance.append(
-        StakeholderGuidance(
-            audience="certificate authorities",
-            recommendation=(
-                "Issue ECDSA chains end to end and retire RSA-only roots so smaller chains "
-                "can unfold their latency benefit."
-            ),
-            supporting_metric="share of QUIC leaf certificates already using ECDSA",
-            value=share_quic_leaf_ecdsa,
-        )
-    )
-    guidance.append(
-        StakeholderGuidance(
-            audience="operators / clients",
-            recommendation=(
-                "Deploy certificate compression (or client-side Initial sizing caches) to "
-                "avoid multi-RTT handshakes caused by large chains."
-            ),
-            supporting_metric="share of chains fitting the limit once compressed",
-            value=share_compressed_below_limit,
-        )
-    )
-    guidance.append(
-        StakeholderGuidance(
-            audience="operators / clients",
-            recommendation=(
-                "Trim chains: drop superfluous roots and cross-signed variants already in "
-                "client trust stores; this alone moves many deployments back to 1-RTT."
-            ),
-            supporting_metric="share of handshakes needing extra round trips today",
-            value=multi_rtt_share,
-        )
-    )
-    guidance.append(
-        StakeholderGuidance(
-            audience="TLS library maintainers",
-            recommendation=(
-                "Ship RFC 8879 certificate compression; its median rate keeps almost every "
-                "chain below the amplification limit."
-            ),
-            supporting_metric="median certificate-chain compression rate",
-            value=median_compression_rate,
-        )
-    )
-    return guidance

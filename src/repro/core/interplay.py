@@ -19,11 +19,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from ..quic.packet import AEAD_TAG_SIZE, MIN_CLIENT_INITIAL_SIZE
+from ..quic.handshake import HandshakeClass
+from ..quic.packet import AEAD_TAG_SIZE
 from ..tls.cert_compression import CertificateCompressionAlgorithm, compress_certificate_chain
 from ..tls.handshake_messages import build_server_first_flight, ClientHello
 from ..x509.chain import CertificateChain
-from .classification import HandshakeClass
 from .limits import ANTI_AMPLIFICATION_FACTOR, MAX_INITIAL_SIZE_AT_MTU_1500, MIN_INITIAL_SIZE
 
 #: Per-packet QUIC overhead (long header ≈ 26–40 bytes plus the AEAD tag).
@@ -43,15 +43,6 @@ class HandshakePrediction:
     amplification_budget: int
     predicted_class: HandshakeClass
     compression: Optional[CertificateCompressionAlgorithm] = None
-
-    @property
-    def fits_in_one_rtt(self) -> bool:
-        return self.predicted_class is HandshakeClass.ONE_RTT
-
-    @property
-    def headroom_bytes(self) -> int:
-        """How many bytes of budget remain (negative when the flight overflows)."""
-        return self.amplification_budget - self.estimated_first_flight_bytes
 
 
 def server_flight_size(

@@ -46,12 +46,6 @@ class BrowserProfile:
     def supports_quic(self) -> bool:
         return self.initial_size is not None
 
-    @property
-    def amplification_limit(self) -> Optional[int]:
-        if self.initial_size is None:
-            return None
-        return amplification_limit(self.initial_size)
-
 
 BROWSER_PROFILES: Dict[str, BrowserProfile] = {
     "firefox": BrowserProfile(
@@ -93,9 +87,6 @@ class DraftLimit:
     date: str
     rule: str
     byte_limited: bool
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{self.spec} ({self.date}): {self.rule}"
 
 
 AMPLIFICATION_LIMIT_HISTORY: Tuple[DraftLimit, ...] = (

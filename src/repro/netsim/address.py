@@ -46,9 +46,6 @@ class IPv4Address:
     def __str__(self) -> str:
         return ".".join(str(o) for o in self.octets)
 
-    def __add__(self, offset: int) -> "IPv4Address":
-        return IPv4Address(self.value + offset)
-
 
 @dataclass(frozen=True)
 class IPv4Prefix:

@@ -68,6 +68,3 @@ class SimulatedResolver:
         if result is None:
             return DnsResult(name.lower(), DnsRcode.NXDOMAIN, None)
         return result
-
-    def __len__(self) -> int:
-        return len(self._zone)

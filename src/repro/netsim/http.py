@@ -44,10 +44,6 @@ class HttpResponse:
             return self.location
         return self.body_contains_meta_refresh
 
-    @property
-    def is_secure(self) -> bool:
-        return self.tls_chain is not None
-
 
 @dataclass
 class HttpOrigin:

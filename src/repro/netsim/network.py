@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..quic.client import QuicClientConfig, build_client_initial_datagram
-from ..quic.handshake import UnvalidatedProbeResult, simulate_unvalidated_probe
 from ..quic.profiles import ServerBehaviorProfile
 from ..quic.server import FlightPlanCache, QuicServer
 from ..tls.handshake_messages import ClientHello
@@ -93,9 +92,6 @@ class UdpNetwork:
 
     def hosts_in_prefix(self, prefix: IPv4Prefix) -> List[QuicServiceHost]:
         return [host for host in self._hosts.values() if prefix.contains(host.address)]
-
-    def __len__(self) -> int:
-        return len(self._hosts)
 
     # -- traffic ---------------------------------------------------------------
 

@@ -9,7 +9,7 @@ how the paper observes server behaviour towards unvalidated clients (§3.2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List
 
 from .address import IPv4Address
 
@@ -57,17 +57,6 @@ class Telescope:
     def observe(self, packet: BackscatterPacket) -> None:
         self._packets.append(packet)
 
-    @property
-    def packets(self) -> Tuple[BackscatterPacket, ...]:
-        return tuple(self._packets)
-
-    def __len__(self) -> int:
-        return len(self._packets)
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(packet.size for packet in self._packets)
-
     def sessions(self) -> List[BackscatterSession]:
         """Group observed packets by source connection ID."""
         grouped: Dict[str, List[BackscatterPacket]] = {}
@@ -87,6 +76,3 @@ class Telescope:
                 )
             )
         return sessions
-
-    def clear(self) -> None:
-        self._packets.clear()

@@ -37,7 +37,7 @@ from .packet import (
     MIN_CLIENT_INITIAL_SIZE,
     AEAD_TAG_SIZE,
 )
-from .coalescing import UdpDatagram, coalesce, split_into_datagrams
+from .coalescing import UdpDatagram, split_into_datagrams
 from .transport_params import TransportParameters
 from .anti_amplification import AmplificationTracker, ANTI_AMPLIFICATION_FACTOR
 from .profiles import ServerBehaviorProfile, CoalescenceMode, BUILTIN_PROFILES
@@ -49,7 +49,6 @@ from .handshake import (
     HandshakeClass,
     simulate_handshake,
     simulate_handshakes,
-    simulate_unvalidated_probe,
 )
 
 __all__ = [
@@ -74,7 +73,6 @@ __all__ = [
     "MIN_CLIENT_INITIAL_SIZE",
     "AEAD_TAG_SIZE",
     "UdpDatagram",
-    "coalesce",
     "split_into_datagrams",
     "TransportParameters",
     "AmplificationTracker",
@@ -91,5 +89,4 @@ __all__ = [
     "HandshakeClass",
     "simulate_handshake",
     "simulate_handshakes",
-    "simulate_unvalidated_probe",
 ]

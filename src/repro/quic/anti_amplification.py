@@ -66,33 +66,8 @@ class AmplificationTracker:
         """Current send allowance in bytes."""
         return self.factor * self.bytes_received
 
-    @property
-    def remaining_budget(self) -> int:
-        """Bytes the server believes it may still send before validation."""
-        if self.address_validated or self.ignore_limit:
-            return 1 << 62
-        return max(self.limit - self.accounted_bytes_sent, 0)
-
     def can_send(self, size: int) -> bool:
         """Whether this server's accounting permits sending ``size`` more bytes."""
         if self.address_validated or self.ignore_limit:
             return True
         return self.accounted_bytes_sent + size <= self.limit
-
-    @property
-    def is_blocked(self) -> bool:
-        return not self.address_validated and not self.ignore_limit and self.remaining_budget == 0
-
-    # -- ground truth (independent of the server's own accounting) -------------
-
-    @property
-    def true_amplification_factor(self) -> float:
-        """Actual bytes sent / bytes received, regardless of accounting tricks."""
-        if self.bytes_received == 0:
-            return float("inf") if self.bytes_sent else 0.0
-        return self.bytes_sent / self.bytes_received
-
-    @property
-    def violates_rfc_limit(self) -> bool:
-        """True when the actually-sent bytes exceed 3× the received bytes."""
-        return self.bytes_sent > ANTI_AMPLIFICATION_FACTOR * self.bytes_received

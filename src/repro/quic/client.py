@@ -17,7 +17,7 @@ from ..tls.cert_compression import CertificateCompressionAlgorithm
 from ..tls.handshake_messages import ClientHello
 from .coalescing import UdpDatagram
 from .connection_id import ConnectionId
-from .frames import AckFrame, CryptoFrame, split_crypto_stream
+from .frames import AckFrame, CryptoFrame
 from .packet import MIN_CLIENT_INITIAL_SIZE, InitialPacket, HandshakePacket, QuicPacket
 
 
@@ -40,19 +40,6 @@ class QuicClientConfig:
             raise ValueError(
                 f"client Initial of {self.initial_datagram_size} bytes exceeds the MTU ({self.mtu})"
             )
-
-    @classmethod
-    def browser(cls, name: str) -> "QuicClientConfig":
-        """Profiles of the browsers listed in the paper's Table 1."""
-        normalized = name.strip().lower()
-        if normalized in {"chrome", "chromium", "edge", "brave", "vivaldi", "opera"}:
-            return cls(
-                initial_datagram_size=1250,
-                compression_algorithms=(CertificateCompressionAlgorithm.BROTLI,),
-            )
-        if normalized == "firefox":
-            return cls(initial_datagram_size=1357, compression_algorithms=())
-        raise ValueError(f"unknown browser profile: {name!r}")
 
 
 def build_client_initial_datagram(

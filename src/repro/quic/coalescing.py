@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from ..caching import cached_property  # lock-free (see repro.caching)
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 from .packet import PacketType, QuicPacket
 
@@ -34,14 +34,6 @@ class UdpDatagram:
         """UDP payload size in bytes."""
         return sum(packet.size for packet in self.packets)
 
-    @property
-    def packet_types(self) -> Tuple[PacketType, ...]:
-        return tuple(packet.packet_type for packet in self.packets)
-
-    @property
-    def is_coalesced(self) -> bool:
-        return len(self.packets) > 1
-
     @cached_property
     def padding_bytes(self) -> int:
         return sum(packet.padding_bytes for packet in self.packets)
@@ -56,18 +48,6 @@ class UdpDatagram:
 
     def encode(self) -> bytes:
         return b"".join(packet.encode() for packet in self.packets)
-
-
-def coalesce(packets: Sequence[QuicPacket], mtu: int = 1472) -> UdpDatagram:
-    """Coalesce packets into a single datagram, checking the MTU.
-
-    QUIC forbids IP fragmentation, so exceeding the MTU is an error the caller
-    must handle by splitting (see :func:`split_into_datagrams`).
-    """
-    datagram = UdpDatagram(tuple(packets))
-    if datagram.size > mtu:
-        raise ValueError(f"coalesced datagram of {datagram.size} bytes exceeds MTU {mtu}")
-    return datagram
 
 
 def split_into_datagrams(

@@ -29,12 +29,6 @@ class ConnectionId:
     def __len__(self) -> int:
         return len(self.value)
 
-    def hex(self) -> str:
-        return self.value.hex()
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.hex() or "(empty)"
-
 
 @lru_cache(maxsize=65_536)
 def _generate(seed: str, length: int) -> ConnectionId:

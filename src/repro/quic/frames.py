@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import IntEnum
 from ..caching import cached_property  # lock-free (see repro.caching)
-from typing import Tuple
 
 from .varint import encode_varint, varint_size
 
@@ -120,10 +119,6 @@ class CryptoFrame(Frame):
     def _wire_size(self) -> int:
         return 1 + varint_size(self.offset) + varint_size(len(self.data)) + len(self.data)
 
-    @property
-    def end_offset(self) -> int:
-        return self.offset + len(self.data)
-
 
 @dataclass(frozen=True)
 class ConnectionCloseFrame(Frame):
@@ -157,17 +152,3 @@ class ConnectionCloseFrame(Frame):
     def is_ack_eliciting(self) -> bool:
         return False
 
-
-def split_crypto_stream(data: bytes, chunk_size: int, start_offset: int = 0) -> Tuple[CryptoFrame, ...]:
-    """Split a TLS byte stream into CRYPTO frames of at most ``chunk_size`` payload bytes."""
-    if chunk_size <= 0:
-        raise ValueError("chunk_size must be positive")
-    frames = []
-    offset = 0
-    while offset < len(data):
-        chunk = data[offset : offset + chunk_size]
-        frames.append(CryptoFrame(offset=start_offset + offset, data=chunk))
-        offset += len(chunk)
-    if not frames:
-        frames.append(CryptoFrame(offset=start_offset, data=b""))
-    return tuple(frames)

@@ -5,9 +5,13 @@ observable quantities the paper's scanners record:
 
 * the handshake class (1-RTT, RETRY, Multi-RTT, Amplification) per §3.2,
 * the amplification factor of the first RTT (Figure 4),
-* the split of received bytes into TLS payload and QUIC overhead (Figure 5),
-* total bytes a server emits towards a spoofed, never-responding client
-  (Figures 9 and 11, §4.3).
+* the split of received bytes into TLS payload and QUIC overhead (Figure 5).
+
+Total bytes a server emits towards a spoofed, never-responding client
+(Figures 9 and 11, §4.3) come from
+:meth:`~repro.quic.server.QuicServer.unvalidated_transmission_schedule`,
+which the fabric's probe (:meth:`~repro.netsim.network.UdpNetwork.probe_unvalidated`)
+sends through.
 """
 
 from __future__ import annotations
@@ -33,14 +37,6 @@ class HandshakeClass(Enum):
     MULTI_RTT = "Multi-RTT"
     AMPLIFICATION = "Amplification"
     UNREACHABLE = "Unreachable"
-
-    @property
-    def is_rfc_compliant(self) -> bool:
-        return self in (HandshakeClass.ONE_RTT, HandshakeClass.RETRY, HandshakeClass.MULTI_RTT)
-
-    @property
-    def completes_in_one_rtt(self) -> bool:
-        return self in (HandshakeClass.ONE_RTT, HandshakeClass.AMPLIFICATION)
 
 
 @dataclass(frozen=True)
@@ -101,10 +97,6 @@ class HandshakeOutcome:
 
     trace: HandshakeTrace
     handshake_class: HandshakeClass
-
-    @property
-    def domain(self) -> str:
-        return self.trace.domain
 
 
 def classify(trace: HandshakeTrace) -> HandshakeClass:
@@ -193,47 +185,3 @@ def simulate_handshakes(
         )
         outcomes.append(HandshakeOutcome(trace=trace, handshake_class=classify(trace)))
     return outcomes
-
-
-@dataclass(frozen=True)
-class UnvalidatedProbeResult:
-    """Result of sending a single Initial and never acknowledging the response."""
-
-    domain: str
-    server_profile: str
-    client_initial_size: int
-    bytes_received: int
-
-    @property
-    def amplification_factor(self) -> float:
-        return self.bytes_received / self.client_initial_size
-
-    @property
-    def violates_limit(self) -> bool:
-        return self.bytes_received > ANTI_AMPLIFICATION_FACTOR * self.client_initial_size
-
-
-def simulate_unvalidated_probe(
-    domain: str,
-    chain: CertificateChain,
-    profile: ServerBehaviorProfile,
-    client: Optional[QuicClientConfig] = None,
-) -> UnvalidatedProbeResult:
-    """Simulate the §4.3 experiment: one Initial, no ACKs, count server bytes.
-
-    This is what both the ZMap-style active scan and (from the victim's
-    perspective) a spoofed-source handshake produce.
-    """
-    client = client or QuicClientConfig(initial_datagram_size=1252)
-    initial = build_client_initial_datagram(domain, client)
-    client_hello = ClientHello(
-        server_name=domain, compression_algorithms=client.compression_algorithms
-    )
-    server = QuicServer(domain, chain, profile)
-    _, total_bytes = server.unvalidated_transmission(client_hello, client_initial_size=initial.size)
-    return UnvalidatedProbeResult(
-        domain=domain,
-        server_profile=profile.name,
-        client_initial_size=initial.size,
-        bytes_received=total_bytes,
-    )

@@ -34,10 +34,6 @@ class PacketType(Enum):
     RETRY = "retry"
     ONE_RTT = "1rtt"
 
-    @property
-    def long_header(self) -> bool:
-        return self is not PacketType.ONE_RTT
-
 
 @dataclass(frozen=True)
 class QuicPacket:
@@ -69,10 +65,6 @@ class QuicPacket:
         if self.packet_number < 1 << 24:
             return 3
         return 4
-
-    def header_size(self) -> int:
-        """Bytes of the (long or short) header for this packet."""
-        return self._header_size
 
     @cached_property
     def _header_size(self) -> int:

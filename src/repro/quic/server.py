@@ -20,7 +20,7 @@ from ..x509.chain import CertificateChain
 from .anti_amplification import AmplificationTracker
 from .coalescing import UdpDatagram, split_into_datagrams
 from .connection_id import ConnectionId
-from .frames import AckFrame, CryptoFrame, split_crypto_stream
+from .frames import AckFrame, CryptoFrame
 from .packet import (
     AEAD_TAG_SIZE,
     MIN_CLIENT_INITIAL_SIZE,
@@ -42,11 +42,6 @@ class FlightCacheInfo:
     misses: int
     currsize: int
     maxsize: int
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
 
 class FlightPlanCache:
@@ -104,11 +99,6 @@ class FlightPlanCache:
             maxsize=self.maxsize,
         )
 
-    def clear(self) -> None:
-        self._entries.clear()
-        self._hits = 0
-        self._misses = 0
-
 
 #: Process-wide cache shared by all :class:`QuicServer` instances (servers are
 #: created per simulated handshake, so the cache must outlive them).
@@ -118,11 +108,6 @@ _SHARED_FLIGHT_CACHE = FlightPlanCache()
 def flight_plan_cache_info() -> FlightCacheInfo:
     """Counters of the shared flight-plan cache."""
     return _SHARED_FLIGHT_CACHE.cache_info()
-
-
-def reset_flight_plan_cache() -> None:
-    """Drop all shared cache entries and reset the counters."""
-    _SHARED_FLIGHT_CACHE.clear()
 
 
 @dataclass(frozen=True)
@@ -162,11 +147,6 @@ class ServerFlightPlan:
     @property
     def tls_bytes_total(self) -> int:
         return self.tls_flight.total_crypto_size
-
-    @property
-    def quic_overhead_total(self) -> int:
-        """Header, padding and AEAD bytes across the whole delivered flight."""
-        return self.first_rtt_bytes + self.deferred_bytes - self.tls_bytes_total
 
     @property
     def requires_additional_rtt(self) -> bool:
@@ -238,20 +218,6 @@ class QuicServer:
             tls_flight=flight,
             tracker=tracker,
         )
-
-    def unvalidated_transmission(
-        self,
-        client_hello: ClientHello,
-        client_initial_size: int,
-    ) -> Tuple[ServerFlightPlan, int]:
-        """Total bytes sent to a client that never answers (spoofed address).
-
-        Returns the flight plan of the first transmission and the total number
-        of bytes sent including all retransmission rounds the profile performs
-        while the address stays unvalidated.
-        """
-        plan, schedule = self.unvalidated_transmission_schedule(client_hello, client_initial_size)
-        return plan, sum(size for _, size in schedule)
 
     def unvalidated_transmission_schedule(
         self,

@@ -69,7 +69,3 @@ class TransportParameters:
         for parameter_id, value in sorted(entries.items()):
             encoded += encode_varint(parameter_id) + encode_varint(len(value)) + value
         return encoded
-
-    @property
-    def encoded_size(self) -> int:
-        return len(self.encode())

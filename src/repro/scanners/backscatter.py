@@ -36,24 +36,6 @@ class ProviderBackscatter:
     median_session_duration_s: float
     max_session_duration_s: float
 
-    @property
-    def median_amplification(self) -> float:
-        if not self.amplification_factors:
-            return 0.0
-        ordered = sorted(self.amplification_factors)
-        return ordered[len(ordered) // 2]
-
-    @property
-    def max_amplification(self) -> float:
-        return max(self.amplification_factors, default=0.0)
-
-    def share_exceeding(self, factor: float = 3.0) -> float:
-        if not self.amplification_factors:
-            return 0.0
-        return sum(1 for f in self.amplification_factors if f > factor) / len(
-            self.amplification_factors
-        )
-
 
 class BackscatterAnalyzer:
     """Groups telescope sessions by provider and computes amplification factors."""

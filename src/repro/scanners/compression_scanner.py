@@ -35,10 +35,6 @@ class CompressionObservation:
     compressed_sizes: Dict[CertificateCompressionAlgorithm, int]
 
     @property
-    def supports_any(self) -> bool:
-        return bool(self.supported_algorithms)
-
-    @property
     def supports_all_three(self) -> bool:
         return set(self.supported_algorithms) == set(ALL_ALGORITHMS)
 
@@ -51,12 +47,6 @@ class CompressionObservation:
         if compressed is None or self.uncompressed_chain_size == 0:
             return None
         return 1.0 - compressed / self.uncompressed_chain_size
-
-    def fits_limit(self, algorithm: CertificateCompressionAlgorithm, limit_bytes: int) -> Optional[bool]:
-        compressed = self.compressed_sizes.get(algorithm)
-        if compressed is None:
-            return None
-        return compressed <= limit_bytes
 
 
 class CompressionScanner:
@@ -94,27 +84,3 @@ class CompressionScanner:
             if observation is not None:
                 observations.append(observation)
         return observations
-
-    @staticmethod
-    def support_share(
-        observations: Sequence[CompressionObservation],
-        algorithm: CertificateCompressionAlgorithm,
-    ) -> float:
-        """Share of scanned services supporting ``algorithm`` (Table 1, last column)."""
-        if not observations:
-            return 0.0
-        return sum(1 for o in observations if o.supports(algorithm)) / len(observations)
-
-    @staticmethod
-    def mean_compression_rate(
-        observations: Sequence[CompressionObservation],
-        algorithm: CertificateCompressionAlgorithm,
-    ) -> Optional[float]:
-        rates = [
-            rate
-            for rate in (o.compression_rate(algorithm) for o in observations)
-            if rate is not None
-        ]
-        if not rates:
-            return None
-        return sum(rates) / len(rates)

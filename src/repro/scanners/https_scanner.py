@@ -28,10 +28,6 @@ class CertificateRecord:
     via_redirect: bool = False
 
     @property
-    def chain_size(self) -> int:
-        return self.chain.total_size
-
-    @property
     def fingerprint(self) -> str:
         return chain_fingerprint(self.chain)
 
@@ -62,10 +58,6 @@ class HttpsScanResult:
 
     funnel: ScanFunnel
     records: Tuple[CertificateRecord, ...]
-
-    def records_for(self, domain: str) -> Tuple[CertificateRecord, ...]:
-        wanted = domain.lower()
-        return tuple(r for r in self.records if r.requested_domain == wanted)
 
     def chains_by_requested_domain(self) -> Dict[str, CertificateChain]:
         """First (non-redirect preferred) chain per requested name."""

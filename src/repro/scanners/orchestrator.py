@@ -83,9 +83,6 @@ class CampaignResults:
     shard: ShardScanResult
     reduced: ReducedCampaignResults
 
-    def quic_deployments(self) -> List[DomainDeployment]:
-        return self.population.quic_services()
-
 
 class MeasurementCampaign:
     """Configures and runs the full measurement pipeline.

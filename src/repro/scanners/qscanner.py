@@ -22,10 +22,6 @@ class QuicCertificateRecord:
     chain: CertificateChain
 
     @property
-    def chain_size(self) -> int:
-        return self.chain.total_size
-
-    @property
     def fingerprint(self) -> str:
         return chain_fingerprint(self.chain)
 
@@ -37,18 +33,6 @@ class CertificateComparison:
     total_compared: int
     identical: int
     different: int
-
-    @property
-    def identical_share(self) -> float:
-        if self.total_compared == 0:
-            return 0.0
-        return self.identical / self.total_compared
-
-    @property
-    def different_share(self) -> float:
-        if self.total_compared == 0:
-            return 0.0
-        return self.different / self.total_compared
 
 
 class QScanner:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..netsim.network import QuicServiceHost, UdpNetwork
 from ..quic.client import QuicClientConfig
@@ -59,23 +59,6 @@ class SweepResult:
     """All observations of an Initial-size sweep."""
 
     observations: Tuple[HandshakeObservation, ...]
-
-    def at_initial_size(self, initial_size: int) -> Tuple[HandshakeObservation, ...]:
-        return tuple(o for o in self.observations if o.initial_size == initial_size)
-
-    def class_counts(self, initial_size: int) -> Dict[HandshakeClass, int]:
-        counts: Dict[HandshakeClass, int] = {cls: 0 for cls in HandshakeClass}
-        for observation in self.at_initial_size(initial_size):
-            if observation.reachable and observation.handshake_class is not None:
-                counts[observation.handshake_class] += 1
-        counts.pop(HandshakeClass.UNREACHABLE, None)
-        return counts
-
-    def reachable_count(self, initial_size: int) -> int:
-        return sum(1 for o in self.at_initial_size(initial_size) if o.reachable)
-
-    def initial_sizes(self) -> Tuple[int, ...]:
-        return tuple(sorted({o.initial_size for o in self.observations}))
 
 
 class QuicReach:
@@ -201,10 +184,6 @@ class InitialSizeSweep:
     def __init__(self, scanner: QuicReach, initial_sizes: Sequence[int] = SWEEP_INITIAL_SIZES) -> None:
         self._scanner = scanner
         self._initial_sizes = tuple(initial_sizes)
-
-    @property
-    def initial_sizes(self) -> Tuple[int, ...]:
-        return self._initial_sizes
 
     def run(self, targets: Sequence[Tuple[str, int, Optional[str]]]) -> SweepResult:
         """Every target at every Initial size, observations in size-major

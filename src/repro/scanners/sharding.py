@@ -76,9 +76,6 @@ class ShardSpec:
     start: int
     stop: int
 
-    def __len__(self) -> int:
-        return self.stop - self.start
-
 
 def plan_shards(total: int, shard_size: int = DEFAULT_SHARD_SIZE) -> Tuple[ShardSpec, ...]:
     """Cut ``total`` deployments into rank-contiguous shards of ``shard_size``."""

@@ -318,10 +318,10 @@ class StoredShard:
 
     Objects are an on-demand view of the same record, built on first use and
     then kept: :attr:`shard` (the :class:`SkeletonShard`) and
-    :attr:`chain_cache` (spec → chain, rebuilt from the annex).  The record
-    unpacks as ``(shard, chain_cache)`` for the object consumers — the
-    object backend, scenario transforms and the sweep discovery pass.  The
-    columnar kernel reads :meth:`extend_columns` instead and builds neither;
+    :attr:`chain_cache` (spec → chain, rebuilt from the annex), read by the
+    object consumers — the object backend, scenario transforms and the sweep
+    discovery pass.  The columnar kernel reads :meth:`extend_columns`
+    instead and builds neither;
     :meth:`deployment` materialises a single row (stage 5's spoof targets).
 
     A record generated on a miss carries the objects it was generated from
@@ -359,13 +359,6 @@ class StoredShard:
     def populated(self) -> bool:
         """Whether the issued-leaf annex was decoded (chains are available)."""
         return self.der_bounds is not None
-
-    def __iter__(self) -> Iterator:
-        """The object view as a pair: ``shard, chain_cache = record``."""
-        return iter((self.shard, self.chain_cache))
-
-    def __getitem__(self, position: int):
-        return tuple(self)[position]
 
     # -- the object view -------------------------------------------------------
 
@@ -621,8 +614,9 @@ def decode_skeleton_file(
     discovery pass) stay issuance-free.  A ``key`` additionally checks the
     payload's embedded content address, so a foreign file renamed to the
     expected filename is rejected even when it is internally consistent.
-    No per-domain object is built; the record unpacks as ``(shard,
-    chain_cache)`` (``chain_cache`` ``None`` without the annex) on demand.
+    No per-domain object is built; the record's :attr:`~StoredShard.shard`
+    and :attr:`~StoredShard.chain_cache` (``None`` without the annex) are
+    built on demand.
 
     Raises :class:`SkeletonStoreError` on any defect — bad header, truncated
     write, digest mismatch, stale format, foreign content address or a

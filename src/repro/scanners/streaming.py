@@ -1070,28 +1070,6 @@ class ReducedCampaignResults:
     #: non-identity scenarios are stamped into the report header.
     scenario: Optional["ScenarioSpec"] = None
 
-    # -- convenience accessors over the reduced scan ---------------------------
-
-    @property
-    def quic_count(self) -> int:
-        return self.scan.quic_count
-
-    @property
-    def https_only_count(self) -> int:
-        return self.scan.https_only_count
-
-    @property
-    def sweep(self) -> Optional[SweepResult]:
-        return self.scan.sweep
-
-    @property
-    def certificate_comparison(self) -> CertificateComparison:
-        return self.scan.certificate_comparison
-
-    @property
-    def https_funnel(self) -> ScanFunnel:
-        return self.scan.funnel
-
 
 # ---------------------------------------------------------------------------
 # Driving a streamed scan

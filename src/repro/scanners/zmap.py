@@ -9,7 +9,7 @@ how many bytes come back.  The three response groups of §4.3 (no service /
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from ..netsim.address import IPv4Address, IPv4Prefix
 from ..netsim.network import UdpNetwork
@@ -72,6 +72,3 @@ class ZmapScanner:
     def probe_prefix(self, prefix: IPv4Prefix) -> List[ZmapProbeResult]:
         """Probe all addresses of a prefix (like ``zmap -p 443/udp <prefix>``)."""
         return [self.probe_address(address) for address in prefix.iter_hosts()]
-
-    def responding_hosts(self, results: Sequence[ZmapProbeResult]) -> List[ZmapProbeResult]:
-        return [result for result in results if result.responded]

@@ -63,10 +63,6 @@ class ScenarioOutcome:
     #: Share of QUIC chains that fit the common limit only once compressed.
     compression_rescue_share: float
 
-    @property
-    def one_rtt_share(self) -> float:
-        return dict(self.class_shares).get(HandshakeClass.ONE_RTT.value, 0.0)
-
 
 def _weighted_median(counts: Mapping[float, int]) -> float:
     """Lower weighted median of a ``value → count`` multiset (0 when empty)."""

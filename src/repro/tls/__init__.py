@@ -14,7 +14,6 @@ from .cert_compression import (
     CertificateCompressionAlgorithm,
     CompressionResult,
     compress_certificate_chain,
-    compression_ratio,
 )
 from .handshake_messages import (
     ClientHello,
@@ -37,7 +36,6 @@ __all__ = [
     "CertificateCompressionAlgorithm",
     "CompressionResult",
     "compress_certificate_chain",
-    "compression_ratio",
     "HandshakeType",
     "ClientHello",
     "ServerHello",

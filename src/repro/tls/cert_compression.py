@@ -107,13 +107,6 @@ class CompressionResult:
             return 0.0
         return 1.0 - self.compressed_size / self.uncompressed_size
 
-    @property
-    def saved_bytes(self) -> int:
-        return self.uncompressed_size - self.compressed_size
-
-    def fits_within(self, byte_limit: int) -> bool:
-        return self.compressed_size <= byte_limit
-
 
 def chain_payload_size(chain) -> int:
     """Length of :func:`chain_payload` for a certificate chain, arithmetically.
@@ -186,7 +179,3 @@ def compress_certificate_chain(
         compressed_size=algorithm.compressed_size(payload),
     )
 
-
-def compression_ratio(result: CompressionResult) -> float:
-    """Convenience accessor used by analysis code and notebooks."""
-    return result.ratio

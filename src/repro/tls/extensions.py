@@ -49,10 +49,6 @@ class TlsExtension:
             + self.body
         )
 
-    @property
-    def size(self) -> int:
-        return 4 + len(self.body)
-
 
 def ServerNameExtension(host_name: str) -> TlsExtension:
     """server_name (RFC 6066): list of one host_name entry."""

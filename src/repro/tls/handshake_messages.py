@@ -53,18 +53,11 @@ def _handshake_frame(message_type: HandshakeType, body: bytes) -> bytes:
 
 @dataclass(frozen=True)
 class HandshakeMessage:
-    """Base class: concrete messages provide ``body()``.
+    """Base class: concrete messages provide ``message_type`` and ``body()``.
 
     Messages are immutable, so the wire encoding (and therefore the size) is
     computed once and cached on the instance.
     """
-
-    def body(self) -> bytes:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    @property
-    def message_type(self) -> HandshakeType:  # pragma: no cover - abstract
-        raise NotImplementedError
 
     def encode(self) -> bytes:
         return self._encoded
@@ -294,10 +287,6 @@ class ServerFirstFlight:
     @property
     def total_crypto_size(self) -> int:
         return self.initial_crypto_size + self.handshake_crypto_size
-
-    @property
-    def certificate_payload_size(self) -> int:
-        return self.certificate.size
 
 
 def build_server_first_flight(

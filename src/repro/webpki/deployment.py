@@ -28,10 +28,6 @@ class ServiceCategory(Enum):
     INSECURE = "insecure"             # resolves, but no TLS on port 443
     UNRESOLVED = "unresolved"         # DNS failure or no A record
 
-    @property
-    def has_certificate(self) -> bool:
-        return self in (ServiceCategory.QUIC, ServiceCategory.HTTPS_ONLY)
-
 
 @dataclass(frozen=True)
 class DomainDeployment:
@@ -61,10 +57,6 @@ class DomainDeployment:
         return self.dns_rcode is DnsRcode.NOERROR and self.address is not None
 
     @property
-    def supports_https(self) -> bool:
-        return self.https_chain is not None
-
-    @property
     def supports_quic(self) -> bool:
         return self.category is ServiceCategory.QUIC and self.quic_chain is not None
 
@@ -72,14 +64,3 @@ class DomainDeployment:
     def delivered_chain(self) -> Optional[CertificateChain]:
         """The chain a client sees (QUIC chain when present, else HTTPS)."""
         return self.quic_chain or self.https_chain
-
-    @property
-    def rank_group(self) -> int:
-        """0-based 100k rank-group index (paper Appendix D)."""
-        return (self.rank - 1) // 100_000
-
-    def rank_group_label(self, group_size: int = 100_000) -> str:
-        group = (self.rank - 1) // group_size
-        start = group * group_size + 1
-        end = (group + 1) * group_size + 1
-        return f"[{start}, {end})"

@@ -116,12 +116,9 @@ class InternetPopulation:
     config: PopulationConfig
     tranco: TrancoList
     deployments: List[DomainDeployment]
-    _by_domain: Dict[str, DomainDeployment] = field(default_factory=dict)
     _by_category: Dict[ServiceCategory, Tuple[DomainDeployment, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not self._by_domain:
-            self._by_domain = {d.domain: d for d in self.deployments}
         if not self._by_category:
             # Precomputed once so the figure modules' repeated category lookups
             # stop scanning the full deployment list.
@@ -136,20 +133,11 @@ class InternetPopulation:
 
     # -- lookups ---------------------------------------------------------------
 
-    def deployment(self, domain: str) -> Optional[DomainDeployment]:
-        return self._by_domain.get(domain.lower())
-
-    def __len__(self) -> int:
-        return len(self.deployments)
-
     def by_category(self, category: ServiceCategory) -> List[DomainDeployment]:
         return list(self._by_category.get(category, ()))
 
     def quic_services(self) -> List[DomainDeployment]:
         return self.by_category(ServiceCategory.QUIC)
-
-    def https_only_services(self) -> List[DomainDeployment]:
-        return self.by_category(ServiceCategory.HTTPS_ONLY)
 
     def category_counts(self) -> Dict[ServiceCategory, int]:
         return {
@@ -250,14 +238,6 @@ class PopulationShard:
     start_rank: int
     deployments: Tuple[DomainDeployment, ...]
 
-    @property
-    def end_rank(self) -> int:
-        """Rank of the last deployment (inclusive)."""
-        return self.start_rank + len(self.deployments) - 1
-
-    def __len__(self) -> int:
-        return len(self.deployments)
-
 
 @dataclass(frozen=True)
 class SkeletonShard:
@@ -272,14 +252,6 @@ class SkeletonShard:
     index: int
     start_rank: int
     skeletons: Tuple[DeploymentSkeleton, ...]
-
-    @property
-    def end_rank(self) -> int:
-        """Rank of the last skeleton (inclusive)."""
-        return self.start_rank + len(self.skeletons) - 1
-
-    def __len__(self) -> int:
-        return len(self.skeletons)
 
     def category_counts(self) -> Dict[ServiceCategory, int]:
         return category_counts(self.skeletons)

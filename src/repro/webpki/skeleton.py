@@ -228,10 +228,6 @@ class DeploymentSkeleton:
     # -- the cheap convenience mirror of DomainDeployment ----------------------
 
     @property
-    def resolves(self) -> bool:
-        return self.dns_rcode is DnsRcode.NOERROR and self.address is not None
-
-    @property
     def supports_quic(self) -> bool:
         return self.category is ServiceCategory.QUIC
 

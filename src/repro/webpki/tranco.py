@@ -14,7 +14,7 @@ from bisect import bisect
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 _SYLLABLES = (
     "an", "ber", "cor", "dex", "el", "fin", "gra", "hub", "in", "jor", "kan", "lum",
@@ -39,27 +39,6 @@ class TrancoList:
 
     def __len__(self) -> int:
         return len(self.domains)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.domains)
-
-    def rank_of(self, domain: str) -> int:
-        """1-based rank of a domain (linear scan; intended for tests)."""
-        return self.domains.index(domain) + 1
-
-    def domain_at(self, rank: int) -> str:
-        return self.domains[rank - 1]
-
-    def rank_groups(self, group_size: int = 100_000) -> List[Tuple[Tuple[int, int], Tuple[str, ...]]]:
-        """Split the list into contiguous rank groups (paper Appendix D)."""
-        groups = []
-        for start in range(0, len(self.domains), group_size):
-            chunk = self.domains[start : start + group_size]
-            groups.append(((start + 1, start + len(chunk)), tuple(chunk)))
-        return groups
-
-    def top(self, count: int) -> Tuple[str, ...]:
-        return self.domains[:count]
 
 
 #: ``random.choices`` draws ``bisect(cum_weights, random() * total, 0, n - 1)``;

@@ -29,7 +29,7 @@ from .extensions import (
     SignedCertificateTimestamps,
 )
 from .certificate import Certificate, CertificateBuilder, Validity
-from .chain import CertificateChain, ChainOrderError
+from .chain import CertificateChain
 from .field_sizes import CertificateFieldSizes, measure_field_sizes
 from .ca import CertificateAuthority, CAProfile, issue_leaf, build_hierarchy
 
@@ -54,7 +54,6 @@ __all__ = [
     "Certificate",
     "CertificateBuilder",
     "CertificateChain",
-    "ChainOrderError",
     "CertificateFieldSizes",
     "measure_field_sizes",
     "CertificateAuthority",

@@ -255,12 +255,6 @@ class WebPkiHierarchy:
     intermediates: Dict[str, CertificateAuthority] = field(default_factory=dict)
     profiles: Dict[str, CAProfile] = field(default_factory=dict)
 
-    def profile(self, label: str) -> CAProfile:
-        return self.profiles[label]
-
-    def profile_labels(self) -> List[str]:
-        return list(self.profiles)
-
 
 def build_hierarchy() -> WebPkiHierarchy:
     """Build the CA hierarchy and the named chain profiles used in the paper.

@@ -8,7 +8,6 @@ from datetime import datetime, timedelta, timezone
 from typing import Optional, Sequence, Tuple
 
 from ..asn1 import (
-    OID,
     encode_bit_string,
     encode_explicit,
     encode_integer,
@@ -83,10 +82,6 @@ class Certificate:
         return self.subject.common_name
 
     @property
-    def issuer_common_name(self) -> Optional[str]:
-        return self.issuer.common_name
-
-    @property
     def is_self_signed(self) -> bool:
         return self.subject.encode() == self.issuer.encode()
 
@@ -99,19 +94,11 @@ class Certificate:
             return record[0].key_algorithm
         return self.public_key.algorithm
 
-    def fingerprint(self) -> str:
-        """SHA-256 fingerprint of the DER encoding (hex)."""
-        return hashlib.sha256(self.der).hexdigest()
-
     def extension(self, dotted_oid: str) -> Optional[Extension]:
         for ext in self.extensions:
             if ext.oid.dotted == dotted_oid:
                 return ext
         return None
-
-    @property
-    def san_extension(self) -> Optional[Extension]:
-        return self.extension(OID.SUBJECT_ALT_NAME.dotted)
 
     @property
     def san_names(self) -> Tuple[str, ...]:

@@ -15,10 +15,6 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from .certificate import Certificate
 
 
-class ChainOrderError(ValueError):
-    """Raised when an operation requires a correctly ordered chain."""
-
-
 def certificates_correctly_ordered(certificates: Sequence[Certificate]) -> bool:
     """True when each certificate is issued by the next one in the list.
 
@@ -71,14 +67,6 @@ class CertificateChain:
         return self.certificates[0]
 
     @property
-    def intermediates(self) -> Tuple[Certificate, ...]:
-        return self.certificates[1:]
-
-    @property
-    def non_leaf_certificates(self) -> Tuple[Certificate, ...]:
-        return self.certificates[1:]
-
-    @property
     def depth(self) -> int:
         """Number of certificates delivered."""
         return len(self.certificates)
@@ -109,14 +97,6 @@ class CertificateChain:
     @property
     def leaf_size(self) -> int:
         return self.leaf.size
-
-    @property
-    def parent_chain_size(self) -> int:
-        """Bytes of everything except the leaf (the paper's white boxes, Fig. 7)."""
-        return self.total_size - self.leaf.size
-
-    def exceeds(self, byte_limit: int) -> bool:
-        return self.total_size > byte_limit
 
     # -- hygiene checks (paper §4.2) ----------------------------------------
 
@@ -166,43 +146,13 @@ class CertificateChain:
             labels.append(self.leaf.issuer.common_name or "unknown")
         return tuple(labels)
 
-    def parent_chain_label(self) -> str:
-        return " / ".join(self.parent_chain_key())
-
     # -- convenience ----------------------------------------------------------
 
     def sizes_by_depth(self) -> Tuple[int, ...]:
         return tuple(cert.size for cert in self.certificates)
-
-    def with_leaf(self, leaf: Certificate) -> "CertificateChain":
-        """Return a new chain with a different leaf but the same parents."""
-        return CertificateChain((leaf,) + self.certificates[1:])
-
-
-def validate_order(chain: Sequence[Certificate]) -> None:
-    """Raise :class:`ChainOrderError` if the chain is not leaf-to-root ordered."""
-    wrapped = CertificateChain(tuple(chain))
-    if not wrapped.is_correctly_ordered():
-        raise ChainOrderError("certificate chain is not ordered leaf to root")
 
 
 def chain_fingerprint(chain: CertificateChain) -> str:
     """Stable identity for deduplicating identical delivered chains."""
     return chain.fingerprint
 
-
-def find_common_parent_chains(
-    chains: Sequence[CertificateChain], top_n: int = 10
-) -> List[Tuple[Tuple[str, ...], int]]:
-    """Group chains by their parent-chain identity and return the top N.
-
-    This is the aggregation behind the paper's Figure 7.
-    Only correctly ordered chains participate, mirroring the paper.
-    """
-    from collections import Counter
-
-    counter: Counter = Counter()
-    for chain in chains:
-        if chain.is_correctly_ordered():
-            counter[chain.parent_chain_key()] += 1
-    return counter.most_common(top_n)

@@ -46,10 +46,6 @@ class Extension:
             object.__setattr__(self, "_encoded", cached)
         return cached
 
-    @property
-    def name(self) -> str:
-        return self.oid.name or self.oid.dotted
-
     def encoded_size(self) -> int:
         return len(self.encode())
 
@@ -196,9 +192,3 @@ class SanSummary:
 
     dns_names: Tuple[str, ...] = field(default_factory=tuple)
     encoded_size: int = 0
-
-    @classmethod
-    def from_extension(cls, extension: Extension) -> "SanSummary":
-        if extension.oid.dotted != OID.SUBJECT_ALT_NAME.dotted:
-            raise ValueError("not a subjectAltName extension")
-        return cls(dns_names=(), encoded_size=extension.encoded_size())

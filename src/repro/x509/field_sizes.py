@@ -16,7 +16,7 @@ re-encoding of shared intermediates is the largest single cost of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from typing import Dict
 
 from ..asn1 import OID
 from .certificate import Certificate
@@ -34,22 +34,6 @@ class CertificateFieldSizes:
     signature: int
     other: int
     total: int
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "Subject": self.subject,
-            "Issuer": self.issuer,
-            "PublicKeyInfo": self.public_key_info,
-            "Extensions": self.extensions,
-            "Signature": self.signature,
-            "Other": self.other,
-            "Total": self.total,
-        }
-
-    @property
-    def san_share(self) -> float:
-        """Placeholder kept for API symmetry; SAN share is computed separately."""
-        return 0.0
 
 
 def measure_field_sizes(certificate: Certificate) -> CertificateFieldSizes:
@@ -135,33 +119,11 @@ def san_byte_share(certificate: Certificate) -> float:
     return share
 
 
-def mean_field_sizes(certificates: Iterable[Certificate]) -> CertificateFieldSizes:
-    """Mean per-field sizes over a set of certificates (paper Figure 8 bars)."""
-    measurements: List[CertificateFieldSizes] = [measure_field_sizes(c) for c in certificates]
-    if not measurements:
-        return CertificateFieldSizes(0, 0, 0, 0, 0, 0, 0)
-    count = len(measurements)
-
-    def avg(getter) -> int:
-        return int(round(sum(getter(m) for m in measurements) / count))
-
-    return CertificateFieldSizes(
-        subject=avg(lambda m: m.subject),
-        issuer=avg(lambda m: m.issuer),
-        public_key_info=avg(lambda m: m.public_key_info),
-        extensions=avg(lambda m: m.extensions),
-        signature=avg(lambda m: m.signature),
-        other=avg(lambda m: m.other),
-        total=avg(lambda m: m.total),
-    )
-
-
 def mean_from_sums(sums: Dict[str, int], count: int) -> CertificateFieldSizes:
     """Mean field sizes from exact integer per-field sums over ``count`` certs.
 
     The integer sums are order-insensitive, so streaming reducers can merge
-    them per shard and still round to exactly what :func:`mean_field_sizes`
-    computes over the same certificates.
+    them per shard and still round to the same means.
     """
     if count == 0:
         return CertificateFieldSizes(0, 0, 0, 0, 0, 0, 0)

@@ -39,10 +39,6 @@ class KeyAlgorithm(Enum):
         return self.family == "RSA"
 
     @property
-    def is_ecdsa(self) -> bool:
-        return self.family == "ECDSA"
-
-    @property
     def label(self) -> str:
         return f"{self.family}-{self.bits}"
 

@@ -33,17 +33,6 @@ class RelativeName:
             value = encode_utf8_string(self.value)
         return encode_set(encode_sequence(self.attribute.encode(), value))
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        short = {
-            OID.COMMON_NAME.dotted: "CN",
-            OID.COUNTRY.dotted: "C",
-            OID.ORGANIZATION.dotted: "O",
-            OID.ORG_UNIT.dotted: "OU",
-            OID.LOCALITY.dotted: "L",
-            OID.STATE.dotted: "ST",
-        }.get(self.attribute.dotted, self.attribute.name or self.attribute.dotted)
-        return f"{short}={self.value}"
-
 
 @dataclass(frozen=True)
 class DistinguishedName:
@@ -102,6 +91,3 @@ class DistinguishedName:
 
     def encoded_size(self) -> int:
         return len(self.encode())
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return ", ".join(str(rdn) for rdn in self.rdns)

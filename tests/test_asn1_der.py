@@ -14,7 +14,6 @@ from repro.asn1 import (
     encode_boolean,
     encode_bit_string,
     encode_explicit,
-    encode_generalized_time,
     encode_ia5_string,
     encode_integer,
     encode_length,
@@ -162,11 +161,6 @@ class TestStringsAndTime:
         moment = datetime(2022, 9, 10, 12, 34, 56, tzinfo=timezone.utc)
         _, content, _ = decode_tlv(encode_utc_time(moment))
         assert content == b"220910123456Z"
-
-    def test_generalized_time_format(self):
-        moment = datetime(2055, 1, 2, 3, 4, 5, tzinfo=timezone.utc)
-        _, content, _ = decode_tlv(encode_generalized_time(moment))
-        assert content == b"20550102030405Z"
 
     def test_null_and_octet_string(self):
         assert encode_null() == b"\x05\x00"

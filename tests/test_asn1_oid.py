@@ -59,7 +59,6 @@ class TestOidRegistry:
     def test_object_identifier_encode_helper(self):
         oid = ObjectIdentifier("2.5.29.17", "subjectAltName")
         assert oid.encode() == encode_oid("2.5.29.17")
-        assert oid.arcs == (2, 5, 29, 17)
 
     def test_registry_oids_all_encode(self):
         for attribute in vars(OID).values():

@@ -620,6 +620,17 @@ class TestNumericFlags:
         assert "out of range" in error and "Traceback" not in error
         assert not directory.exists()
 
+    def test_report_file_with_a_missing_parent_exits_2_and_creates_nothing(
+        self, tmp_path, capsys
+    ):
+        missing = tmp_path / "missing"
+        output = missing / "dir" / "report.txt"
+        assert main(["campaign", "--size", "50", "--output", str(output)]) == 2
+        error = capsys.readouterr().err
+        assert error.count("\n") == 1
+        assert f"cannot write --output {output}" in error and "Traceback" not in error
+        assert not missing.exists()
+
     @pytest.mark.parametrize("value", ["1199", "1473", "0"])
     def test_initial_size_outside_the_wire_model_exits_2_with_one_line(self, value, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -26,13 +26,12 @@ class TestPredictHandshake:
     def test_small_chain_predicts_one_rtt(self, lets_encrypt_short_chain):
         prediction = predict_handshake(lets_encrypt_short_chain, 1362)
         assert prediction.predicted_class is HandshakeClass.ONE_RTT
-        assert prediction.fits_in_one_rtt
-        assert prediction.headroom_bytes > 0
+        assert prediction.estimated_first_flight_bytes < prediction.amplification_budget
 
     def test_large_chain_predicts_multi_rtt_for_compliant_server(self, lets_encrypt_long_chain):
         prediction = predict_handshake(lets_encrypt_long_chain, 1362)
         assert prediction.predicted_class is HandshakeClass.MULTI_RTT
-        assert prediction.headroom_bytes < 0
+        assert prediction.estimated_first_flight_bytes > prediction.amplification_budget
 
     def test_large_chain_predicts_amplification_for_noncompliant_server(self, lets_encrypt_long_chain):
         prediction = predict_handshake(lets_encrypt_long_chain, 1362, server_is_compliant=False)

@@ -1,4 +1,4 @@
-"""Unit tests for core limits, classification helpers, and amplification math."""
+"""Unit tests for the core limits: the 3x factor, browser Initials, draft history."""
 
 import pytest
 
@@ -6,12 +6,7 @@ from repro.core import (
     AMPLIFICATION_LIMIT_HISTORY,
     ANTI_AMPLIFICATION_FACTOR,
     BROWSER_PROFILES,
-    HandshakeClass,
-    amplification_factor,
     amplification_limit,
-    classify_flight,
-    exceeds_limit,
-    summarize_amplification,
 )
 from repro.core.limits import COMMON_AMPLIFICATION_LIMITS, LARGER_COMMON_LIMIT, MIN_INITIAL_SIZE
 
@@ -36,7 +31,6 @@ class TestLimits:
         assert BROWSER_PROFILES["chromium"].initial_size == 1250
         assert BROWSER_PROFILES["safari"].initial_size is None
         assert not BROWSER_PROFILES["safari"].supports_quic
-        assert BROWSER_PROFILES["chromium"].amplification_limit == 3750
         assert BROWSER_PROFILES["firefox"].compression_algorithms == ()
 
     def test_draft_history_ends_with_rfc9000_byte_limit(self):
@@ -44,59 +38,3 @@ class TestLimits:
         assert AMPLIFICATION_LIMIT_HISTORY[-1].byte_limited
         assert "three times" in AMPLIFICATION_LIMIT_HISTORY[-1].rule
         assert not AMPLIFICATION_LIMIT_HISTORY[0].byte_limited
-
-
-class TestClassifyFlight:
-    def test_retry_takes_precedence(self):
-        assert classify_flight(1200, 10_000, 2, used_retry=True) is HandshakeClass.RETRY
-
-    def test_multi_rtt_when_extra_round_trips(self):
-        assert classify_flight(1200, 3000, 2, used_retry=False) is HandshakeClass.MULTI_RTT
-
-    def test_amplification_when_limit_exceeded_in_one_rtt(self):
-        assert classify_flight(1200, 3601, 1, used_retry=False) is HandshakeClass.AMPLIFICATION
-
-    def test_one_rtt_when_compliant(self):
-        assert classify_flight(1200, 3600, 1, used_retry=False) is HandshakeClass.ONE_RTT
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            classify_flight(0, 100, 1, False)
-        with pytest.raises(ValueError):
-            classify_flight(1200, 100, 0, False)
-
-    def test_class_properties(self):
-        assert HandshakeClass.ONE_RTT.completes_in_one_rtt
-        assert HandshakeClass.AMPLIFICATION.completes_in_one_rtt
-        assert not HandshakeClass.MULTI_RTT.completes_in_one_rtt
-        assert HandshakeClass.MULTI_RTT.is_rfc_compliant
-        assert not HandshakeClass.AMPLIFICATION.is_rfc_compliant
-
-
-class TestAmplificationMath:
-    def test_factor(self):
-        assert amplification_factor(4086, 1362) == pytest.approx(3.0)
-        with pytest.raises(ValueError):
-            amplification_factor(100, 0)
-        with pytest.raises(ValueError):
-            amplification_factor(-1, 100)
-
-    def test_exceeds_limit(self):
-        assert not exceeds_limit(3600, 1200)
-        assert exceeds_limit(3601, 1200)
-
-    def test_summary_statistics(self):
-        report = summarize_amplification([1.0, 2.0, 3.0, 4.0, 10.0])
-        assert report.count == 5
-        assert report.minimum == 1.0
-        assert report.maximum == 10.0
-        assert report.median == 3.0
-        assert report.share_exceeding_limit == pytest.approx(2 / 5)
-        assert set(report.as_dict()) == {
-            "count", "min", "median", "p90", "p99", "max", "share_exceeding_limit",
-        }
-
-    def test_summary_of_empty_input(self):
-        report = summarize_amplification([])
-        assert report.count == 0
-        assert report.maximum == 0.0

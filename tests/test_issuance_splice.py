@@ -62,7 +62,7 @@ def _assert_memos(fast: Certificate, reference: Certificate) -> None:
 
     for mine, theirs in zip(fast.extensions, reference.extensions, strict=True):
         fresh = Extension(mine.oid, mine.critical, mine.value).encode()
-        assert mine._encoded == theirs.encode() == fresh, mine.name
+        assert mine._encoded == theirs.encode() == fresh, mine.oid.dotted
 
 
 @settings(max_examples=150, deadline=None)

@@ -24,9 +24,6 @@ class TestIPv4Address:
         assert address.octets == (157, 240, 20, 63)
         assert address.host_octet == 63
 
-    def test_addition(self):
-        assert str(IPv4Address.parse("10.0.0.250") + 10) == "10.0.1.4"
-
     def test_ordering(self):
         assert IPv4Address.parse("10.0.0.1") < IPv4Address.parse("10.0.0.2")
 

@@ -12,7 +12,7 @@ from repro.webpki import PopulationConfig, generate_population
 class TestCampaignResults:
     def test_results_are_internally_consistent(self, campaign_results):
         shard, reduced = campaign_results.shard, campaign_results.reduced
-        quic_count = len(campaign_results.quic_deployments())
+        quic_count = len(campaign_results.population.quic_services())
         assert len(shard.handshakes) == quic_count
         assert len(shard.quic_certificates) == quic_count
         assert len(shard.compression) == quic_count
@@ -29,8 +29,8 @@ class TestCampaignResults:
         assert reachable / len(handshakes) > 0.95
 
     def test_provider_lookup(self, campaign_results):
-        lookup = campaign_results.population.deployment
-        deployment = campaign_results.quic_deployments()[0]
+        lookup = {d.domain: d for d in campaign_results.population.deployments}.get
+        deployment = campaign_results.population.quic_services()[0]
         assert provider_of_domain(deployment.domain, lookup) == deployment.provider
         assert provider_of_domain("definitely-not-scanned.example", lookup) is None
 
@@ -38,9 +38,9 @@ class TestCampaignResults:
         shard, reduced = campaign_results.shard, campaign_results.reduced
         scan = reduced.scan
         assert scan.deployment_count == reduced.population_size == len(
-            campaign_results.population
+            campaign_results.population.deployments
         )
-        assert scan.quic_count == len(campaign_results.quic_deployments())
+        assert scan.quic_count == len(campaign_results.population.quic_services())
         assert scan.handshake_total == len(shard.handshakes)
         assert scan.reachable_count == sum(1 for o in shard.handshakes if o.reachable)
         assert scan.funnel.as_dict() == shard.funnel.as_dict()
@@ -76,9 +76,9 @@ class TestCampaignResults:
     def test_campaign_without_sweep(self):
         population = generate_population(PopulationConfig(size=400, seed=5))
         results = MeasurementCampaign(population=population, run_sweep=False).run()
-        assert results.reduced.sweep is None
+        assert results.reduced.scan.sweep is None
         assert results.shard.sweep_observations == ()
-        assert len(results.shard.handshakes) == len(results.quic_deployments())
+        assert len(results.shard.handshakes) == len(results.population.quic_services())
 
 
 class TestEvaluationReport:
@@ -90,14 +90,14 @@ class TestEvaluationReport:
             "figure09", "meta_prefix", "figure11", "figure12", "figure13", "figure14",
             "table03",
         }
-        assert expected_sections <= set(report.keys())
+        assert expected_sections <= set(report.sections)
         assert "## figure06" in report.text
         assert "## table03" in report.text
         assert len(report.text) > 4000
 
     def test_report_without_sweep_omits_figure03(self, campaign_results):
         report = build_report(campaign_results, include_sweep=False)
-        assert "figure03" not in report.keys()
+        assert "figure03" not in report.sections
 
     def test_report_sections_accessible_by_key(self, campaign_results):
         report = build_report(campaign_results)

@@ -4,17 +4,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.cdf import EmpiricalCdf
 from repro.asn1 import decode_integer, decode_length, decode_oid, decode_tlv, encode_integer, encode_length, encode_oid
-from repro.core.amplification import summarize_amplification
-from repro.core.classification import classify_flight
 from repro.core.guidance import InitialSizeCache
-from repro.core.limits import MIN_INITIAL_SIZE, amplification_limit
+from repro.core.limits import MIN_INITIAL_SIZE
 from repro.quic.anti_amplification import AmplificationTracker
 from repro.quic.connection_id import ConnectionId
-from repro.quic.frames import CryptoFrame, PaddingFrame, split_crypto_stream
+from repro.quic.frames import CryptoFrame, PaddingFrame
 from repro.quic.packet import InitialPacket
 from repro.quic.varint import decode_varint, encode_varint, varint_size
 from repro.quic.coalescing import split_into_datagrams
-from repro.quic.handshake import HandshakeClass
 
 
 # ---------------------------------------------------------------------------
@@ -66,16 +63,6 @@ def test_oid_roundtrip(dotted):
 # QUIC invariants
 # ---------------------------------------------------------------------------
 
-@given(st.binary(min_size=0, max_size=6000), st.integers(min_value=1, max_value=1500))
-def test_split_crypto_stream_is_lossless_and_contiguous(data, chunk_size):
-    frames = split_crypto_stream(data, chunk_size)
-    assert b"".join(f.data for f in frames) == data
-    offset = 0
-    for frame in frames:
-        assert frame.offset == offset
-        offset = frame.end_offset
-
-
 @given(st.integers(min_value=1200, max_value=1472), st.binary(min_size=1, max_size=900))
 def test_initial_padding_reaches_exact_target(target, payload):
     packet = InitialPacket(
@@ -118,19 +105,7 @@ def test_amplification_tracker_never_exceeds_limit_when_respected(events):
         else:
             if tracker.can_send(size):
                 tracker.on_datagram_sent(size)
-    assert not tracker.violates_rfc_limit
     assert tracker.bytes_sent <= tracker.limit
-
-
-@given(st.integers(min_value=1200, max_value=1472), st.integers(min_value=0, max_value=60000),
-       st.integers(min_value=1, max_value=4), st.booleans())
-def test_classification_is_total_and_consistent(initial, server_bytes, rtts, retry):
-    handshake_class = classify_flight(initial, server_bytes, rtts, retry)
-    assert isinstance(handshake_class, HandshakeClass)
-    if retry:
-        assert handshake_class is HandshakeClass.RETRY
-    elif rtts == 1 and server_bytes <= amplification_limit(initial):
-        assert handshake_class is HandshakeClass.ONE_RTT
 
 
 # ---------------------------------------------------------------------------
@@ -147,14 +122,6 @@ def test_cdf_is_monotone_and_bounded(values):
     assert all(0 < y <= 1 for y in ys)
     assert ys == sorted(ys)
     assert min(values) <= cdf.median <= max(values)
-
-
-@given(st.lists(st.floats(min_value=0, max_value=100, allow_nan=False), min_size=1, max_size=200))
-def test_amplification_summary_ordering(factors):
-    report = summarize_amplification(factors)
-    assert report.minimum <= report.median <= report.p90 <= report.p99 <= report.maximum
-    assert 0.0 <= report.share_exceeding_limit <= 1.0
-    assert report.count == len(factors)
 
 
 @given(st.integers(min_value=0, max_value=40000), st.booleans())

@@ -10,13 +10,13 @@ class TestCompliantAccounting:
         tracker = AmplificationTracker()
         tracker.on_datagram_received(1200)
         assert tracker.limit == 3600
-        assert tracker.remaining_budget == 3600
+        assert tracker.can_send(3600)
+        assert not tracker.can_send(3601)
 
     def test_budget_decreases_with_sends(self):
         tracker = AmplificationTracker()
         tracker.on_datagram_received(1200)
         tracker.on_datagram_sent(1000)
-        assert tracker.remaining_budget == 2600
         assert tracker.can_send(2600)
         assert not tracker.can_send(2601)
 
@@ -24,7 +24,6 @@ class TestCompliantAccounting:
         tracker = AmplificationTracker()
         tracker.on_datagram_received(1200)
         tracker.on_datagram_sent(3600)
-        assert tracker.is_blocked
         assert not tracker.can_send(1)
 
     def test_validation_lifts_the_limit(self):
@@ -32,7 +31,6 @@ class TestCompliantAccounting:
         tracker.on_datagram_received(1200)
         tracker.on_datagram_sent(3600)
         tracker.on_address_validated()
-        assert not tracker.is_blocked
         assert tracker.can_send(10**6)
 
     def test_additional_receives_grow_budget(self):
@@ -40,7 +38,8 @@ class TestCompliantAccounting:
         tracker.on_datagram_received(1200)
         tracker.on_datagram_sent(3000)
         tracker.on_datagram_received(1200)
-        assert tracker.remaining_budget == 2 * 3600 - 3000
+        assert tracker.can_send(2 * 3600 - 3000)
+        assert not tracker.can_send(2 * 3600 - 3000 + 1)
 
     def test_negative_sizes_rejected(self):
         tracker = AmplificationTracker()
@@ -67,25 +66,4 @@ class TestNonCompliantAccounting:
         for _ in range(10):
             tracker.on_datagram_sent(3000)
         assert tracker.can_send(10**6)
-        assert tracker.violates_rfc_limit
-
-    def test_true_amplification_factor(self):
-        tracker = AmplificationTracker()
-        tracker.on_datagram_received(1000)
-        tracker.on_datagram_sent(4500)
-        assert tracker.true_amplification_factor == pytest.approx(4.5)
-        assert tracker.violates_rfc_limit
-
-    def test_factor_with_no_receives(self):
-        tracker = AmplificationTracker()
-        assert tracker.true_amplification_factor == 0.0
-        tracker.on_datagram_sent(100)
-        assert tracker.true_amplification_factor == float("inf")
-
-    def test_rfc_violation_threshold_is_exactly_three_times(self):
-        tracker = AmplificationTracker()
-        tracker.on_datagram_received(1000)
-        tracker.on_datagram_sent(ANTI_AMPLIFICATION_FACTOR * 1000)
-        assert not tracker.violates_rfc_limit
-        tracker.on_datagram_sent(1)
-        assert tracker.violates_rfc_limit
+        assert tracker.bytes_sent > ANTI_AMPLIFICATION_FACTOR * tracker.bytes_received

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.quic import ConnectionId, HandshakePacket, InitialPacket, UdpDatagram, coalesce, split_into_datagrams
+from repro.quic import ConnectionId, HandshakePacket, InitialPacket, UdpDatagram, split_into_datagrams
 from repro.quic.frames import AckFrame, CryptoFrame
 
 
@@ -24,7 +24,7 @@ class TestUdpDatagram:
         packets = _packets([100, 200])
         datagram = UdpDatagram(tuple(packets))
         assert datagram.size == sum(p.size for p in packets)
-        assert datagram.is_coalesced
+        assert len(datagram.packets) == 2
         assert len(datagram.encode()) == datagram.size
 
     def test_contains_initial_and_ack_eliciting(self):
@@ -36,24 +36,17 @@ class TestUdpDatagram:
 
 
 class TestCoalesce:
-    def test_respects_mtu(self):
-        packets = _packets([800, 800])
-        with pytest.raises(ValueError):
-            coalesce(packets, mtu=1400)
-        datagram = coalesce(packets, mtu=2000)
-        assert datagram.size <= 2000
-
     def test_split_with_coalescing_packs_greedily(self):
         packets = _packets([600, 600, 600])
         datagrams = split_into_datagrams(packets, mtu=1400, coalescing_enabled=True)
         assert len(datagrams) == 2
-        assert datagrams[0].is_coalesced
+        assert len(datagrams[0].packets) == 2
 
     def test_split_without_coalescing_one_packet_per_datagram(self):
         packets = _packets([600, 600, 600])
         datagrams = split_into_datagrams(packets, mtu=1400, coalescing_enabled=False)
         assert len(datagrams) == 3
-        assert all(not d.is_coalesced for d in datagrams)
+        assert all(len(d.packets) == 1 for d in datagrams)
 
     def test_all_bytes_preserved(self):
         packets = _packets([500, 900, 1300, 200])

@@ -9,7 +9,6 @@ from repro.quic.frames import (
     FrameType,
     PaddingFrame,
     PingFrame,
-    split_crypto_stream,
 )
 
 
@@ -47,30 +46,6 @@ class TestCrypto:
         frame = CryptoFrame(offset=0, data=data)
         assert frame.is_ack_eliciting
         assert 1002 <= frame.size <= 1006  # type + offset varint + length varint
-
-    def test_end_offset(self):
-        frame = CryptoFrame(offset=100, data=bytes(50))
-        assert frame.end_offset == 150
-
-    def test_split_crypto_stream_covers_all_bytes(self):
-        data = bytes(range(256)) * 20  # 5120 bytes
-        frames = split_crypto_stream(data, chunk_size=1400)
-        assert sum(len(f.data) for f in frames) == len(data)
-        assert frames[0].offset == 0
-        assert frames[-1].end_offset == len(data)
-        # Offsets are contiguous.
-        for first, second in zip(frames, frames[1:]):
-            assert first.end_offset == second.offset
-
-    def test_split_empty_stream_yields_single_empty_frame(self):
-        frames = split_crypto_stream(b"", chunk_size=1200)
-        assert len(frames) == 1
-        assert frames[0].data == b""
-
-    def test_split_invalid_chunk_size(self):
-        with pytest.raises(ValueError):
-            split_crypto_stream(b"abc", chunk_size=0)
-
 
 class TestConnectionClose:
     def test_contains_reason(self):

@@ -11,10 +11,22 @@ from repro.quic import (
     ServerBehaviorProfile,
     build_client_initial_datagram,
     simulate_handshake,
-    simulate_unvalidated_probe,
 )
+from repro.netsim import IPv4Address, QuicServiceHost, UdpNetwork
+from repro.quic.anti_amplification import ANTI_AMPLIFICATION_FACTOR
 from repro.quic.profiles import CLOUDFLARE_LIKE, MVFST_LIKE, RETRY_ALWAYS, RFC_COMPLIANT
 from repro.tls.handshake_messages import ClientHello
+
+#: The Initial the campaign's §4.3 probe sends (``UdpNetwork.probe_unvalidated``).
+PROBE_INITIAL = 1252
+
+
+def probe_unvalidated(domain, chain, profile):
+    """One unacknowledged Initial to a single host, through the campaign's probe."""
+    network = UdpNetwork()
+    address = IPv4Address.parse("192.0.2.1")
+    network.attach_host(QuicServiceHost(address=address, domain=domain, chain=chain, profile=profile))
+    return network.probe_unvalidated(address)
 
 
 class TestClientInitial:
@@ -31,16 +43,6 @@ class TestClientInitial:
     def test_above_mtu_rejected(self):
         with pytest.raises(ValueError):
             QuicClientConfig(initial_datagram_size=1500)
-
-    def test_browser_profiles(self):
-        chromium = QuicClientConfig.browser("chrome")
-        firefox = QuicClientConfig.browser("firefox")
-        assert chromium.initial_datagram_size == 1250
-        assert chromium.compression_algorithms  # brotli
-        assert firefox.initial_datagram_size == 1357
-        assert not firefox.compression_algorithms
-        with pytest.raises(ValueError):
-            QuicClientConfig.browser("netscape")
 
 
 class TestServerFlightPlans:
@@ -72,7 +74,7 @@ class TestServerFlightPlans:
         initial_datagrams = [d for d in plan.first_rtt_datagrams if d.contains_initial]
         assert len(initial_datagrams) == 2
         assert all(d.size >= 1200 for d in initial_datagrams)
-        assert all(not d.is_coalesced for d in plan.first_rtt_datagrams)
+        assert all(len(d.packets) == 1 for d in plan.first_rtt_datagrams)
 
     def test_retry_profile_answers_with_retry_first(self, lets_encrypt_short_chain):
         server = QuicServer("retry.example", lets_encrypt_short_chain, RETRY_ALWAYS)
@@ -89,7 +91,7 @@ class TestServerFlightPlans:
         server = QuicServer("tls.example", cloudflare_chain, RFC_COMPLIANT)
         plan = server.respond_to_initial(ClientHello(server_name="tls.example"), 1362)
         assert plan.tls_bytes_total > cloudflare_chain.total_size
-        assert plan.quic_overhead_total > 0
+        assert plan.total_bytes > plan.tls_bytes_total
         assert plan.total_bytes == plan.first_rtt_bytes + plan.deferred_bytes
 
 
@@ -135,26 +137,26 @@ class TestHandshakeSimulation:
 
 class TestUnvalidatedProbes:
     def test_compliant_server_stays_near_limit(self, lets_encrypt_long_chain):
-        probe = simulate_unvalidated_probe("p.example", lets_encrypt_long_chain, RFC_COMPLIANT)
-        assert probe.amplification_factor <= 3.5
+        probe = probe_unvalidated("p.example", lets_encrypt_long_chain, RFC_COMPLIANT)
+        assert probe.bytes_returned / PROBE_INITIAL <= 3.5
 
     def test_mvfst_like_server_amplifies_heavily(self, hierarchy):
         chain = hierarchy.profiles["DigiCert SHA2 + root (Meta)"].issue(
             "meta.example", san_names=[f"alt{i}.meta.example" for i in range(60)]
         )
-        probe = simulate_unvalidated_probe("meta.example", chain, MVFST_LIKE)
-        assert probe.amplification_factor > 15
-        assert probe.violates_limit
+        probe = probe_unvalidated("meta.example", chain, MVFST_LIKE)
+        assert probe.bytes_returned / PROBE_INITIAL > 15
+        assert probe.bytes_returned > ANTI_AMPLIFICATION_FACTOR * PROBE_INITIAL
 
     def test_retry_probe_is_tiny(self, lets_encrypt_short_chain):
-        probe = simulate_unvalidated_probe("r.example", lets_encrypt_short_chain, RETRY_ALWAYS)
-        assert probe.amplification_factor < 0.5
+        probe = probe_unvalidated("r.example", lets_encrypt_short_chain, RETRY_ALWAYS)
+        assert probe.bytes_returned / PROBE_INITIAL < 0.5
 
     def test_schedule_is_consistent_with_total(self, cloudflare_chain):
         server = QuicServer("sched.example", cloudflare_chain, MVFST_LIKE)
         hello = ClientHello(server_name="sched.example")
-        plan, schedule = server.unvalidated_transmission_schedule(hello, 1252)
-        _, total = server.unvalidated_transmission(hello, 1252)
+        plan, schedule = server.unvalidated_transmission_schedule(hello, PROBE_INITIAL)
+        total = probe_unvalidated("sched.example", cloudflare_chain, MVFST_LIKE).bytes_returned
         assert sum(size for _, size in schedule) == total
         assert schedule[0][0] == 0.0
         assert schedule[-1][0] > 0.0  # retransmission rounds are delayed

@@ -35,12 +35,12 @@ class TestHttpsScannerUnit:
         assert result.funnel.names_total == 3
         assert result.funnel.dns_servfail == 1
         assert result.funnel.names_with_certificates == 1
-        assert len(result.records_for("secure.example")) == 1
+        assert [r.requested_domain for r in result.records] == ["secure.example"]
 
     def test_follows_redirects_and_collects_both_chains(self, cloudflare_chain, lets_encrypt_short_chain):
         scanner = self._scanner(cloudflare_chain, lets_encrypt_short_chain)
         result = scanner.scan([("redirecting.example", 1)])
-        records = result.records_for("redirecting.example")
+        records = [r for r in result.records if r.requested_domain == "redirecting.example"]
         served = {record.served_domain for record in records}
         assert served == {"redirecting.example", "target.example"}
         assert any(record.via_redirect for record in records)
@@ -69,7 +69,7 @@ class TestHttpsScannerUnit:
             ),
         }
         result = HttpsScanner(resolver, origins).scan([("a.example", 1)])
-        assert len(result.records_for("a.example")) == 2  # visited each once
+        assert [r.requested_domain for r in result.records] == ["a.example"] * 2  # visited each once
 
 
 class TestHttpsScannerOnPopulation:
@@ -85,7 +85,7 @@ class TestHttpsScannerOnPopulation:
         with_cert = {
             d.domain
             for d in population.deployments
-            if d.category.has_certificate
+            if d.category in (ServiceCategory.QUIC, ServiceCategory.HTTPS_ONLY)
         }
         collected = {record.requested_domain for record in campaign_results.shard.https_records}
         assert with_cert <= collected

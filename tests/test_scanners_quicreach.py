@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.figures import figure03
 from repro.netsim import IPv4Address, QuicServiceHost, UdpNetwork
 from repro.quic.handshake import HandshakeClass
 from repro.quic.profiles import BUILTIN_PROFILES, CLOUDFLARE_LIKE, RFC_COMPLIANT
@@ -82,17 +83,17 @@ class TestInitialSizeSweep:
     def test_sweep_covers_all_sizes(self, small_network):
         sweep = InitialSizeSweep(QuicReach(small_network), initial_sizes=(1200, 1350, 1472))
         result = sweep.run([("cf.example", 1, None), ("short.example", 2, None)])
-        assert result.initial_sizes() == (1200, 1350, 1472)
-        assert len(result.observations) == 6
+        assert [o.initial_size for o in result.observations] == [1200, 1200, 1350, 1350, 1472, 1472]
 
     def test_class_counts_and_reachability(self, small_network):
         sweep = InitialSizeSweep(QuicReach(small_network), initial_sizes=(1250, 1472))
         result = sweep.run(
             [("cf.example", 1, None), ("short.example", 2, None), ("tunnelled.example", 3, None)]
         )
-        assert result.reachable_count(1250) == 3
-        assert result.reachable_count(1472) == 2
-        counts = result.class_counts(1250)
+        figure = figure03.compute(result)  # the report's walk over the sweep
+        assert figure.reachable[1250] == 3
+        assert figure.reachable[1472] == 2
+        counts = figure.counts[1250]
         assert counts[HandshakeClass.AMPLIFICATION] == 1
         assert counts[HandshakeClass.ONE_RTT] == 2
 
@@ -147,7 +148,8 @@ class TestSweepMatchesPerSizeScans:
         result = sweep.run(targets)
 
         assert list(result.observations) == expected
-        assert result.reachable_count(1472) < result.reachable_count(1200)
+        reachable = figure03.compute(result).reachable
+        assert reachable[1472] < reachable[1200]
         # One lookup per server response, whichever order computes them.
         assert sweep_cache.cache_info() == reference_info
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.figures import figure09
 from repro.netsim import IPv4Prefix, Telescope, UdpNetwork
 from repro.scanners import BackscatterAnalyzer, ZmapScanner, simulate_spoofed_campaign
 from repro.scanners.orchestrator import META_POP_PREFIX
@@ -21,7 +22,7 @@ class TestZmapScanner:
         scanner = ZmapScanner(meta_network)
         results = scanner.probe_prefix(META_POP_PREFIX)
         assert len(results) == 256
-        responding = scanner.responding_hosts(results)
+        responding = [result for result in results if result.responded]
         assert 0 < len(responding) < 256
 
     def test_response_groups_match_paper(self, meta_network):
@@ -53,21 +54,24 @@ class TestBackscatter:
         targets = [host.address for host in meta_network.hosts_in_prefix(META_POP_PREFIX)]
         responded = simulate_spoofed_campaign(meta_network, targets, telescope_prefix)
         assert responded == len(targets)
-        assert len(telescope) > len(targets)  # several datagrams per session
+        packets = sum(session.packet_count for session in telescope.sessions())
+        assert packets > len(targets)  # several datagrams per session
 
         analyzer = BackscatterAnalyzer(telescope, lambda domain: "meta")
         per_provider = analyzer.analyze()
         assert "meta" in per_provider
         meta = per_provider["meta"]
         assert meta.session_count == pytest.approx(len(targets), abs=3)
-        assert meta.max_amplification > 10  # the instagram/whatsapp storm group
-        assert meta.share_exceeding(3.0) > 0.9
+        figure = figure09.compute(per_provider)  # the report's reading of the sessions
+        assert figure.maximum("meta") > 10  # the instagram/whatsapp storm group
+        assert figure.share_exceeding("meta", 3.0) > 0.9
 
     def test_campaign_backscatter_shapes(self, campaign_results):
         backscatter = campaign_results.reduced.backscatter
         assert {"cloudflare", "google", "meta"} <= set(backscatter)
-        assert backscatter["meta"].max_amplification > backscatter["cloudflare"].max_amplification
-        assert backscatter["cloudflare"].max_amplification < 12
-        assert backscatter["google"].max_amplification < 12
+        figure = figure09.compute(backscatter)
+        assert figure.maximum("meta") > figure.maximum("cloudflare")
+        assert figure.maximum("cloudflare") < 12
+        assert figure.maximum("google") < 12
         for provider in ("cloudflare", "google", "meta"):
-            assert backscatter[provider].share_exceeding(3.0) > 0.5
+            assert figure.share_exceeding(provider, 3.0) > 0.5

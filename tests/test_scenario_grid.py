@@ -399,7 +399,7 @@ class TestAdoptionCurve:
         ]
         assert fractions == sorted(fractions) and len(fractions) == 11
         exceeding = [outcome.exceeding_share for outcome in curve.outcomes]
-        one_rtt = [outcome.one_rtt_share for outcome in curve.outcomes]
+        one_rtt = [dict(outcome.class_shares).get("1-RTT", 0.0) for outcome in curve.outcomes]
         assert all(a >= b for a, b in zip(exceeding, exceeding[1:]))
         assert all(a <= b for a, b in zip(one_rtt, one_rtt[1:]))
 

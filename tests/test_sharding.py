@@ -54,11 +54,11 @@ class TestPlanShards:
         assert specs[-1].stop == 1000
         for left, right in zip(specs, specs[1:]):
             assert left.stop == right.start
-        assert sum(len(spec) for spec in specs) == 1000
+        assert sum(spec.stop - spec.start for spec in specs) == 1000
 
     def test_last_shard_may_be_short(self):
         specs = plan_shards(1000, shard_size=300)
-        assert [len(spec) for spec in specs] == [300, 300, 300, 100]
+        assert [spec.stop - spec.start for spec in specs] == [300, 300, 300, 100]
 
     def test_boundaries_do_not_depend_on_worker_count(self):
         # There is no worker parameter at all: the plan is a pure function of
@@ -97,7 +97,7 @@ class TestStreamingGeneration:
         for shard in shards:
             ranks = [d.rank for d in shard.deployments]
             assert ranks == list(range(shard.start_rank, shard.start_rank + len(ranks)))
-        assert shards[-1].end_rank == CONFIG.size
+        assert shards[-1].start_rank + len(shards[-1].deployments) - 1 == CONFIG.size
 
     def test_single_shard_generation_is_order_independent(self):
         # Shard 1 generated alone equals shard 1 from the stream: it depends
@@ -125,7 +125,7 @@ class TestShardedScanDeterminism:
         assert build_report(results_1).text == build_report(results_4).text
         assert results_1.flight_cache == results_4.flight_cache
         assert results_1.scan.funnel.as_dict() == results_4.scan.funnel.as_dict()
-        assert results_1.sweep.observations == results_4.sweep.observations
+        assert results_1.scan.sweep.observations == results_4.scan.sweep.observations
 
     def test_sharded_equals_serial_report(self, population):
         serial = _campaign(population)
@@ -154,9 +154,9 @@ class TestShardedScanDeterminism:
             population=subset, run_sweep=True, sweep_sample_size=60,
             spoofed_targets_per_provider=10,
         ).run()
-        assert serial.reduced.sweep.observations
-        reachable = [o for o in serial.reduced.sweep.observations if o.reachable]
-        assert len(reachable) > len(serial.reduced.sweep.observations) * 0.9
+        assert serial.reduced.scan.sweep.observations
+        reachable = [o for o in serial.reduced.scan.sweep.observations if o.reachable]
+        assert len(reachable) > len(serial.reduced.scan.sweep.observations) * 0.9
 
     def test_sweep_reuses_per_shard_caches(self):
         results = _streamed(workers=1, shard_size=SHARD_SIZE)

@@ -178,7 +178,8 @@ def write_format1_store(directory: str, config: PopulationConfig, scratch: str) 
     os.makedirs(directory)
     source = SkeletonStore(scratch)  # cold: fully issued leaves
     for index in range(shard_count(config.size)):
-        shard, cache = source.load_or_generate(config, index)
+        record = source.load_or_generate(config, index)
+        shard, cache = record.shard, record.chain_cache
         key = SkeletonKey.for_config(config, index)
         with open(os.path.join(directory, key.filename()), "wb") as handle:
             handle.write(format1_file(shard, cache, key))
@@ -204,7 +205,8 @@ class TestStoredDeflateLengths:
         store = SkeletonStore(directory)
         served_total = other_total = 0
         for index in range(shard_count(config.size)):
-            shard, cache = store.load_or_generate(config, index)
+            record = store.load_or_generate(config, index)
+            shard, cache = record.shard, record.chain_cache
             lengths, stamp = _stored_deflate_column(
                 store.path_for(SkeletonKey.for_config(config, index))
             )
@@ -223,7 +225,8 @@ class TestStoredDeflateLengths:
         assert served_total > 0 and other_total > 0
 
     def test_decoded_chains_carry_the_stored_length(self, config, warmed_dir):
-        shard, cache = SkeletonStore(warmed_dir).load_or_generate(config, 0)
+        record = SkeletonStore(warmed_dir).load_or_generate(config, 0)
+        shard, cache = record.shard, record.chain_cache
         for spec, served in _annex_specs(shard):
             assert ("_deflate_size" in cache[spec].__dict__) == served, spec.domain
 
@@ -234,7 +237,8 @@ class TestStoredDeflateLengths:
         deflate_calls.clear()
         reset_stores()
         monkeypatch.setattr(skeleton_store_module, "DEFLATE_STAMP", b"0.0.0-other")
-        shard, cache = SkeletonStore(warmed_dir).load_or_generate(config, 0)
+        record = SkeletonStore(warmed_dir).load_or_generate(config, 0)
+        shard, cache = record.shard, record.chain_cache
         assert not any("_deflate_size" in chain.__dict__ for chain in cache.values())
         reset_stores()
         assert _report(config, warmed_dir) == reference
@@ -243,7 +247,7 @@ class TestStoredDeflateLengths:
             served
             for index in range(shard_count(config.size))
             for _, served in _annex_specs(
-                SkeletonStore(warmed_dir).load_or_generate(config, index)[0]
+                SkeletonStore(warmed_dir).load_or_generate(config, index).shard
             )
         )
         assert len(deflate_calls) == quic_chains > 0
@@ -293,7 +297,8 @@ class TestWarmCampaignRunsNoZlib:
         store = SkeletonStore(warmed_dir)
         rewritten = fresh = 0
         for index in range(shard_count(config.size)):
-            shard, cache = store.load_or_generate(config, index)
+            record = store.load_or_generate(config, index)
+            shard, cache = record.shard, record.chain_cache
             baseline_chains = {id(chain) for chain in cache.values()}
             replay = dict(cache)
             for skeleton in shard.skeletons:
@@ -382,7 +387,8 @@ class TestStoreBytes:
         store = SkeletonStore(str(tmp_path / "skel"))
         old_bytes = new_bytes = 0
         for index in range(shard_count(config.size)):
-            shard, cache = store.load_or_generate(config, index)  # cold: writes
+            record = store.load_or_generate(config, index)  # cold: writes
+            shard, cache = record.shard, record.chain_cache
             key = SkeletonKey.for_config(config, index)
             old_bytes += len(format1_file(shard, cache, key))
             new_bytes += os.path.getsize(store.path_for(key))

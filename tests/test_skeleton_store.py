@@ -117,7 +117,8 @@ def references(config):
 @pytest.fixture(scope="module")
 def shard_and_cache(config, warmed_dir):
     store = SkeletonStore(warmed_dir)
-    shard, cache = store.load_or_generate(config, 0)
+    record = store.load_or_generate(config, 0)
+    shard, cache = record.shard, record.chain_cache
     return shard, cache
 
 
@@ -125,9 +126,8 @@ class TestWireFormat:
     def test_round_trip(self, config, shard_and_cache):
         shard, cache = shard_and_cache
         key = SkeletonKey.for_config(config, 0)
-        decoded, decoded_cache = decode_skeleton_file(
-            encode_skeleton_file(shard, dict(cache), key=key), key=key
-        )
+        record = decode_skeleton_file(encode_skeleton_file(shard, dict(cache), key=key), key=key)
+        decoded, decoded_cache = record.shard, record.chain_cache
         assert decoded.index == shard.index
         assert decoded.start_rank == shard.start_rank
         assert decoded.skeletons == shard.skeletons
@@ -188,7 +188,8 @@ class TestWireFormat:
         shard, cache = shard_and_cache
         key = SkeletonKey.for_config(config, 0)
         data = encode_skeleton_file(shard, dict(cache), key=key)
-        decoded, decoded_cache = decode_skeleton_file(data, populate=False, key=key)
+        record = decode_skeleton_file(data, populate=False, key=key)
+        decoded, decoded_cache = record.shard, record.chain_cache
         assert decoded.skeletons == shard.skeletons
         assert decoded_cache is None
 
@@ -454,9 +455,9 @@ class TestQuarantine:
         directory = str(tmp_path / "skel")
         warm(directory, config)
         store = SkeletonStore(directory)
-        shard, _ = store.load_or_generate(config, 0)
+        shard = store.load_or_generate(config, 0).shard
         corrupt_file(os.path.join(directory, store.entries()[0]))
-        again, _ = store.load_or_generate(config, 0)
+        again = store.load_or_generate(config, 0).shard
         assert again is shard  # decoded-shard memo: disk not consulted
         assert store.misses == 0
         store.reset_memo()
@@ -551,7 +552,8 @@ class TestFailingDisk:
         store = SkeletonStore(str(tmp_path / "skel"))
         with pytest.warns(RuntimeWarning) as caught:
             for index in range(shard_count(WARM_PATH_SIZE)):
-                shard, cache = store.load_or_generate(config, index)
+                record = store.load_or_generate(config, index)
+                shard, cache = record.shard, record.chain_cache
                 assert len(shard.skeletons) > 0 and cache
         assert store.write_errors == shard_count(WARM_PATH_SIZE) > 1
         assert cache_counters()["write_errors"] == store.write_errors
@@ -661,7 +663,8 @@ class TestWarmPathObjects:
         assert compared > 0
 
     def test_deferred_leaf_pickles_after_expansion(self, config, warmed_dir):
-        shard, cache = SkeletonStore(warmed_dir).load_or_generate(config, 0)
+        record = SkeletonStore(warmed_dir).load_or_generate(config, 0)
+        shard, cache = record.shard, record.chain_cache
         leaf = next(iter(cache.values())).leaf
         assert "_deferred" in leaf.__dict__
         clone = pickle.loads(pickle.dumps(leaf))
@@ -702,7 +705,7 @@ class TestWarmPathObjects:
             ], label
 
     def test_memo_probes_do_not_expand(self, config, warmed_dir):
-        _, cache = SkeletonStore(warmed_dir).load_or_generate(config, 0)
+        cache = SkeletonStore(warmed_dir).load_or_generate(config, 0).chain_cache
         leaf = next(iter(cache.values())).leaf
         assert getattr(leaf, "_absent", None) is None
         assert getattr(leaf, "_field_sizes", None) is None

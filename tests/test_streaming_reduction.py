@@ -86,7 +86,7 @@ class TestStreamingMatchesEager:
         streamed = MeasurementCampaign(
             population_config=config, stream=True, spoofed_targets_per_provider=12
         ).run()
-        assert streamed.sweep is None
+        assert streamed.scan.sweep is None
         assert build_report(eager).text == build_report(streamed).text
 
 

@@ -7,7 +7,6 @@ from repro.tls.cert_compression import (
     CompressionResult,
     chain_payload,
     compress_certificate_chain,
-    compression_ratio,
 )
 
 
@@ -41,13 +40,12 @@ class TestCompression:
     def test_compression_reduces_size(self, lets_encrypt_long_chain):
         result = compress_certificate_chain([c.der for c in lets_encrypt_long_chain])
         assert result.compressed_size < result.uncompressed_size
-        assert result.saved_bytes > 0
 
     def test_ratio_matches_paper_band(self, campaign_results):
         """Mean compression rate over many chains lands near the paper's 65-75 %."""
         chains = [
             d.delivered_chain
-            for d in campaign_results.quic_deployments()[:150]
+            for d in campaign_results.population.quic_services()[:150]
             if d.delivered_chain is not None
         ]
         ratios = [
@@ -65,16 +63,6 @@ class TestCompression:
         # Calibrated ordering: zlib <= brotli <= zstd output sizes.
         assert zlib_result.compressed_size <= brotli_result.compressed_size <= zstd_result.compressed_size
 
-    def test_fits_within(self, cloudflare_chain):
-        result = compress_certificate_chain([c.der for c in cloudflare_chain])
-        assert result.fits_within(result.compressed_size)
-        assert not result.fits_within(result.compressed_size - 1)
-
     def test_ratio_of_empty_payload(self):
         result = CompressionResult(CertificateCompressionAlgorithm.ZLIB, 0, 0)
         assert result.ratio == 0.0
-
-    def test_compression_ratio_helper(self, cloudflare_chain):
-        result = compress_certificate_chain([c.der for c in cloudflare_chain])
-        assert compression_ratio(result) == result.ratio
-        assert 0.0 < result.ratio < 1.0

@@ -139,7 +139,7 @@ class TestExtensions:
         encoded = extension.encode()
         assert int.from_bytes(encoded[0:2], "big") == ExtensionType.SERVER_NAME
         assert int.from_bytes(encoded[2:4], "big") == len(extension.body)
-        assert extension.size == len(encoded)
+        assert 4 + len(extension.body) == len(encoded)
 
     def test_compress_certificate_roundtrip(self):
         algorithms = (

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.netsim import IPv4Prefix
 from repro.netsim.dns import DnsRcode
 from repro.quic.profiles import MVFST_LIKE, MVFST_PATCHED
 from repro.webpki import (
@@ -70,12 +71,11 @@ class TestGeneratedPopulation:
         assert [d.category for d in a.deployments] == [d.category for d in b.deployments]
 
     def test_every_domain_has_a_deployment(self, small_population):
-        assert len(small_population) == small_population.config.size
-        assert small_population.deployment(small_population.deployments[0].domain) is not None
+        assert len(small_population.deployments) == small_population.config.size
 
     def test_category_shares_match_paper_funnel(self, small_population):
         counts = small_population.category_counts()
-        total = len(small_population)
+        total = len(small_population.deployments)
         assert counts[ServiceCategory.QUIC] / total == pytest.approx(0.21, abs=0.04)
         assert counts[ServiceCategory.HTTPS_ONLY] / total == pytest.approx(0.59, abs=0.05)
         assert counts[ServiceCategory.UNRESOLVED] / total == pytest.approx(0.134, abs=0.04)
@@ -88,9 +88,9 @@ class TestGeneratedPopulation:
             assert deployment.resolves
 
     def test_https_only_services_have_no_quic(self, small_population):
-        for deployment in small_population.https_only_services():
+        for deployment in small_population.by_category(ServiceCategory.HTTPS_ONLY):
             assert not deployment.supports_quic
-            assert deployment.supports_https
+            assert deployment.https_chain is not None
 
     def test_unresolved_deployments_have_failures(self, small_population):
         for deployment in small_population.by_category(ServiceCategory.UNRESOLVED):
@@ -106,12 +106,6 @@ class TestGeneratedPopulation:
         cloudflare = sum(1 for d in quic if d.provider == "cloudflare")
         assert cloudflare / len(quic) == pytest.approx(0.615, abs=0.06)
 
-    def test_rank_group_labels(self, small_population):
-        deployment = small_population.deployments[0]
-        assert deployment.rank == 1
-        assert deployment.rank_group == 0
-        assert deployment.rank_group_label(100) == "[1, 101)"
-
     def test_top_ranked_services_more_often_tunnelled(self):
         population = generate_population(PopulationConfig(size=4000, seed=11))
         quic = population.quic_services()
@@ -126,14 +120,15 @@ class TestGeneratedPopulation:
     def test_build_resolver_and_network_cover_population(self, small_population):
         resolver = build_resolver_for(small_population.deployments)
         network = build_network_for(small_population.deployments)
-        assert len(network) == len(small_population.quic_services())
+        everywhere = IPv4Prefix.parse("0.0.0.0/0")
+        assert len(network.hosts_in_prefix(everywhere)) == len(small_population.quic_services())
         quic_domain = small_population.quic_services()[0].domain
         assert resolver.resolve(quic_domain).has_address
         assert network.host_for_domain(quic_domain) is not None
 
     def test_build_origins_include_redirect_targets(self, small_population):
         origins = build_origins_for(small_population.deployments)
-        redirecting = [d for d in small_population.deployments if d.redirect_to and d.supports_https]
+        redirecting = [d for d in small_population.deployments if d.redirect_to and d.https_chain is not None]
         assert redirecting, "expected some redirecting deployments"
         sample = redirecting[0]
         assert sample.domain in origins

@@ -21,23 +21,11 @@ class TestTrancoGeneration:
 
     def test_names_look_like_domains(self):
         tranco = generate_tranco_list(300, seed=3)
-        for name in tranco:
+        for name in tranco.domains:
             assert "." in name
             label, _, tld = name.rpartition(".")
             assert label and tld
             assert name == name.lower()
-
-    def test_rank_accessors(self):
-        tranco = generate_tranco_list(100, seed=4)
-        domain = tranco.domain_at(10)
-        assert tranco.rank_of(domain) == 10
-        assert tranco.top(5) == tranco.domains[:5]
-
-    def test_rank_groups_partition_the_list(self):
-        tranco = generate_tranco_list(1000, seed=5)
-        groups = tranco.rank_groups(group_size=300)
-        assert [bounds for bounds, _ in groups] == [(1, 300), (301, 600), (601, 900), (901, 1000)]
-        assert sum(len(names) for _, names in groups) == 1000
 
     def test_invalid_size(self):
         with pytest.raises(ValueError):

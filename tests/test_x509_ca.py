@@ -73,7 +73,7 @@ class TestIssuance:
     def test_issue_leaf_directly(self, hierarchy):
         issuer = hierarchy.intermediates["R3"]
         leaf = issue_leaf(issuer, "direct.example")
-        assert leaf.issuer_common_name == "R3"
+        assert leaf.issuer.common_name == "R3"
         assert not leaf.is_ca
 
     def test_chain_size_targets_match_paper_shape(self, hierarchy):
@@ -88,6 +88,6 @@ class TestIssuance:
     def test_issuance_is_deterministic_per_domain(self, hierarchy):
         profile = hierarchy.profiles["Cloudflare ECC CA-3"]
         assert (
-            profile.issue("det.example").leaf.fingerprint()
-            == profile.issue("det.example").leaf.fingerprint()
+            profile.issue("det.example").leaf.der
+            == profile.issue("det.example").leaf.der
         )

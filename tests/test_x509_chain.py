@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.x509 import CertificateChain, ChainOrderError
-from repro.x509.chain import chain_fingerprint, find_common_parent_chains, validate_order
+from repro.x509 import CertificateChain
+from repro.x509.chain import chain_fingerprint
 
 
 class TestChainBasics:
@@ -17,30 +17,14 @@ class TestChainBasics:
 
     def test_leaf_and_intermediates(self, lets_encrypt_long_chain):
         assert lets_encrypt_long_chain.leaf.subject_common_name == "fixture-le.example"
-        assert len(lets_encrypt_long_chain.intermediates) == 2
 
     def test_total_size_is_sum_of_certificates(self, cloudflare_chain):
         assert cloudflare_chain.total_size == sum(c.size for c in cloudflare_chain)
-
-    def test_parent_chain_size_excludes_leaf(self, cloudflare_chain):
-        assert (
-            cloudflare_chain.parent_chain_size
-            == cloudflare_chain.total_size - cloudflare_chain.leaf_size
-        )
-
-    def test_exceeds(self, cloudflare_chain):
-        assert cloudflare_chain.exceeds(100)
-        assert not cloudflare_chain.exceeds(10**6)
 
     def test_sizes_by_depth(self, lets_encrypt_long_chain):
         sizes = lets_encrypt_long_chain.sizes_by_depth()
         assert len(sizes) == 3
         assert sizes[0] == lets_encrypt_long_chain.leaf_size
-
-    def test_with_leaf_swaps_only_leaf(self, cloudflare_chain, lets_encrypt_short_chain):
-        swapped = cloudflare_chain.with_leaf(lets_encrypt_short_chain.leaf)
-        assert swapped.leaf is lets_encrypt_short_chain.leaf
-        assert swapped.intermediates == cloudflare_chain.intermediates
 
 
 class TestChainHygiene:
@@ -52,8 +36,6 @@ class TestChainHygiene:
         certificates = lets_encrypt_long_chain.certificates
         shuffled = CertificateChain((certificates[1], certificates[0], certificates[2]))
         assert not shuffled.is_correctly_ordered()
-        with pytest.raises(ChainOrderError):
-            validate_order(shuffled.certificates)
 
     def test_includes_trust_anchor_detection(self, hierarchy):
         with_root = hierarchy.profiles["Google 1C3"].issue("anchor.example")
@@ -77,17 +59,6 @@ class TestParentChainGrouping:
 
     def test_parent_chain_key_for_depth_two(self, cloudflare_chain):
         assert cloudflare_chain.parent_chain_key() == ("Cloudflare Inc ECC CA-3",)
-
-    def test_parent_chain_label_joins_names(self, lets_encrypt_long_chain):
-        assert " / " in lets_encrypt_long_chain.parent_chain_label()
-
-    def test_find_common_parent_chains_counts(self, hierarchy):
-        chains = [
-            hierarchy.profiles["Cloudflare ECC CA-3"].issue(f"d{i}.example") for i in range(5)
-        ] + [hierarchy.profiles["Let's Encrypt E1 (short)"].issue("e.example")]
-        ranked = find_common_parent_chains(chains, top_n=2)
-        assert ranked[0][0] == ("Cloudflare Inc ECC CA-3",)
-        assert ranked[0][1] == 5
 
     def test_chain_fingerprint_distinguishes_chains(self, cloudflare_chain, lets_encrypt_long_chain):
         assert chain_fingerprint(cloudflare_chain) != chain_fingerprint(lets_encrypt_long_chain)

@@ -2,7 +2,16 @@
 
 import pytest
 
-from repro.x509.field_sizes import mean_field_sizes, measure_field_sizes, san_byte_share
+from repro.x509.field_sizes import mean_from_sums, measure_field_sizes, san_byte_share
+
+FIELDS = ("subject", "issuer", "public_key_info", "extensions", "signature", "other", "total")
+
+
+def mean_field_sizes(certificates):
+    """Mean field sizes the way Figure 8 folds them: integer sums, then one division."""
+    sizes = [measure_field_sizes(certificate) for certificate in certificates]
+    sums = {name: sum(getattr(size, name) for size in sizes) for name in FIELDS}
+    return mean_from_sums(sums, len(sizes))
 
 
 class TestMeasureFieldSizes:
@@ -29,12 +38,6 @@ class TestMeasureFieldSizes:
         assert sizes.extensions > sizes.subject
         assert sizes.extensions > sizes.issuer
 
-    def test_as_dict_keys(self, cloudflare_chain):
-        sizes = measure_field_sizes(cloudflare_chain.leaf)
-        assert set(sizes.as_dict()) == {
-            "Subject", "Issuer", "PublicKeyInfo", "Extensions", "Signature", "Other", "Total",
-        }
-
 
 class TestSanByteShare:
     def test_share_between_zero_and_one(self, hierarchy):
@@ -42,7 +45,7 @@ class TestSanByteShare:
         assert 0.0 < san_byte_share(chain.leaf) < 1.0
 
     def test_ca_certificates_have_zero_san_share(self, cloudflare_chain):
-        for certificate in cloudflare_chain.intermediates:
+        for certificate in cloudflare_chain.certificates[1:]:
             assert san_byte_share(certificate) == 0.0
 
     def test_cruise_liner_has_high_share(self, hierarchy):
