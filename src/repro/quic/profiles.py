@@ -210,7 +210,7 @@ def without_compression(profile: ServerBehaviorProfile) -> ServerBehaviorProfile
     """
     if not profile.compression_algorithms:
         return profile
-    return profile.with_compression(())
+    return profile.with_compression()
 
 
 BUILTIN_PROFILES: Dict[str, ServerBehaviorProfile] = {

@@ -532,3 +532,89 @@ def test_stored_columns_equal_lowered_deployments_and_object_oracle(
     lowered = lower_deployments(deployments)
     assert summarize_shard_columnar(task, lowered, _REDUCTION_SPEC) == expected
     assert summarize_shard_columnar(task, stored, _REDUCTION_SPEC) == expected
+
+
+# ---------------------------------------------------------------------------
+# Server flights and their classification
+# ---------------------------------------------------------------------------
+
+from repro.quic.anti_amplification import ANTI_AMPLIFICATION_FACTOR
+from repro.quic.coalescing import UdpDatagram
+from repro.quic.handshake import HandshakeClass, HandshakeTrace, classify
+from repro.quic.packet import PacketType, RetryPacket
+from repro.quic.server import QuicServer, ServerFlightPlan
+from repro.tls.handshake_messages import ClientHello, build_server_first_flight
+
+
+def _initial_datagram(size):
+    packet = InitialPacket(
+        ConnectionId.generate("d", 8), ConnectionId.generate("s", 8), 0, (CryptoFrame(0, b"x"),)
+    )
+    return UdpDatagram((packet.with_padding_to(size),))
+
+
+@settings(deadline=None)
+@given(
+    initial=st.integers(min_value=1200, max_value=1472),
+    first_rtt=st.lists(st.integers(min_value=1200, max_value=1472), min_size=1, max_size=6),
+    deferred=st.lists(st.integers(min_value=1200, max_value=1472), max_size=3),
+    retry=st.booleans(),
+)
+def test_classification_is_total_and_consistent(initial, first_rtt, deferred, retry):
+    """Every trace lands in exactly the §3.2 group its plan dictates."""
+    ids = (ConnectionId.generate("d", 8), ConnectionId.generate("s", 8))
+    plan = ServerFlightPlan(
+        retry_datagram=UdpDatagram((RetryPacket(*ids, token=b"t"),)) if retry else None,
+        first_rtt_datagrams=tuple(_initial_datagram(size) for size in first_rtt),
+        deferred_datagrams=tuple(_initial_datagram(size) for size in deferred),
+        tls_flight=build_server_first_flight(_issued_chain(_CA_LABELS[0], "classify.example")),
+        tracker=AmplificationTracker(),
+    )
+    trace = HandshakeTrace("classify.example", initial, "unit", plan, initial, None)
+    handshake_class = classify(trace)
+    assert handshake_class is not HandshakeClass.UNREACHABLE
+    if retry:
+        assert handshake_class is HandshakeClass.RETRY
+    elif deferred:
+        assert handshake_class is HandshakeClass.MULTI_RTT
+    elif sum(first_rtt) <= ANTI_AMPLIFICATION_FACTOR * initial:
+        assert handshake_class is HandshakeClass.ONE_RTT
+    else:
+        assert handshake_class is HandshakeClass.AMPLIFICATION
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ca=st.sampled_from(_CA_LABELS),
+    server=st.sampled_from(_SERVER_PROFILES),
+    mtu=st.integers(min_value=1200, max_value=1472),
+)
+def test_split_crypto_stream_is_lossless_and_contiguous(ca, server, mtu):
+    """The server cuts its TLS flight into CRYPTO frames that carry every byte
+    once, at contiguous offsets per encryption level, in datagrams within its MTU."""
+    chain = _issued_chain(ca, "split.example")
+    profile = replace(BUILTIN_PROFILES[server], mtu=mtu)
+    server_ = QuicServer("split.example", chain, profile, flight_cache=FlightPlanCache())
+    plan = server_.respond_to_initial(
+        ClientHello(server_name="split.example"), 1252, client_sent_retry_token=True
+    )
+    datagrams = plan.first_rtt_datagrams + plan.deferred_datagrams
+    assert all(d.size <= mtu for d in datagrams)
+    streams = {PacketType.INITIAL: [], PacketType.HANDSHAKE: []}
+    for datagram in datagrams:
+        for packet in datagram.packets:
+            streams[packet.packet_type] += [f for f in packet.frames if isinstance(f, CryptoFrame)]
+    flight = plan.tls_flight
+    expected = {
+        PacketType.INITIAL: flight.server_hello.encode(),
+        PacketType.HANDSHAKE: flight.encrypted_extensions.encode()
+        + flight.certificate.encode()
+        + flight.certificate_verify.encode()
+        + flight.finished.encode(),
+    }
+    for level, frames in streams.items():
+        assert b"".join(frame.data for frame in frames) == expected[level]
+        offset = 0
+        for frame in frames:
+            assert frame.offset == offset
+            offset += len(frame.data)

@@ -67,3 +67,18 @@ class TestNonCompliantAccounting:
             tracker.on_datagram_sent(3000)
         assert tracker.can_send(10**6)
         assert tracker.bytes_sent > ANTI_AMPLIFICATION_FACTOR * tracker.bytes_received
+
+    def test_padding_exclusion_still_charges_ack_eliciting_datagrams(self):
+        tracker = AmplificationTracker(exclude_padding=True)
+        tracker.on_datagram_received(1200)
+        tracker.on_datagram_sent(1200, padding_only=False)
+        assert tracker.accounted_bytes_sent == 1200
+        assert tracker.can_send(2400)
+        assert not tracker.can_send(2401)
+
+    def test_compliant_accounting_charges_padding_only_datagrams(self):
+        tracker = AmplificationTracker()
+        tracker.on_datagram_received(1200)
+        tracker.on_datagram_sent(1200, padding_only=True)
+        assert tracker.accounted_bytes_sent == 1200
+        assert not tracker.can_send(2401)

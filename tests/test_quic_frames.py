@@ -10,6 +10,7 @@ from repro.quic.frames import (
     PaddingFrame,
     PingFrame,
 )
+from repro.quic.varint import decode_varint
 
 
 class TestPadding:
@@ -46,6 +47,22 @@ class TestCrypto:
         frame = CryptoFrame(offset=0, data=data)
         assert frame.is_ack_eliciting
         assert 1002 <= frame.size <= 1006  # type + offset varint + length varint
+
+    def test_encoding_carries_offset_and_length(self):
+        frame = CryptoFrame(offset=100, data=bytes(range(50)))
+        encoded = frame.encode()
+        assert encoded[0] == FrameType.CRYPTO
+        offset, position = decode_varint(encoded, 1)
+        length, position = decode_varint(encoded, position)
+        assert (offset, length) == (100, 50)
+        assert encoded[position:] == frame.data
+
+    @pytest.mark.parametrize("offset", [0, 63, 64, 16383, 16384, 2**30])
+    def test_size_matches_encoding_across_varint_widths(self, offset):
+        for data in (b"", bytes(63), bytes(64)):
+            frame = CryptoFrame(offset=offset, data=data)
+            assert frame.size == len(frame.encode())
+
 
 class TestConnectionClose:
     def test_contains_reason(self):

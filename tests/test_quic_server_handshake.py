@@ -12,9 +12,24 @@ from repro.quic import (
     build_client_initial_datagram,
     simulate_handshake,
 )
+from dataclasses import replace
+
+from repro.core.limits import BROWSER_PROFILES
 from repro.netsim import IPv4Address, QuicServiceHost, UdpNetwork
 from repro.quic.anti_amplification import ANTI_AMPLIFICATION_FACTOR
-from repro.quic.profiles import CLOUDFLARE_LIKE, MVFST_LIKE, RETRY_ALWAYS, RFC_COMPLIANT
+from repro.quic.handshake import simulate_handshakes
+from repro.quic.packet import PacketType
+from repro.quic.profiles import (
+    CLOUDFLARE_LIKE,
+    GOOGLE_LIKE,
+    MVFST_LIKE,
+    RETRY_ALWAYS,
+    RFC_COMPLIANT,
+    RFC_COMPLIANT_NO_COMPRESSION,
+    with_universal_compression,
+    without_compression,
+)
+from repro.tls.cert_compression import CertificateCompressionAlgorithm
 from repro.tls.handshake_messages import ClientHello
 
 #: The Initial the campaign's §4.3 probe sends (``UdpNetwork.probe_unvalidated``).
@@ -43,6 +58,25 @@ class TestClientInitial:
     def test_above_mtu_rejected(self):
         with pytest.raises(ValueError):
             QuicClientConfig(initial_datagram_size=1500)
+
+    def test_browser_profiles(self, cloudflare_chain):
+        """Table 1's QUIC browsers, as clients: their Initial sizes and offers."""
+        negotiated = {}
+        for name, browser in BROWSER_PROFILES.items():
+            if not browser.supports_quic:
+                continue
+            config = QuicClientConfig(
+                initial_datagram_size=browser.initial_size,
+                compression_algorithms=browser.compression_algorithms,
+            )
+            assert build_client_initial_datagram("b.example", config).size == browser.initial_size
+            outcome = simulate_handshake("b.example", cloudflare_chain, CLOUDFLARE_LIKE, config)
+            assert outcome.trace.client_initial_size == browser.initial_size
+            negotiated[name] = outcome.trace.compression_negotiated
+        assert negotiated == {
+            "chromium": CertificateCompressionAlgorithm.BROTLI,
+            "firefox": None,
+        }
 
 
 class TestServerFlightPlans:
@@ -94,6 +128,51 @@ class TestServerFlightPlans:
         assert plan.total_bytes > plan.tls_bytes_total
         assert plan.total_bytes == plan.first_rtt_bytes + plan.deferred_bytes
 
+    def test_compliant_server_stops_at_the_datagram_that_would_cross_the_limit(
+        self, lets_encrypt_long_chain
+    ):
+        server = QuicServer("edge.example", lets_encrypt_long_chain, RFC_COMPLIANT)
+        plan = server.respond_to_initial(ClientHello(server_name="edge.example"), 1200)
+        limit = ANTI_AMPLIFICATION_FACTOR * 1200
+        assert plan.first_rtt_bytes <= limit
+        assert plan.first_rtt_bytes + plan.deferred_datagrams[0].size > limit
+        assert plan.tracker.bytes_sent == plan.first_rtt_bytes
+
+    def test_mvfst_like_first_flight_ignores_the_limit(self, lets_encrypt_long_chain):
+        server = QuicServer("mvfst.example", lets_encrypt_long_chain, MVFST_LIKE)
+        plan = server.respond_to_initial(ClientHello(server_name="mvfst.example"), 1200)
+        assert not plan.requires_additional_rtt
+        assert plan.first_rtt_bytes > ANTI_AMPLIFICATION_FACTOR * 1200
+
+    def test_coalescing_server_fills_the_initial_datagram(self, lets_encrypt_long_chain):
+        """A coalescing server sends Handshake data next to its Initial instead of padding."""
+        server = QuicServer("full.example", lets_encrypt_long_chain, RFC_COMPLIANT)
+        plan = server.respond_to_initial(ClientHello(server_name="full.example"), 1362)
+        first = plan.first_rtt_datagrams[0]
+        assert [p.packet_type for p in first.packets] == [PacketType.INITIAL, PacketType.HANDSHAKE]
+        assert first.padding_bytes == 0
+        assert first.size > 1200
+
+    def test_only_padding_profiles_pad_the_ack_only_initial(self, cloudflare_chain):
+        hello = ClientHello(server_name="ack.example")
+        padded = QuicServer("ack.example", cloudflare_chain, CLOUDFLARE_LIKE)
+        ack_only = padded.respond_to_initial(hello, 1362).first_rtt_datagrams[0]
+        assert not ack_only.is_ack_eliciting
+        assert ack_only.size >= 1200
+        lean_profile = replace(CLOUDFLARE_LIKE, pad_all_initial_datagrams=False)
+        lean = QuicServer("ack.example", cloudflare_chain, lean_profile)
+        lean_ack = lean.respond_to_initial(hello, 1362).first_rtt_datagrams[0]
+        assert not lean_ack.is_ack_eliciting
+        assert lean_ack.padding_bytes == 0
+        assert lean_ack.size < 100
+
+    def test_retry_plan_charges_only_the_retry(self, lets_encrypt_long_chain):
+        server = QuicServer("retry2.example", lets_encrypt_long_chain, RETRY_ALWAYS)
+        plan = server.respond_to_initial(ClientHello(server_name="retry2.example"), 1200)
+        assert plan.total_bytes == plan.retry_datagram.size
+        assert plan.tracker.bytes_sent == plan.retry_datagram.size
+        assert not plan.requires_additional_rtt
+
 
 class TestHandshakeSimulation:
     def test_classification_matches_profiles(self, hierarchy, browser_client):
@@ -134,6 +213,28 @@ class TestHandshakeSimulation:
         assert small.handshake_class is HandshakeClass.MULTI_RTT
         assert large.handshake_class is HandshakeClass.ONE_RTT
 
+    def test_simulate_handshakes_matches_one_call_per_client(self, cloudflare_chain):
+        clients = [QuicClientConfig(initial_datagram_size=size) for size in (1200, 1362, 1472)]
+        batch = simulate_handshakes("many.example", cloudflare_chain, RFC_COMPLIANT, clients)
+        for client, outcome in zip(clients, batch):
+            single = simulate_handshake("many.example", cloudflare_chain, RFC_COMPLIANT, client)
+            assert outcome.handshake_class is single.handshake_class
+            assert outcome.trace.client_initial_size == client.initial_datagram_size
+            assert outcome.trace.server_bytes_first_rtt == single.trace.server_bytes_first_rtt
+            assert outcome.trace.server_bytes_total == single.trace.server_bytes_total
+        assert len(batch) == len(clients)
+
+    def test_simulate_handshakes_rejects_mixed_offers(self, cloudflare_chain):
+        clients = [
+            QuicClientConfig(),
+            QuicClientConfig(compression_algorithms=(CertificateCompressionAlgorithm.BROTLI,)),
+        ]
+        with pytest.raises(ValueError):
+            simulate_handshakes("mixed.example", cloudflare_chain, RFC_COMPLIANT, clients)
+
+    def test_simulate_handshakes_of_no_clients_is_empty(self, cloudflare_chain):
+        assert simulate_handshakes("none.example", cloudflare_chain, RFC_COMPLIANT, []) == []
+
 
 class TestUnvalidatedProbes:
     def test_compliant_server_stays_near_limit(self, lets_encrypt_long_chain):
@@ -161,6 +262,27 @@ class TestUnvalidatedProbes:
         assert schedule[0][0] == 0.0
         assert schedule[-1][0] > 0.0  # retransmission rounds are delayed
 
+    def test_resend_rounds_back_off_exponentially(self, cloudflare_chain):
+        server = QuicServer("backoff.example", cloudflare_chain, MVFST_LIKE)
+        _, schedule = server.unvalidated_transmission_schedule(
+            ClientHello(server_name="backoff.example"), PROBE_INITIAL
+        )
+        offsets = sorted({offset for offset, _ in schedule})
+        assert offsets == [0.0, 1.0, 3.0, 7.0, 15.0, 31.0]
+
+    def test_compliant_resends_stay_within_the_budget(self, lets_encrypt_short_chain):
+        probe = probe_unvalidated("budget.example", lets_encrypt_short_chain, RFC_COMPLIANT)
+        assert probe.bytes_returned <= ANTI_AMPLIFICATION_FACTOR * PROBE_INITIAL
+
+    def test_google_like_resends_beyond_the_limit(self, lets_encrypt_long_chain):
+        """First flight within 3x, but unbounded resends carry the total past it (Figure 9)."""
+        server = QuicServer("g.example", lets_encrypt_long_chain, GOOGLE_LIKE)
+        plan = server.respond_to_initial(ClientHello(server_name="g.example"), PROBE_INITIAL)
+        assert plan.first_rtt_bytes <= ANTI_AMPLIFICATION_FACTOR * PROBE_INITIAL
+        probe = probe_unvalidated("g.example", lets_encrypt_long_chain, GOOGLE_LIKE)
+        assert probe.bytes_returned > ANTI_AMPLIFICATION_FACTOR * PROBE_INITIAL
+        assert probe.bytes_returned == plan.first_rtt_bytes * 3  # two resend rounds
+
 
 class TestProfiles:
     def test_builtin_profile_names(self):
@@ -173,8 +295,23 @@ class TestProfiles:
         assert "coalescence=split-initial-ack" in description
 
     def test_with_compression_returns_new_profile(self):
-        from repro.tls.cert_compression import CertificateCompressionAlgorithm
-
         profile = RFC_COMPLIANT.with_compression(CertificateCompressionAlgorithm.ZSTD)
         assert profile.supports_compression(CertificateCompressionAlgorithm.ZSTD)
         assert not RFC_COMPLIANT.supports_compression(CertificateCompressionAlgorithm.ZSTD)
+
+    def test_builtin_profiles_are_keyed_by_name(self):
+        assert all(name == profile.name for name, profile in BUILTIN_PROFILES.items())
+
+    def test_universal_compression_adds_brotli_only_where_missing(self):
+        upgraded = with_universal_compression(RFC_COMPLIANT_NO_COMPRESSION)
+        assert upgraded.compression_algorithms == (CertificateCompressionAlgorithm.BROTLI,)
+        assert with_universal_compression(RFC_COMPLIANT_NO_COMPRESSION) is upgraded
+        assert with_universal_compression(MVFST_LIKE) is MVFST_LIKE
+
+    def test_without_compression_strips_every_algorithm(self):
+        stripped = without_compression(MVFST_LIKE)
+        assert stripped.compression_algorithms == ()
+        assert stripped.unvalidated_retransmission_rounds == MVFST_LIKE.unvalidated_retransmission_rounds
+        assert without_compression(RETRY_ALWAYS) is RETRY_ALWAYS
+        assert without_compression(stripped) is stripped
+        assert "compression=" not in stripped.describe()

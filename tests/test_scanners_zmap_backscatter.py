@@ -3,8 +3,10 @@
 import pytest
 
 from repro.analysis.figures import figure09
-from repro.netsim import IPv4Prefix, Telescope, UdpNetwork
+from repro.netsim import IPv4Address, IPv4Prefix, Telescope, UdpNetwork
+from repro.netsim.telescope import BackscatterPacket
 from repro.scanners import BackscatterAnalyzer, ZmapScanner, simulate_spoofed_campaign
+from repro.scanners.zmap import ZmapProbeResult
 from repro.scanners.orchestrator import META_POP_PREFIX
 from repro.webpki.population import build_meta_point_of_presence
 
@@ -45,6 +47,19 @@ class TestZmapScanner:
         assert result.probe_size == 1252
         assert result.host_octet == 1
 
+    def test_response_group_thresholds(self):
+        address = IPv4Address.parse("192.0.2.1")
+
+        def group(bytes_received, responded=True):
+            return ZmapProbeResult(address, responded, bytes_received, 1000).response_group()
+
+        assert group(0, responded=False) == 1
+        assert group(150) == 1
+        assert group(151) == 2
+        assert group(20_000) == 2
+        assert group(20_001) == 3
+        assert ZmapProbeResult(address, False, 0, 0).amplification_factor == 0.0
+
 
 class TestBackscatter:
     def test_spoofed_campaign_fills_telescope(self, meta_network):
@@ -75,3 +90,63 @@ class TestBackscatter:
         assert figure.maximum("google") < 12
         for provider in ("cloudflare", "google", "meta"):
             assert figure.share_exceeding(provider, 3.0) > 0.5
+
+
+def _packet(domain, scid, size, timestamp):
+    return BackscatterPacket(
+        server_address=IPv4Address.parse("192.0.2.1"),
+        victim_address=IPv4Address.parse("198.51.100.1"),
+        domain=domain,
+        source_connection_id=scid,
+        size=size,
+        timestamp=timestamp,
+    )
+
+
+class TestBackscatterAnalyzer:
+    def test_sessions_of_unknown_domains_are_bucketed(self):
+        telescope = Telescope()
+        telescope.observe(_packet("known.example", "a", 1362, 0.0))
+        telescope.observe(_packet("stray.example", "b", 1362, 0.0))
+        analyzer = BackscatterAnalyzer(
+            telescope, {"known.example": "cloudflare"}.get
+        )
+        grouped = analyzer.sessions_by_provider()
+        assert set(grouped) == {"cloudflare", "unknown"}
+        assert [s.domain for s in grouped["unknown"]] == ["stray.example"]
+
+    def test_factors_and_durations_per_provider(self):
+        telescope = Telescope()
+        for scid, sizes_at in {
+            "a": [(1362, 0.0), (1362, 1.0)],
+            "b": [(2724, 5.0), (1362, 8.0), (1362, 9.0)],
+            "c": [(1362, 2.0)],
+        }.items():
+            for size, timestamp in sizes_at:
+                telescope.observe(_packet("meta.example", scid, size, timestamp))
+        (meta,) = BackscatterAnalyzer(telescope, lambda domain: "meta").analyze().values()
+        assert meta.session_count == 3
+        assert sorted(meta.amplification_factors) == [1.0, 2.0, 4.0]
+        assert meta.median_session_duration_s == 1.0
+        assert meta.max_session_duration_s == 4.0
+
+    def test_spoofed_campaign_is_deterministic_and_skips_dark_targets(self, meta_network):
+        prefix = IPv4Prefix.parse("203.0.113.0/24")
+        targets = [host.address for host in meta_network.hosts_in_prefix(META_POP_PREFIX)][:5]
+        dark = IPv4Address.parse("192.0.2.200")
+        runs = []
+        for _ in range(2):
+            telescope = Telescope()
+            network = UdpNetwork()
+            for address in targets:
+                network.attach_host(meta_network.host_at(address))
+            network.attach_telescope(prefix, telescope)
+            responded = simulate_spoofed_campaign(
+                network, targets + [dark], prefix, spoof_count_per_target=2, seed=3
+            )
+            assert responded == 2 * len(targets)
+            runs.append(
+                sorted((s.source_connection_id, s.total_bytes, s.first_seen) for s in telescope.sessions())
+            )
+        assert runs[0] == runs[1]
+        assert len(runs[0]) <= 2 * len(targets)

@@ -27,6 +27,14 @@ class TestTrancoGeneration:
             assert label and tld
             assert name == name.lower()
 
+    def test_positional_and_keyword_seed_share_one_list(self):
+        assert generate_tranco_list(400, 9) is generate_tranco_list(400, seed=9)
+
+    def test_shorter_list_is_a_prefix_of_a_longer_one(self):
+        """Ranks are stable when the list grows: rank r names the same domain."""
+        longer = generate_tranco_list(3000, seed=5).domains
+        assert generate_tranco_list(1200, seed=5).domains == longer[:1200]
+
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             generate_tranco_list(0)
