@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from ..core.ioutil import atomic_write_text
-from ..scanners.orchestrator import CampaignResults
 from .dataset import Column, Table
 from .report import AnyCampaignResults, EvaluationReport, build_report
 

@@ -6,7 +6,8 @@ Table 2, and so on.  Each module builds a result object with
 (:class:`~repro.scanners.streaming.ReducedScanResults`): a ``compute_from_*``
 over its accumulators, or a plain ``compute`` where the input travels
 unreduced (the funnel, the Figure 3 sweep, stage 5 and the static Table 3).
-Reports, exports and benchmarks all call the same functions.
+Reports and exports call the same functions; the paper ledger
+(``tests/test_paper_ledger.py``) checks their results through the report.
 """
 
 from . import (

@@ -10,7 +10,7 @@ drops slightly (≈1.2 %) for large Initials.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from ...quic.handshake import HandshakeClass
 from ...scanners.quicreach import SweepResult

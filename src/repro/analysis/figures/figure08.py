@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
-from ...x509.certificate import Certificate
 from ...x509.field_sizes import CertificateFieldSizes, mean_from_sums, measure_field_sizes
 from ...webpki.deployment import DomainDeployment
 

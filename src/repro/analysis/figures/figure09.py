@@ -9,7 +9,7 @@ mostly below 10× while Meta reaches up to 45×.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Tuple
 
 from ...scanners.backscatter import ProviderBackscatter
 from ..cdf import EmpiricalCdf

@@ -8,7 +8,7 @@ shows a drop from up to ≈28× to a homogeneous ≈5× — still above the limi
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from ...scanners.zmap import ZmapProbeResult
 from ..stats import mean

@@ -8,7 +8,6 @@ every other result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from ...scanners.https_scanner import ScanFunnel
 from ..dataset import Column, Table

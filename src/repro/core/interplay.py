@@ -21,7 +21,7 @@ from typing import Optional
 
 from ..quic.handshake import HandshakeClass
 from ..quic.packet import AEAD_TAG_SIZE
-from ..tls.cert_compression import CertificateCompressionAlgorithm, compress_certificate_chain
+from ..tls.cert_compression import CertificateCompressionAlgorithm
 from ..tls.handshake_messages import build_server_first_flight, ClientHello
 from ..x509.chain import CertificateChain
 from .limits import ANTI_AMPLIFICATION_FACTOR, MAX_INITIAL_SIZE_AT_MTU_1500, MIN_INITIAL_SIZE

@@ -8,9 +8,9 @@ here supports exactly those behaviours.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 from ..x509.chain import CertificateChain
 

@@ -9,7 +9,7 @@ observation channel the paper used (§3.2, "incomplete handshakes").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..quic.client import QuicClientConfig, build_client_initial_datagram

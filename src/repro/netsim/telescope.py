@@ -8,8 +8,8 @@ how the paper observes server behaviour towards unvalidated clients (§3.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List
+from dataclasses import dataclass
+from typing import Dict, List
 
 from .address import IPv4Address
 

@@ -16,7 +16,7 @@ observed in the wild:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: RFC 9000 §8.1: three times the bytes received.
 ANTI_AMPLIFICATION_FACTOR = 3

@@ -9,9 +9,9 @@ between 1200 and 1472 bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Tuple
 
 from ..tls.cert_compression import CertificateCompressionAlgorithm
 from ..tls.handshake_messages import ClientHello

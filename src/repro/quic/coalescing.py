@@ -8,7 +8,7 @@ which wastes anti-amplification budget (the Cloudflare finding, §4.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from ..caching import cached_property  # lock-free (see repro.caching)
 from typing import Iterable, List, Tuple
 

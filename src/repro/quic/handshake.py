@@ -16,9 +16,9 @@ sends through.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..tls.cert_compression import CertificateCompressionAlgorithm
 from ..tls.handshake_messages import ClientHello

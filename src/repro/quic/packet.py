@@ -7,7 +7,7 @@ padded client Initial of "1200 bytes" really is 1200 bytes of UDP payload.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from ..caching import cached_property  # lock-free (see repro.caching)
 from typing import Tuple

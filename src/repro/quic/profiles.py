@@ -10,7 +10,7 @@ simulated servers reproduce each behaviour from first principles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from typing import Dict, Tuple

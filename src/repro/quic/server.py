@@ -12,7 +12,7 @@ is validated.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..tls.handshake_messages import ClientHello, ServerFirstFlight, build_server_first_flight
@@ -26,7 +26,6 @@ from .packet import (
     MIN_CLIENT_INITIAL_SIZE,
     HandshakePacket,
     InitialPacket,
-    PacketType,
     QuicPacket,
     RetryPacket,
 )

@@ -9,8 +9,8 @@ aggregate funnel the paper reports (resolved / A records / certificates).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..netsim.dns import DnsRcode, SimulatedResolver
 from ..netsim.http import HttpOrigin, target_domain

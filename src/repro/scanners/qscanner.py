@@ -8,7 +8,7 @@ compares them to the chains served over HTTPS for the same names.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..netsim.network import UdpNetwork
 from ..x509.chain import CertificateChain, chain_fingerprint

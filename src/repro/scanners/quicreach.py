@@ -8,11 +8,11 @@ and 1472 bytes in steps of 10, the sweep behind Figure 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from ..netsim.network import QuicServiceHost, UdpNetwork
+from ..netsim.network import UdpNetwork
 from ..quic.client import QuicClientConfig
 from ..quic.handshake import HandshakeClass, simulate_handshakes
 from ..quic.server import FlightPlanCache

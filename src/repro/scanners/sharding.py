@@ -378,9 +378,9 @@ def dispatch_with_retry(
       one shared, progress-renewed deadline: the round waits in completion
       order (``concurrent.futures.wait``) and every completion renews the
       deadline, so K simultaneously stalled shards cost *one* timeout window
-      — not K windows in series — before the pool is discarded (the stalled
-      worker processes drain in the background) and the shards are
-      re-dispatched on a fresh pool.
+      — not K windows in series — before the pool is discarded (its worker
+      processes are killed) and the shards are re-dispatched on a fresh
+      pool.
 
     Retries cannot change bytes: every shard result is a pure function of its
     task, so a rerun merges identically.  When shards still fail after the
@@ -407,6 +407,7 @@ def dispatch_with_retry(
                     on_result(index, result, pending[index])
         else:
             pool = ProcessPoolExecutor(max_workers=min(workers, len(pending)))
+            outstanding = set()
             try:
                 futures = {
                     pool.submit(worker_fn, make_payload(index, attempt)): index
@@ -462,7 +463,16 @@ def dispatch_with_retry(
                 # Never wait: a stalled or dead pool must not block recovery.
                 # Timed-out tasks may still be running; their results are
                 # discarded with the pool, so `on_result` stays once-per-shard.
+                # Their workers are killed, or one that never returns would
+                # keep the process alive after the campaign (atomic writes
+                # leave no torn file).  `_processes`: ProcessPoolExecutor has
+                # no public handle on its workers before Python 3.14.
+                abandoned = list((pool._processes or {}).values()) if outstanding else []
                 pool.shutdown(wait=False, cancel_futures=True)
+                for process in abandoned:
+                    process.kill()
+                for process in abandoned:
+                    process.join()
 
         retry: Dict[int, int] = {}
         exhausted: List[int] = []

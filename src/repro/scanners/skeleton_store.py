@@ -664,8 +664,8 @@ class SkeletonStore:
     def reset_memo(self) -> None:
         """Drop in-process decoded shards.
 
-        Benchmarks call this between measurements so a "warm" number
-        exercises the disk decode path rather than a memory hit.
+        :func:`warm` calls this after each shard: warming reads nothing back,
+        so a memoised shard would only keep its chains alive.
         """
         self._memo.clear()
 

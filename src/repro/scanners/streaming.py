@@ -33,7 +33,7 @@ from __future__ import annotations
 import dataclasses
 from array import array
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Callable,

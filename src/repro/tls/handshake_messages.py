@@ -8,7 +8,7 @@ CertificateVerify size depends on the server's key algorithm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from ..caching import cached_property  # lock-free (see repro.caching)
 from typing import Optional, Sequence, Tuple

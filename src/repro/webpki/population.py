@@ -47,7 +47,6 @@ from .skeleton import (
     san_names_for,
 )
 from .providers import (
-    HTTPS_ONLY_ARCHETYPES,
     PROVIDERS,
     QUIC_ARCHETYPES,
     DeploymentArchetype,

@@ -14,17 +14,15 @@ them, so every downstream figure inherits the calibration from one place.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..netsim.address import IPv4Prefix
 from ..x509.ca import regional_profile_labels
 from ..quic.profiles import (
-    BUILTIN_PROFILES,
     CLOUDFLARE_LIKE,
     GOOGLE_LIKE,
     MVFST_LIKE,
-    MVFST_PATCHED,
     RETRY_ALWAYS,
     RFC_COMPLIANT,
     ServerBehaviorProfile,

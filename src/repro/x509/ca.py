@@ -15,7 +15,6 @@ chain shapes that give their chains the byte sizes the paper reports:
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 

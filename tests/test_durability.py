@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -220,6 +221,25 @@ class TestSharedTimeoutWindow:
             f"dispatch took {elapsed:.1f}s for 3 stalls at a {self.TIMEOUT}s "
             "timeout — windows serialised?"
         )
+
+    def test_stalled_workers_do_not_outlive_the_dispatch(self):
+        policy = RetryPolicy(
+            max_attempts=2, shard_timeout=1.0, backoff_base=0.01, backoff_cap=0.02
+        )
+        dispatch_with_retry(
+            [0, 1],
+            lambda index, attempt: (index, 30.0 if (index, attempt) == (0, 0) else 0.0),
+            _sleep_worker,
+            workers=2,
+            policy=policy,
+            on_result=lambda index, result, attempt: None,
+        )
+        # The retry round's idle workers exit on their own within moments;
+        # the abandoned round's stalled worker would sleep on for 30 s.
+        deadline = time.monotonic() + 5.0
+        while multiprocessing.active_children() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert multiprocessing.active_children() == []
 
 
 class TestResume:
@@ -451,7 +471,8 @@ class TestFaultPlanSerialisation:
 
 
 class TestKillAndResumeSubprocess:
-    """The CI smoke, as a test: SIGKILL the run mid-campaign, resume, diff."""
+    """The CLI under faults: SIGKILL the run mid-campaign, resume, diff; stall
+    a worker past the shard timeout and exit anyway."""
 
     def _campaign(self, tmp_path, *extra, check_signal=None):
         env = dict(os.environ)
@@ -498,6 +519,21 @@ class TestKillAndResumeSubprocess:
         clean = (tmp_path / "clean.txt").read_bytes()
         resumed = (tmp_path / "resumed.txt").read_bytes()
         assert resumed == clean
+
+    def test_stalled_worker_does_not_keep_the_run_alive(self, tmp_path):
+        plan = FaultPlan(
+            worker=(WorkerFault(shard=0, attempt=0, kind="stall", stall_seconds=60.0),)
+        )
+        (tmp_path / "plan.json").write_text(plan.to_json(), encoding="utf-8")
+        start = time.monotonic()
+        self._campaign(
+            tmp_path,
+            "--workers", "2", "--shard-timeout", "1", "--fault-plan", "plan.json",
+            "--output", "stalled.txt",
+        )
+        # The retry lands in about a second; the stall would end after 60.
+        assert time.monotonic() - start < 30
+        assert (tmp_path / "stalled.txt").exists()
 
 
 class TestCheckpointOnlyRun:

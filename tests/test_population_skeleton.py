@@ -15,12 +15,16 @@ generation (and therefore keep the golden report digests stable):
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.webpki.population as population_module
-from repro.scanners.sharding import ShardTask
+import repro.webpki.skeleton as skeleton_module
+import repro.x509.ca as ca_module
+from repro.scanners.sharding import ShardTask, plan_shards
+from repro.scanners.streaming import _count_quic_targets
 from repro.webpki.deployment import ServiceCategory
 from repro.webpki.population import (
     GENERATION_SHARD_SIZE,
@@ -258,3 +262,66 @@ class TestIssuanceFastPath:
         assert leaf_template(issuer, KeyAlgorithm.RSA_2048) is not leaf_template(
             issuer, KeyAlgorithm.ECDSA_P256
         )
+
+
+class TestSkeletonPassCost:
+    """The skeleton pass issues no certificate, so it stays far cheaper than
+    full generation: it is what makes the ``--stream --sweep`` discovery pass
+    near-free."""
+
+    #: Four generation shards, so per-shard RNG derivation and slicing run.
+    CONFIG = PopulationConfig(size=4 * GENERATION_SHARD_SIZE, seed=2022)
+
+    def test_skeleton_pass_issues_no_leaf(self, monkeypatch):
+        issued = []
+
+        def counting_issue(*args, **kwargs):
+            issued.append(args[1])
+            return issue_leaf_fast(*args, **kwargs)
+
+        for module in (skeleton_module, ca_module):
+            monkeypatch.setattr(module, "issue_leaf_fast", counting_issue)
+        skeleton_shard = generate_shard(self.CONFIG, 3, skeleton=True)
+        assert issued == []
+        generate_shard(self.CONFIG, 3)
+        specs = {
+            spec
+            for skeleton in skeleton_shard.skeletons
+            for spec in (skeleton.https_spec, skeleton.quic_spec)
+            if spec is not None
+        }
+        # Full generation issues one leaf per distinct chain spec.
+        assert specs and len(issued) == len(specs)
+
+    def test_skeleton_pass_is_at_least_twice_as_fast(self):
+        """A coarse timing gate (the ratio is hardware-dependent; docs/PERFORMANCE.md
+        tracks it): it fails when the skeleton pass materialises chains again."""
+        generate_shard(self.CONFIG, 2, skeleton=True)  # warm the caches
+        generate_shard(self.CONFIG, 2)
+        # Interleaved pairs, compared by each side's fastest run: a load spike
+        # from a concurrent process then has to hit every pair to flip the check.
+        skeleton_seconds, full_seconds = [], []
+        for _ in range(8):
+            t0 = time.perf_counter()
+            generate_shard(self.CONFIG, 3, skeleton=True)
+            skeleton_seconds.append(time.perf_counter() - t0)
+            t0 = time.perf_counter()
+            generate_shard(self.CONFIG, 3)
+            full_seconds.append(time.perf_counter() - t0)
+        assert min(full_seconds) > 2 * min(skeleton_seconds)
+
+    def test_materialised_shard_equals_full_generation(self):
+        skeleton_shard = generate_shard(self.CONFIG, 1, skeleton=True)
+        full_shard = generate_shard(self.CONFIG, 1)
+        assert skeleton_shard.materialize().deployments == full_shard.deployments
+
+    def test_discovery_pass_counts_quic_targets_from_skeletons(self):
+        tasks = [
+            ShardTask(
+                index=spec.index, population_config=self.CONFIG, start=spec.start, stop=spec.stop
+            )
+            for spec in plan_shards(self.CONFIG.size, 2048)
+        ]
+        quic_targets = sum(_count_quic_targets(task)[1] for task in tasks)
+        # Appendix D: about 21 % of the names speak QUIC.
+        assert quic_targets == pytest.approx(0.21 * self.CONFIG.size, rel=0.25)

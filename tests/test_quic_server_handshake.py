@@ -23,6 +23,7 @@ from repro.quic.profiles import (
     CLOUDFLARE_LIKE,
     GOOGLE_LIKE,
     MVFST_LIKE,
+    MVFST_PATCHED,
     RETRY_ALWAYS,
     RFC_COMPLIANT,
     RFC_COMPLIANT_NO_COMPRESSION,
@@ -282,6 +283,52 @@ class TestUnvalidatedProbes:
         probe = probe_unvalidated("g.example", lets_encrypt_long_chain, GOOGLE_LIKE)
         assert probe.bytes_returned > ANTI_AMPLIFICATION_FACTOR * PROBE_INITIAL
         assert probe.bytes_returned == plan.first_rtt_bytes * 3  # two resend rounds
+
+
+class TestDesignAblations:
+    """What changes when one design choice the paper calls out is flipped."""
+
+    def test_coalescence_keeps_a_borderline_chain_in_one_rtt(self, hierarchy, browser_client):
+        chain = hierarchy.profiles["DigiCert SHA2"].issue("ablation-coalesce.example")
+        no_coalescence = replace(
+            RFC_COMPLIANT, name="no-coalescence", coalescence=CoalescenceMode.NONE
+        )
+        coalesced = simulate_handshake("a.example", chain, RFC_COMPLIANT, browser_client)
+        padded = simulate_handshake("a.example", chain, no_coalescence, browser_client)
+        assert coalesced.handshake_class is HandshakeClass.ONE_RTT
+        assert padded.trace.server_bytes_total >= coalesced.trace.server_bytes_total
+
+    def test_excluding_padding_from_the_limit_amplifies(self, hierarchy, browser_client):
+        chain = hierarchy.profiles["Cloudflare ECC CA-3"].issue("ablation-cdn.example")
+        honest = replace(CLOUDFLARE_LIKE, name="cdn-honest", count_padding_against_limit=True)
+        cheating = simulate_handshake("a.example", chain, CLOUDFLARE_LIKE, browser_client)
+        compliant = simulate_handshake("a.example", chain, honest, browser_client)
+        assert cheating.trace.first_rtt_amplification > 3.0
+        assert compliant.trace.first_rtt_amplification <= 3.0
+
+    def test_bounding_retransmissions_caps_the_amplifier(self, hierarchy):
+        chain = hierarchy.profiles["Let's Encrypt R3 + cross-signed X1"].issue(
+            "ablation-large.example"
+        )
+        unbounded, bounded, compliant = (
+            probe_unvalidated("a.example", chain, profile).bytes_returned / PROBE_INITIAL
+            for profile in (MVFST_LIKE, MVFST_PATCHED, RFC_COMPLIANT)
+        )
+        assert unbounded > 2 * bounded
+        assert compliant <= 3.5
+
+    def test_compression_turns_a_large_chain_into_one_rtt(self, hierarchy, browser_client):
+        chain = hierarchy.profiles["Let's Encrypt R3 + cross-signed X1"].issue(
+            "ablation-large.example"
+        )
+        compressing_client = replace(
+            browser_client, compression_algorithms=(CertificateCompressionAlgorithm.BROTLI,)
+        )
+        plain = simulate_handshake("a.example", chain, RFC_COMPLIANT, browser_client)
+        compressed = simulate_handshake("a.example", chain, RFC_COMPLIANT, compressing_client)
+        assert plain.handshake_class is HandshakeClass.MULTI_RTT
+        assert compressed.handshake_class is HandshakeClass.ONE_RTT
+        assert compressed.trace.server_bytes_total < plain.trace.server_bytes_total
 
 
 class TestProfiles:
