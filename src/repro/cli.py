@@ -19,22 +19,22 @@ from __future__ import annotations
 
 import argparse
 import errno
+import math
 import os
 import sys
 import tempfile
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from .core import predict_handshake, required_initial_size
 from .core.limits import MAX_INITIAL_SIZE_AT_MTU_1500, MIN_INITIAL_SIZE
+from .errors import InputError, ReproError
 from .quic.profiles import BUILTIN_PROFILES
-from .scenarios import BUILTIN_SCENARIOS, ScenarioError, load_scenario
+from .scenarios import BUILTIN_SCENARIOS, load_scenario
 from .tls.cert_compression import CertificateCompressionAlgorithm
 
 # The measurement pipeline (scanners, webpki, analysis) is imported inside
 # the subcommands that run it, so 'scenarios', 'predict' and 'profiles'
 # start without loading it.
-if TYPE_CHECKING:
-    from .scanners import MeasurementCampaign
 
 
 def _int(text: str) -> int:
@@ -50,6 +50,26 @@ def positive_int(text: str) -> int:
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
     return value
+
+
+def positive_seconds(text: str) -> float:
+    """``argparse`` type for a timeout: a positive, finite number of seconds."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    # Written so NaN fails too.
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
+
+def shard_indices(text: str) -> List[int]:
+    """``argparse`` type for ``I[,J...]``: sorted, each index once."""
+    parts = [part for part in text.split(",") if part.strip()]
+    if not parts:
+        raise argparse.ArgumentTypeError("must name at least one shard index")
+    return sorted({_int(part) for part in parts})
 
 
 def non_empty(text: str) -> str:
@@ -119,6 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     campaign = subparsers.add_parser("campaign", help="run the measurement campaign and print the report")
+    campaign.set_defaults(run=_run_campaign)
     campaign.add_argument("--size", type=positive_int, default=3000, help="population size (default: 3000)")
     campaign.add_argument("--seed", type=int, default=2022, help="population seed (default: 2022)")
     campaign.add_argument("--sweep", action="store_true", help="also run the Figure 3 Initial-size sweep")
@@ -156,12 +177,12 @@ def build_parser() -> argparse.ArgumentParser:
              "uninterrupted run",
     )
     campaign.add_argument(
-        "--shard-timeout", type=float, default=None, metavar="SECONDS",
+        "--shard-timeout", type=positive_seconds, default=None, metavar="SECONDS",
         help="abandon and re-dispatch a shard that runs longer than this "
              "(multi-worker runs only)",
     )
     campaign.add_argument(
-        "--max-shard-retries", type=int, default=None, metavar="N",
+        "--max-shard-retries", type=positive_int, default=3, metavar="N",
         help="dispatch each shard at most N times before failing the run "
              "with a manifest of incomplete shards (default: 3)",
     )
@@ -210,6 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a scenario grid over one population and print one outcome "
              "table, one row per member, deltas vs the first",
     )
+    compare.set_defaults(run=_run_compare)
     compare.add_argument(
         "--scenarios", type=non_empty, default=None, metavar="NAME[,NAME...]",
         help="comma-separated scenario names or scenario JSON files "
@@ -246,6 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     scenarios = subparsers.add_parser("scenarios", help="list the built-in what-if scenarios")
+    scenarios.set_defaults(run=_run_scenarios)
     scenarios.add_argument(
         "--names", action="store_true",
         help="print bare scenario names only (one per line, for scripting)",
@@ -260,6 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
         "skeletons",
         help="manage the persistent skeleton-shard cache (pre-warm, inspect, gc)",
     )
+    skeletons.set_defaults(run=_run_skeletons)
     skeleton_actions = skeletons.add_subparsers(dest="action", required=True)
     skel_warm = skeleton_actions.add_parser(
         "warm",
@@ -270,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     skel_warm.add_argument("--size", type=positive_int, default=3000, help="population size (default: 3000)")
     skel_warm.add_argument("--seed", type=int, default=2022, help="population seed (default: 2022)")
     skel_warm.add_argument(
-        "--shards", type=str, default=None, metavar="I[,J...]",
+        "--shards", type=shard_indices, default=None, metavar="I[,J...]",
         help="warm only these generation-shard indices (default: all)",
     )
     skel_stats = skeleton_actions.add_parser(
@@ -293,6 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     predict = subparsers.add_parser("predict", help="predict the handshake class for a chain profile")
+    predict.set_defaults(run=_run_predict)
     predict.add_argument("--chain", required=True, help="CA chain profile label (see 'profiles')")
     predict.add_argument("--domain", default="example.org", help="domain to issue the leaf for")
     predict.add_argument(
@@ -302,36 +327,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     predict.add_argument("--compression", choices=["none", "zlib", "brotli", "zstd"], default="none")
 
-    subparsers.add_parser("profiles", help="list CA chain profiles and server behaviour profiles")
+    profiles = subparsers.add_parser("profiles", help="list CA chain profiles and server behaviour profiles")
+    profiles.set_defaults(run=_run_profiles)
     return parser
 
 
+def _stderr_line(line: str) -> None:
+    print(line, file=sys.stderr)
+
+
+def _member_path(base: str, name: Optional[str], suffix: str = "") -> str:
+    """``base`` itself for a single campaign, ``base/<name><suffix>`` for a grid member."""
+    return base if name is None else os.path.join(base, name + suffix)
+
+
 def _run_campaign(args: argparse.Namespace) -> int:
+    """``campaign``: one report, or with ``--scenario-grid`` one generation and
+    one report per member.
+
+    The grid path is always streamed and checkpoints at ``(shard, scenario)``
+    granularity.  Its ``--output`` names a directory holding one
+    ``<member>.report.txt`` per member, and ``--export-dir`` exports each
+    member's CSV bundle into ``<dir>/<member>/``.
+    """
     import time
 
     from .analysis.report import build_report
-    from .scanners.checkpoint import CheckpointError
-    from .scanners.faults import FaultPlanError, load_fault_plan
-    from .scanners.sharding import RetryPolicy, ShardDispatchError
+    from .scanners import MeasurementCampaign
+    from .scanners.columnar import resolve_scan_backend
+    from .scanners.faults import load_fault_plan
+    from .scanners.sharding import RetryPolicy
     from .webpki import PopulationConfig
 
-    if args.scenario_grid and args.scenario:
-        print(
-            "error: --scenario-grid and --scenario are mutually exclusive; "
-            "put the scenario in the grid",
-            file=sys.stderr,
-        )
-        return 2
-    if args.scenario_grid and args.sweep:
-        print(
-            "error: --sweep is per-campaign discovery and cannot ride a grid "
-            "sweep; run it against a single scenario",
-            file=sys.stderr,
-        )
-        return 2
-    if args.resume and not args.checkpoint_dir:
-        print("error: --resume needs --checkpoint-dir DIR to resume from", file=sys.stderr)
-        return 2
     # The flags that shape the shard dispatch exist on the streamed pipeline
     # only, so they select it; reports are byte-identical either way.
     args.stream = args.stream or (
@@ -339,170 +366,44 @@ def _run_campaign(args: argparse.Namespace) -> int:
         or args.shard_size is not None
         or args.scan_backend == "columnar"
     )
-    if args.checkpoint_dir and not args.stream and not args.scenario_grid:
-        print(
-            "error: checkpointing rides the streaming pipeline; add --stream",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        fault_plan = load_fault_plan(args.fault_plan)
-    except FaultPlanError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    retry_policy = None
-    if args.shard_timeout is not None or args.max_shard_retries is not None:
-        try:
-            retry_policy = RetryPolicy(
-                max_attempts=(
-                    args.max_shard_retries if args.max_shard_retries is not None else 3
-                ),
-                shard_timeout=args.shard_timeout,
-            )
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-
-    from .scanners.columnar import resolve_scan_backend
-
-    try:
-        # Validates the explicit flag and (when no flag is given) the
-        # REPRO_SCAN_BACKEND environment knob, before any generation work.
-        resolve_scan_backend(args.scan_backend)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    for refused, message in (
+        (args.scenario_grid and args.scenario,
+         "--scenario-grid and --scenario are mutually exclusive; put the scenario in the grid"),
+        (args.scenario_grid and args.sweep,
+         "--sweep is per-campaign discovery and cannot ride a grid sweep; "
+         "run it against a single scenario"),
+        (args.resume and not args.checkpoint_dir,
+         "--resume needs --checkpoint-dir DIR to resume from"),
+        (args.checkpoint_dir and not args.stream and not args.scenario_grid,
+         "checkpointing rides the streaming pipeline; add --stream"),
+    ):
+        if refused:
+            raise InputError(message)
+    fault_plan = load_fault_plan(args.fault_plan)
+    retry_policy = RetryPolicy(
+        max_attempts=args.max_shard_retries, shard_timeout=args.shard_timeout
+    )
+    # Validates the explicit flag and (when no flag is given) the
+    # REPRO_SCAN_BACKEND environment knob, before any generation work.
+    resolve_scan_backend(args.scan_backend)
     # Checked before any generation, so a typo does not cost a whole run.
     for flag, path, directory in (
         ("--output", args.output, bool(args.scenario_grid)),
         ("--export-dir", args.export_dir, True),
     ):
-        if not path:
-            continue
         try:
-            _probe_writable(path, directory)
+            if path:
+                _probe_writable(path, directory)
         except OSError as error:
-            reason = error.strerror or error
-            print(f"error: cannot write {flag} {path}: {reason}", file=sys.stderr)
-            return 2
+            raise InputError(f"cannot write {flag} {path}: {error.strerror or error}") from None
 
     config = PopulationConfig(size=args.size, seed=args.seed)
     if args.scenario_grid:
-        return _run_grid_campaign(args, config, retry_policy, fault_plan)
-    if args.scenario:
-        try:
-            scenario = load_scenario(args.scenario)
-            config = scenario.population_config(base=config)
-        except ScenarioError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    from .scanners.skeleton_store import SkeletonStoreError
+        from .scanners.orchestrator import run_grid_campaign
+        from .scenarios import load_grid
 
-    t0 = time.perf_counter()
-    try:
-        campaign = _build_campaign(args, config, retry_policy, fault_plan)
-    except SkeletonStoreError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    t1 = time.perf_counter()
-    try:
-        results = campaign.run()
-    except (CheckpointError, SkeletonStoreError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except ShardDispatchError as error:
-        suffix = (
-            f"; manifest of incomplete shards: "
-            f"{args.checkpoint_dir}/incomplete.json"
-            if args.checkpoint_dir
-            else ""
-        )
-        print(f"error: {error}{suffix}", file=sys.stderr)
-        return 1
-    t2 = time.perf_counter()
-    report = build_report(results, include_sweep=args.sweep)
-    t3 = time.perf_counter()
-    if args.timings:
-        print(f"population generation: {t1 - t0:8.2f} s", file=sys.stderr)
-        print(f"campaign:              {t2 - t1:8.2f} s", file=sys.stderr)
-        print(f"report:                {t3 - t2:8.2f} s", file=sys.stderr)
-    if args.output:
-        from .core.ioutil import atomic_write_text
-
-        atomic_write_text(args.output, report.text + "\n")
-        print(f"report written to {args.output}")
-    else:
-        print(report.text)
-    if args.export_dir:
-        from .analysis.export import export_evaluation
-
-        exported = export_evaluation(results, args.export_dir, report)
-        print(f"{exported.file_count} files exported to {exported.directory}")
-    return 0
-
-
-def _build_campaign(args, config, retry_policy, fault_plan) -> MeasurementCampaign:
-    from .scanners import MeasurementCampaign
-    from .webpki import generate_population
-
-    if args.stream:
-        # Streaming regenerates inside the workers: generation time is part of
-        # the campaign phase (the traced layer table of bench/run.py splits it).
-        return MeasurementCampaign(
-            population_config=config,
-            run_sweep=args.sweep,
-            workers=args.workers,
-            shard_size=args.shard_size,
-            stream=True,
-            checkpoint_dir=args.checkpoint_dir,
-            resume=args.resume,
-            retry_policy=retry_policy,
-            fault_plan=fault_plan,
-            scan_backend=args.scan_backend,
-            skeleton_cache_dir=args.skeleton_cache,
-        )
-    # The serial object reference.  The REPRO_SCAN_BACKEND environment knob
-    # applies to streamed runs only (resolved inside run_streaming_scan), so
-    # it cannot silently change the serial internals.  Generation routes
-    # through the campaign when a skeleton cache is requested, so
-    # --skeleton-cache warm-starts it too.
-    return MeasurementCampaign(
-        population=(None if args.skeleton_cache else generate_population(config)),
-        population_config=config,
-        run_sweep=args.sweep,
-        skeleton_cache_dir=args.skeleton_cache,
-    )
-
-
-def _run_grid_campaign(args, config, retry_policy, fault_plan) -> int:
-    """The ``campaign --scenario-grid`` branch: one generation, N reports.
-
-    The grid path is always streamed (workers regenerate their shards), so
-    ``--stream`` is implied; checkpoints land at ``(shard, scenario)``
-    granularity.  ``--output`` names a directory holding one
-    ``<member>.report.txt`` per grid member; ``--export-dir`` exports each
-    member's full CSV bundle into ``<dir>/<member>/``.
-    """
-    import time
-
-    from .analysis.report import build_report
-    from .scanners.checkpoint import CheckpointError
-    from .scanners.orchestrator import run_grid_campaign
-    from .scanners.sharding import ShardDispatchError
-    from .scanners.skeleton_store import SkeletonStoreError
-    from .scenarios import load_grid
-
-    try:
         grid = load_grid(args.scenario_grid)
-    except ScenarioError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-
-    def progress(line: str) -> None:
-        print(line, file=sys.stderr)
-
-    t0 = time.perf_counter()
-    try:
+        t0 = time.perf_counter()
         results = run_grid_campaign(
             grid,
             config=config,
@@ -513,51 +414,72 @@ def _run_grid_campaign(args, config, retry_policy, fault_plan) -> int:
             retry_policy=retry_policy,
             fault_plan=fault_plan,
             scan_backend=args.scan_backend,
-            progress=progress,
+            progress=_stderr_line,
             skeleton_cache_dir=args.skeleton_cache,
         )
-    except (CheckpointError, SkeletonStoreError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except ShardDispatchError as error:
-        suffix = (
-            f"; manifest of incomplete shards: "
-            f"{args.checkpoint_dir}/incomplete.json"
-            if args.checkpoint_dir
-            else ""
+        phases = [(f"grid campaign ({len(grid)} scenarios):", time.perf_counter() - t0)]
+        names = grid.member_names
+    else:
+        if args.scenario:
+            config = load_scenario(args.scenario).population_config(base=config)
+        t0 = time.perf_counter()
+        # A serial campaign generates its population here (through the
+        # skeleton cache when one is given); a streamed one regenerates it
+        # shard by shard inside run(), where bench/run.py's layer table splits
+        # it out.  REPRO_SCAN_BACKEND applies to streamed runs only, so it
+        # cannot change the serial object reference.
+        campaign = MeasurementCampaign(
+            population_config=config,
+            run_sweep=args.sweep,
+            workers=args.workers,
+            shard_size=args.shard_size,
+            stream=args.stream,
+            checkpoint_dir=args.checkpoint_dir,
+            resume=args.resume,
+            retry_policy=retry_policy,
+            fault_plan=fault_plan,
+            scan_backend=args.scan_backend,
+            skeleton_cache_dir=args.skeleton_cache,
         )
-        print(f"error: {error}{suffix}", file=sys.stderr)
-        return 1
-    t1 = time.perf_counter()
-    reports = {name: build_report(results[name]) for name in grid.member_names}
+        t1 = time.perf_counter()
+        results = {None: campaign.run()}
+        phases = [("population generation:", t1 - t0), ("campaign:", time.perf_counter() - t1)]
+        names = [None]
     t2 = time.perf_counter()
+    reports = {name: build_report(results[name], include_sweep=args.sweep) for name in names}
+    phases.append(("reports:" if args.scenario_grid else "report:", time.perf_counter() - t2))
     if args.timings:
-        print(f"grid campaign ({len(grid)} scenarios): {t1 - t0:8.2f} s", file=sys.stderr)
-        print(f"reports:               {t2 - t1:8.2f} s", file=sys.stderr)
+        for label, seconds in phases:
+            _stderr_line(f"{label:<22} {seconds:8.2f} s")
     if args.output:
         from .core.ioutil import atomic_write_text
 
-        os.makedirs(args.output, exist_ok=True)
+        if args.scenario_grid:
+            os.makedirs(args.output, exist_ok=True)
         for name, report in reports.items():
-            path = os.path.join(args.output, f"{name}.report.txt")
-            atomic_write_text(path, report.text + "\n")
-        print(f"{len(reports)} reports written to {args.output}")
+            atomic_write_text(_member_path(args.output, name, ".report.txt"), report.text + "\n")
+        print(
+            f"{len(reports)} reports written to {args.output}"
+            if args.scenario_grid
+            else f"report written to {args.output}"
+        )
     else:
         for index, (name, report) in enumerate(reports.items()):
             if index:
                 print()
-            print(f"=== scenario: {name} ===")
+            if name is not None:
+                print(f"=== scenario: {name} ===")
             print(report.text)
     if args.export_dir:
         from .analysis.export import export_evaluation
 
-        total = 0
-        for name, report in reports.items():
-            exported = export_evaluation(
-                results[name], os.path.join(args.export_dir, name), report
-            )
-            total += exported.file_count
-        print(f"{total} files exported to {args.export_dir}")
+        exported = sum(
+            export_evaluation(
+                results[name], _member_path(args.export_dir, name), report
+            ).file_count
+            for name, report in reports.items()
+        )
+        print(f"{exported} files exported to {args.export_dir}")
     return 0
 
 
@@ -566,8 +488,7 @@ def _run_predict(args: argparse.Namespace) -> int:
 
     hierarchy = default_hierarchy()
     if args.chain not in hierarchy.profiles:
-        print(f"unknown chain profile: {args.chain!r} (see 'repro profiles')", file=sys.stderr)
-        return 2
+        raise InputError(f"unknown chain profile: {args.chain!r} (see 'repro profiles')")
     chain = hierarchy.profiles[args.chain].issue(args.domain)
     compression = None
     if args.compression != "none":
@@ -593,94 +514,54 @@ def _run_predict(args: argparse.Namespace) -> int:
 
 def _run_compare(args: argparse.Namespace) -> int:
     from .scanners.columnar import resolve_scan_backend
-    from .scanners.skeleton_store import SkeletonStoreError
     from .scenarios import compare_grid, load_grid
     from .scenarios.grid import scenario_list_grid
 
     if args.grid and args.scenarios:
-        print(
-            "error: --grid and --scenarios are mutually exclusive; a "
-            "comma-separated list works as a --grid spec too",
-            file=sys.stderr,
+        raise InputError(
+            "--grid and --scenarios are mutually exclusive; a "
+            "comma-separated list works as a --grid spec too"
         )
-        return 2
-    try:
-        resolve_scan_backend(args.scan_backend)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-
-    progress = None
-    if args.progress:
-        def progress(line: str) -> None:
-            print(line, file=sys.stderr)
-
-    try:
-        grid = (
-            scenario_list_grid(args.scenarios)
-            if args.scenarios
-            else load_grid(args.grid or "what-ifs")
-        )
-        table = compare_grid(
-            grid,
-            size=args.size,
-            seed=args.seed,
-            workers=args.workers,
-            shard_size=args.shard_size,
-            scan_backend=args.scan_backend,
-            progress=progress,
-            skeleton_cache_dir=args.skeleton_cache,
-        )
-    except (ScenarioError, SkeletonStoreError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    resolve_scan_backend(args.scan_backend)
+    grid = (
+        scenario_list_grid(args.scenarios)
+        if args.scenarios
+        else load_grid(args.grid or "what-ifs")
+    )
+    table = compare_grid(
+        grid,
+        size=args.size,
+        seed=args.seed,
+        workers=args.workers,
+        shard_size=args.shard_size,
+        scan_backend=args.scan_backend,
+        progress=_stderr_line if args.progress else None,
+        skeleton_cache_dir=args.skeleton_cache,
+    )
     print(table.render_text())
     return 0
 
 
 def _run_skeletons(args: argparse.Namespace) -> int:
-    from .scanners.skeleton_store import (
-        SkeletonStore,
-        SkeletonStoreError,
-        check_shard_indices,
-        warm,
-    )
+    from .scanners.skeleton_store import SkeletonStore, warm
     from .webpki import PopulationConfig
 
-    if args.action != "warm" and not os.path.isdir(args.directory):
-        # Only warm fills a cache; inspecting a missing one creates nothing.
-        print(f"error: no skeleton cache directory at {args.directory}", file=sys.stderr)
-        return 2
-    indices = None
-    if args.action == "warm" and args.shards:
-        # Checked before the store exists: a bad index creates nothing.
-        try:
-            indices = [int(part) for part in args.shards.split(",") if part.strip()]
-        except ValueError:
-            print(f"error: --shards must be integers: {args.shards!r}", file=sys.stderr)
-            return 2
-        try:
-            check_shard_indices(indices, args.size)
-        except ValueError as error:
-            print(f"error: --shards: {error}", file=sys.stderr)
-            return 2
-    try:
-        store = SkeletonStore(args.directory)
-    except SkeletonStoreError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     if args.action == "warm":
+        # warm() checks the indices before it creates the directory, so a
+        # bad index creates nothing.
         config = PopulationConfig(size=args.size, seed=args.seed)
-        try:
-            hits, misses = warm(store, config, shard_indices=indices)
-        except SkeletonStoreError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+        hits, misses = warm(args.directory, config, shard_indices=args.shards)
         print(
             f"warmed {hits + misses} shard(s) for size={args.size} seed={args.seed}: "
             f"{misses} generated, {hits} already cached"
         )
         return 0
+    if args.action == "gc" and (args.size is None) != (args.seed is None):
+        raise InputError("gc needs --size and --seed together (or neither)")
+    if not os.path.isdir(args.directory):
+        # Only warm fills a cache; inspecting a missing one creates nothing.
+        raise InputError(f"no skeleton cache directory at {args.directory}")
+    store = SkeletonStore(args.directory)
     if args.action == "stats":
         stats = store.stats()
         metadata = stats["metadata"] or {}
@@ -696,10 +577,6 @@ def _run_skeletons(args: argparse.Namespace) -> int:
         else:
             print("bound to:    (unbound — no skeletons.json yet)")
         return 0
-    # gc
-    if (args.size is None) != (args.seed is None):
-        print("error: gc needs --size and --seed together (or neither)", file=sys.stderr)
-        return 2
     config = (
         PopulationConfig(size=args.size, seed=args.seed) if args.size is not None else None
     )
@@ -715,11 +592,7 @@ def _run_scenarios(args: argparse.Namespace) -> int:
     if args.grid:
         from .scenarios import load_grid
 
-        try:
-            grid = load_grid(args.grid)
-        except ScenarioError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+        grid = load_grid(args.grid)
         print(f"Scenario grid '{grid.name}' — {len(grid)} members "
               f"(fingerprint {grid.fingerprint()[:16]}):")
         if grid.description:
@@ -757,20 +630,21 @@ def _run_profiles(_: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one ``repro`` command and return its exit code.
+
+    The one place a failure becomes an exit code: argparse refuses what an
+    argument type can check (exit 2, ``repro <command>: error: ...``), and
+    a :class:`~repro.errors.ReproError` raised by a command or the pipeline
+    becomes one ``error: ...`` line and the error's ``exit_code`` (2 for a
+    refused input or an unusable directory, 1 for shards that failed every
+    retry).  Any other exception is a bug and keeps its traceback.
+    """
     args = build_parser().parse_args(argv)
-    if args.command == "campaign":
-        return _run_campaign(args)
-    if args.command == "compare":
-        return _run_compare(args)
-    if args.command == "scenarios":
-        return _run_scenarios(args)
-    if args.command == "skeletons":
-        return _run_skeletons(args)
-    if args.command == "predict":
-        return _run_predict(args)
-    if args.command == "profiles":
-        return _run_profiles(args)
-    return 1  # pragma: no cover - argparse enforces the choices
+    try:
+        return args.run(args)
+    except ReproError as error:
+        _stderr_line(f"error: {error}")
+        return error.exit_code
 
 
 if __name__ == "__main__":  # pragma: no cover

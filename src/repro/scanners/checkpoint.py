@@ -47,6 +47,7 @@ from ..core.ioutil import (
     encode_self_verifying,
     quarantine_file,
 )
+from ..errors import ReproError
 from ..scenarios import BASELINE
 from ..webpki.population import PopulationConfig
 
@@ -64,7 +65,7 @@ INCOMPLETE_MANIFEST_FILENAME = "incomplete.json"
 QUARANTINE_DIRNAME = "quarantine"
 
 
-class CheckpointError(RuntimeError):
+class CheckpointError(ReproError, RuntimeError):
     """A checkpoint directory cannot be used for this campaign."""
 
 

@@ -49,6 +49,7 @@ from array import array
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis.figures import figure02b, figure07, figure08, figure12, figure13, table02
+from ..errors import InputError
 from ..netsim.dns import DnsRcode
 from ..netsim.http import target_domain
 from ..quic.anti_amplification import ANTI_AMPLIFICATION_FACTOR
@@ -102,7 +103,7 @@ def resolve_scan_backend(explicit: Optional[str] = None) -> str:
         return "object"
     if backend not in SCAN_BACKENDS:
         choices = ", ".join(SCAN_BACKENDS)
-        raise ValueError(f"unknown {source} {backend!r} (choose from: {choices})")
+        raise InputError(f"unknown {source} {backend!r} (choose from: {choices})")
     return backend
 
 

@@ -28,6 +28,8 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from ..errors import ReproError
+
 #: Fault kinds a worker can suffer while scanning a shard.
 WORKER_FAULT_KINDS = ("raise", "kill", "stall")
 
@@ -37,7 +39,7 @@ WORKER_FAULT_KINDS = ("raise", "kill", "stall")
 CHECKPOINT_FAULT_KINDS = ("corrupt", "truncate", "kill-run")
 
 
-class FaultPlanError(ValueError):
+class FaultPlanError(ReproError, ValueError):
     """A fault plan is malformed (unknown kind, bad JSON, missing keys)."""
 
 

@@ -31,6 +31,7 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..errors import InputError, ReproError
 from ..quic.server import FlightCacheInfo, FlightPlanCache
 from ..scenarios import BASELINE, ScenarioSpec
 from ..tls.cert_compression import CertificateCompressionAlgorithm
@@ -324,24 +325,27 @@ class RetryPolicy:
 
     def __post_init__(self) -> None:
         if self.max_attempts <= 0:
-            raise ValueError("max_attempts must be positive")
+            raise InputError("max_attempts must be positive")
         # Written so NaN fails too; an infinite timeout would overflow the
         # pool's wait.
         if self.shard_timeout is not None and not 0 < self.shard_timeout < math.inf:
-            raise ValueError("shard_timeout must be positive and finite")
+            raise InputError("shard_timeout must be positive and finite")
 
     def backoff(self, attempt: int) -> float:
         return min(self.backoff_cap, self.backoff_base * (2 ** attempt))
 
 
-class ShardDispatchError(RuntimeError):
+class ShardDispatchError(ReproError, RuntimeError):
     """Shards remained unfinished after every retry.
 
     Never a silently partial result: the error names exactly which shard
     indices are incomplete (``incomplete``) and which finished
     (``completed``), and — when a checkpoint store is attached — the caller
-    persists the same lists as an ``incomplete.json`` manifest.
+    persists the same lists as an ``incomplete.json`` manifest and names it
+    in ``manifest``, which the message then ends with.
     """
+
+    exit_code = 1
 
     def __init__(
         self, message: str, incomplete: Sequence[int], completed: Sequence[int] = ()
@@ -349,6 +353,13 @@ class ShardDispatchError(RuntimeError):
         super().__init__(message)
         self.incomplete = tuple(sorted(incomplete))
         self.completed = tuple(sorted(completed))
+        self.manifest: Optional[str] = None
+
+    def __str__(self) -> str:
+        message = super().__str__()
+        if self.manifest is None:
+            return message
+        return f"{message}; manifest of incomplete shards: {self.manifest}"
 
 
 def dispatch_with_retry(

@@ -91,6 +91,7 @@ from ..core.ioutil import (
     encode_self_verifying,
     quarantine_file,
 )
+from ..errors import InputError, ReproError
 from ..webpki.population import (
     GENERATION_SHARD_SIZE,
     PopulationConfig,
@@ -139,7 +140,7 @@ SKELETON_SUFFIX = ".skel"
 MEMO_CAPACITY = 3
 
 
-class SkeletonStoreError(RuntimeError):
+class SkeletonStoreError(ReproError, RuntimeError):
     """A skeleton cache directory cannot be used for this population."""
 
 
@@ -1006,11 +1007,12 @@ def warm(
 
 
 def check_shard_indices(indices: Iterable[int], size: int) -> None:
-    """Raise :class:`ValueError` unless every index names a generation shard."""
+    """Raise :class:`~repro.errors.InputError` (a ``ValueError``) unless every
+    index names a generation shard."""
     count = shard_count(size)
     for index in indices:
         if not 0 <= index < count:
-            raise ValueError(
+            raise InputError(
                 f"shard index {index} is out of range: a {size}-domain population "
                 f"has generation shards 0..{count - 1}"
             )

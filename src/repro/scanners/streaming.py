@@ -1218,7 +1218,7 @@ def _stream_shards(
     except ShardDispatchError as error:
         if store is not None:
             completed = sorted(set(indices) - set(error.incomplete))
-            store.write_incomplete_manifest(completed, error.incomplete)
+            error.manifest = store.write_incomplete_manifest(completed, error.incomplete)
         raise
     if store is not None:
         store.clear_incomplete_manifest()

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.limits import MAX_INITIAL_SIZE_AT_MTU_1500, MIN_INITIAL_SIZE
+from ..errors import ReproError
 from ..quic.profiles import (
     BUILTIN_PROFILES,
     ServerBehaviorProfile,
@@ -60,7 +61,7 @@ _COMPRESSION_BY_LABEL: Dict[str, CertificateCompressionAlgorithm] = {
 }
 
 
-class ScenarioError(ValueError):
+class ScenarioError(ReproError, ValueError):
     """A scenario is unknown, malformed, or inconsistent with its campaign."""
 
 

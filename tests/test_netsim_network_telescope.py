@@ -5,7 +5,7 @@ import pytest
 from repro.netsim import IPv4Address, IPv4Prefix, QuicServiceHost, Telescope, UdpNetwork
 from repro.netsim.telescope import BackscatterPacket
 from repro.quic.client import QuicClientConfig
-from repro.quic.profiles import MVFST_LIKE, RETRY_ALWAYS, RFC_COMPLIANT
+from repro.quic.profiles import RETRY_ALWAYS, RFC_COMPLIANT
 from repro.quic.server import FlightPlanCache
 
 

@@ -1,7 +1,5 @@
 """Unit tests for the client second flight and transport parameters."""
 
-import pytest
-
 from repro.quic import ConnectionId, TransportParameters
 from repro.quic.client import QuicClientConfig, build_client_second_flight
 from repro.quic.varint import decode_varint

@@ -8,7 +8,6 @@ from repro.quic import (
     HandshakeClass,
     QuicClientConfig,
     QuicServer,
-    ServerBehaviorProfile,
     build_client_initial_datagram,
     simulate_handshake,
 )

@@ -1,10 +1,10 @@
-"""No module under ``src/repro`` imports a name it never uses.
+"""No module under ``src/repro`` or ``tests`` imports a name it never uses.
 
 A stdlib AST pass over every module-level import.  A name counts as used when
 the module reads it (string annotations included), lists it in ``__all__``,
-or another file of the repository imports it from that module.  Package
-``__init__`` files (re-exports), ``from __future__`` imports and
-``if TYPE_CHECKING:`` blocks are exempt.
+or (for ``src/repro``) another file of the repository imports it from that
+module.  Package ``__init__`` files (re-exports), ``from __future__`` imports
+and ``if TYPE_CHECKING:`` blocks are exempt.
 """
 
 from __future__ import annotations
@@ -107,6 +107,15 @@ def test_no_module_imports_a_name_it_never_uses():
         source = path.read_text(encoding="utf-8")
         for entry in unused_imports(source, imported_elsewhere):
             offenders.append(f"{os.path.relpath(path, REPO_ROOT)}:{entry}")
+    assert offenders == []
+
+
+def test_no_test_module_imports_a_name_it_never_uses():
+    offenders = [
+        f"{os.path.relpath(path, REPO_ROOT)}:{entry}"
+        for path in sorted((REPO_ROOT / "tests").rglob("*.py"))
+        for entry in unused_imports(path.read_text(encoding="utf-8"))
+    ]
     assert offenders == []
 
 

@@ -1,7 +1,5 @@
 """Unit tests for the CA hierarchy and issuance."""
 
-import pytest
-
 from repro.x509 import build_hierarchy, issue_leaf
 from repro.x509.ca import default_hierarchy
 from repro.x509.keys import KeyAlgorithm

@@ -1,7 +1,5 @@
 """Unit tests for certificate construction."""
 
-import pytest
-
 from repro.asn1 import OID, decode_tlv, iter_tlvs
 from repro.asn1.tags import Tag
 from repro.x509 import (

@@ -1,15 +1,12 @@
 """Unit tests for X.509 v3 extensions."""
 
-import pytest
-
-from repro.asn1 import OID, decode_tlv, iter_tlvs
+from repro.asn1 import OID, decode_tlv
 from repro.x509.extensions import (
     AuthorityInformationAccess,
     AuthorityKeyIdentifier,
     BasicConstraints,
     CertificatePolicies,
     CrlDistributionPoints,
-    Extension,
     ExtendedKeyUsage,
     KeyUsage,
     SignedCertificateTimestamps,

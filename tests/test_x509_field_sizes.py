@@ -1,7 +1,5 @@
 """Unit tests for per-field size accounting."""
 
-import pytest
-
 from repro.x509.field_sizes import mean_from_sums, measure_field_sizes, san_byte_share
 
 FIELDS = ("subject", "issuer", "public_key_info", "extensions", "signature", "other", "total")

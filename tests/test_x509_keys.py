@@ -1,7 +1,5 @@
 """Unit tests for the public key / signature size models."""
 
-import pytest
-
 from repro.asn1 import decode_tlv, iter_tlvs
 from repro.asn1.tags import Tag
 from repro.x509.keys import KeyAlgorithm, PublicKey, SignatureAlgorithm
