@@ -10,7 +10,8 @@ table — and touches no ``DomainDeployment``, ``CertificateChain`` or
   hand-assembled shards;
 * :func:`~repro.scanners.skeleton_store.columns_for_range` reads a
   store-backed shard straight from the verified ``.skel`` payload (a cold
-  store-backed run reads the payload it has just written).
+  store-backed run reads the payload it has just written, whose leaves it
+  issued as bytes: no chain object exists on that path).
 
 Every chain fact comes from the chain's leaf — DER bytes, field-size row,
 SAN byte share and, when known, the raw-DEFLATE length — plus one
@@ -94,6 +95,18 @@ class ChainShape:
         self.row_counts = row_counts
         self.alg_counts = alg_counts
         self.leaf_algorithm = leaf_algorithm
+
+    def payload(self, leaf_der: bytes) -> bytes:
+        """The TLS Certificate payload of the chain with this leaf, as
+        :func:`~repro.tls.cert_compression.chain_payload` builds it."""
+        parents = self.parent_entries
+        return b"".join(
+            (
+                (len(leaf_der) + 5 + len(parents)).to_bytes(3, "big"),
+                _certificate_entry(leaf_der),
+                parents,
+            )
+        )
 
 
 #: ``(CA profile, leaf key override, bloat extras, trim) -> (shape, size of
@@ -180,18 +193,6 @@ class ShardColumns:
         """Length of the chain's TLS Certificate payload (RFC 8879 input)."""
         return self.field_rows[7 * chain + 6] + self.shapes[chain].payload_base
 
-    def payload(self, chain: int) -> bytes:
-        """The chain's TLS Certificate payload, as :func:`chain_payload` builds it."""
-        leaf = self.leaf_ders[chain]
-        parents = self.shapes[chain].parent_entries
-        return b"".join(
-            (
-                (len(leaf) + 5 + len(parents)).to_bytes(3, "big"),
-                _certificate_entry(leaf),
-                parents,
-            )
-        )
-
     def digest(self, chain: int) -> bytes:
         """SHA-256 over the chain's certificate DERs (its fingerprint's bytes).
 
@@ -217,7 +218,9 @@ class ShardColumns:
             if self.chains is not None:
                 length = cert_compression.chain_deflate_size(self.chains[chain])
             else:
-                length = cert_compression.deflate_size(self.payload(chain))
+                length = cert_compression.deflate_size(
+                    self.shapes[chain].payload(self.leaf_ders[chain])
+                )
             self.deflate_lens[chain] = length
         return length
 

@@ -56,10 +56,11 @@ integers little-endian::
 
 A read returns a :class:`StoredShard` record — the payload's columns, no
 per-domain objects — and the store's decoded-shard memo holds records, not
-objects.  Objects (the :class:`SkeletonShard` and its spec → chain cache)
-are an on-demand view of a record, kept once a consumer builds them; the
-warm columnar kernel reads the columns directly
-(:func:`columns_for_range`).
+objects.  A miss returns the same shape: it issues every leaf as bytes into
+the payload it writes, and the record decodes that payload on first use.
+Objects (the :class:`SkeletonShard` and its spec → chain cache) are an
+on-demand view of a record, kept once a consumer builds them; the warm
+columnar kernel reads the columns directly (:func:`columns_for_range`).
 
 Because the payload codec is deterministic and python-version independent
 (no pickle), the files double as the interchange format the ROADMAP's
@@ -98,7 +99,7 @@ from ..webpki.population import (
     SkeletonShard,
     generate_tranco_list,
 )
-from ..tls.cert_compression import chain_deflate_size
+from ..tls import cert_compression
 from ..webpki.deployment import DomainDeployment
 from ..webpki.skeleton import (
     ChainSpec,
@@ -108,9 +109,9 @@ from ..webpki.skeleton import (
     encode_skeleton_shard,
     materialize_skeletons,
 )
-from ..x509.ca import WebPkiHierarchy, default_hierarchy
+from ..x509.ca import default_hierarchy
 from ..x509.chain import CertificateChain
-from ..x509.issuance import leaf_from_record, leaf_record, leaf_template
+from ..x509.issuance import issue_leaf_fast, leaf_from_record, leaf_template
 from .shard_columns import ChainShape, ShardColumns, spec_chain_shape
 
 #: Skeleton file format tag; bump on any incompatible layout change so old
@@ -135,8 +136,7 @@ SKELETON_SUFFIX = ".skel"
 #: ``2 * GENERATION_SHARD_SIZE`` rows (the default scan shard size) covers at
 #: most three generation shards, and sequential range reads revisit at most
 #: the previous scan shard's last one, so three records make every file
-#: decode once per visit.  A record generated on a miss also keeps its
-#: objects; a wider window only raises peak memory.
+#: decode once per visit.  A wider window only raises peak memory.
 MEMO_CAPACITY = 3
 
 
@@ -262,37 +262,44 @@ def _iter_specs(shard: SkeletonShard) -> Iterator[Tuple[ChainSpec, bool]]:
             yield skeleton.quic_spec, quic
 
 
-def _encode_leaf_annex(
-    shard: SkeletonShard,
-    chain_cache: ChainCache,
-    hierarchy: WebPkiHierarchy,
-) -> bytes:
+def _encode_leaf_annex(shard: SkeletonShard) -> bytes:
     """Encode the issued-leaf annex: one leaf record per chain spec.
 
     Skeleton decode alone only removes ~15% of generation cost — issuance
     dominates — so the store also carries each spec's issued *leaf* (the only
     per-domain certificate; every parent is a hierarchy or bloat-pool
-    singleton recoverable from the spec).  Missing chains are issued here, so
-    encoding from a cold run reuses the chains the campaign materialises
-    anyway when the caller shares ``chain_cache``.
+    singleton recoverable from the spec).  Leaves are issued here by the
+    byte kernel :func:`~repro.x509.issuance.issue_leaf_fast`: the annex
+    needs only each leaf's DER and field-size row, so no certificate or
+    chain object is built.
 
     Each QUIC-served chain's raw-DEFLATE length is stored too (0 for every
-    other spec).  It is measured here through the chain's own memo, so a cold
-    run pays the zlib pass its scan would pay anyway, on the chain instance
-    the scan then reads, and a warm run pays none.
+    other spec), measured over the payload its chain shape frames around the
+    leaf DER (:meth:`~repro.scanners.shard_columns.ChainShape.payload`, the
+    bytes :func:`~repro.tls.cert_compression.chain_payload` builds for the
+    chain).  A cold run pays here the zlib pass its scan would pay anyway,
+    and a warm run pays none.
     """
+    profiles = default_hierarchy().profiles
     der_lens: List[int] = []
     rows: List[int] = []
     deflate_lens: List[int] = []
     ders: List[bytes] = []
     for spec, quic_served in _iter_specs(shard):
-        chain = chain_cache.get(spec)
-        if chain is None:
-            chain = chain_cache[spec] = spec.materialize(hierarchy)
-        der, row = leaf_record(chain.leaf)
+        profile = profiles[spec.ca_profile]
+        template = leaf_template(profile.issuer, spec.key_algorithm or profile.leaf_key_algorithm)
+        der, row, _ = issue_leaf_fast(
+            template, spec.domain, spec.san_names(), spec.validity_days
+        )
         der_lens.append(len(der))
         rows.extend(row)
-        deflate_lens.append(chain_deflate_size(chain) if quic_served else 0)
+        if quic_served:
+            shape, _ = spec_chain_shape(
+                spec.ca_profile, spec.key_algorithm, spec.bloat_extras, spec.trim_to
+            )
+            deflate_lens.append(cert_compression.deflate_size(shape.payload(der)))
+        else:
+            deflate_lens.append(0)
         ders.append(der)
     count = len(ders)
     return b"".join(
@@ -306,6 +313,10 @@ def _encode_leaf_annex(
             *ders,
         )
     )
+
+
+#: The :class:`StoredShard` slots a decode fills from the payload.
+_COLUMN_SLOTS = ("skeleton", "payload", "der_bounds", "rows", "deflate")
 
 
 class StoredShard:
@@ -325,29 +336,51 @@ class StoredShard:
     instead and builds neither;
     :meth:`deployment` materialises a single row (stage 5's spoof targets).
 
-    A record generated on a miss carries the objects it was generated from
-    as its views, and the columns of the bytes it was saved as.  A
-    skeleton-only miss (``populate=False``) carries the shard view alone.
+    A record saved on a miss (:meth:`SkeletonStore.save`) is shaped like a
+    hit: it holds the payload it was saved as and decodes its columns on
+    first read of one, so a warm-only writer never decodes.  It differs in
+    one view: ``generated`` rows materialise with freshly issued leaves (see
+    :meth:`deployment`).  A skeleton-only miss (``populate=False``) carries
+    the shard view alone.
     """
 
     __slots__ = (
         "index", "start_rank", "length", "skeleton", "payload", "der_bounds",
-        "rows", "deflate", "_shard", "_chain_cache", "_chain_table_memo", "_rebuild",
+        "rows", "deflate", "generated", "_encoded", "_shard", "_chain_cache",
+        "_chain_table_memo", "_rebuild",
     )
 
-    def __init__(self, index: int, start_rank: int, length: int) -> None:
+    def __init__(
+        self, index: int, start_rank: int, length: int, encoded: Optional[bytes] = None
+    ) -> None:
         self.index = index
         self.start_rank = start_rank
         self.length = length
-        self.skeleton: Optional[SkeletonColumns] = None
-        self.payload = b""
-        self.der_bounds: Optional[List[int]] = None
-        self.rows: Tuple[int, ...] = ()
-        self.deflate: Optional[Tuple[int, ...]] = None
+        #: Whether this process generated the shard (a saved miss).
+        self.generated = encoded is not None
+        #: The saved payload whose columns are not decoded yet.
+        self._encoded = encoded
+        if encoded is None:
+            self.skeleton: Optional[SkeletonColumns] = None
+            self.payload = b""
+            self.der_bounds: Optional[List[int]] = None
+            self.rows: Tuple[int, ...] = ()
+            self.deflate: Optional[Tuple[int, ...]] = None
         self._shard: Optional[SkeletonShard] = None
         self._chain_cache: Optional[ChainCache] = None
         self._chain_table_memo: Optional[tuple] = None
         self._rebuild: Optional[Callable[[int, ChainSpec], CertificateChain]] = None
+
+    def __getattr__(self, name: str):
+        # Reached only for an unset slot: a saved record's columns, decoded
+        # from its payload on first read.
+        if name not in _COLUMN_SLOTS or self._encoded is None:
+            raise AttributeError(name)
+        decoded = _read_payload(self._encoded, populate=True)
+        self._encoded = None
+        for column in _COLUMN_SLOTS:
+            setattr(self, column, getattr(decoded, column))
+        return getattr(self, name)
 
     @classmethod
     def of_shard(cls, shard: SkeletonShard) -> "StoredShard":
@@ -358,8 +391,8 @@ class StoredShard:
 
     @property
     def populated(self) -> bool:
-        """Whether the issued-leaf annex was decoded (chains are available)."""
-        return self.der_bounds is not None
+        """Whether the record carries the issued-leaf annex (chains are available)."""
+        return self._encoded is not None or self.der_bounds is not None
 
     # -- the object view -------------------------------------------------------
 
@@ -430,22 +463,36 @@ class StoredShard:
         return rebuild
 
     def deployment(self, row: int) -> DomainDeployment:
-        """Materialise one row: through the chain view when one was built
-        (a generated record's issued chains), else rebuilding the row's
-        chains from the annex."""
-        if self._chain_cache is not None:
+        """Materialise one row (the kernel's stage-5 spoof-target candidates).
+
+        A ``generated`` record issues the row's leaves afresh, with each
+        chain's ``_deflate_size`` memo seeded from the DEFLATE column: the
+        candidates are pickled to the parent process and into checkpoints,
+        and an eager leaf pickles as it is, where a leaf rebuilt from the
+        annex would first expand its deferred fields.  Any other record
+        materialises through its chain view when one was built, else
+        rebuilds the row's chains from the annex.
+        """
+        if self._chain_cache is not None and not self.generated:
             return self.shard.skeletons[row].materialize(
                 default_hierarchy(), self._chain_cache
             )
         skeleton = self.skeleton.skeleton(row)
-        rebuild = self._chain_builder()
+        build = self._issue_chain if self.generated else self._chain_builder()
         position = self.skeleton.spec_starts[row]
         cache: ChainCache = {}
         for spec in (skeleton.https_spec, skeleton.quic_spec):
             if spec is not None:
-                cache[spec] = rebuild(position, spec)
+                cache[spec] = build(position, spec)
                 position += 1
         return skeleton.materialize(default_hierarchy(), cache)
+
+    def _issue_chain(self, position: int, spec: ChainSpec) -> CertificateChain:
+        """One annex record's chain, issued eagerly from its spec."""
+        chain = spec.materialize(default_hierarchy())
+        if self.deflate is not None and self.deflate[position]:
+            object.__setattr__(chain, "_deflate_size", self.deflate[position])
+        return chain
 
     # -- the column view -------------------------------------------------------
 
@@ -569,39 +616,22 @@ def _read_payload(payload: bytes, populate: bool) -> StoredShard:
 KEY_DIGEST_LENGTH = 16
 
 
-def encode_skeleton_file(
-    shard: SkeletonShard,
-    chain_cache: Optional[ChainCache] = None,
-    hierarchy: Optional[WebPkiHierarchy] = None,
-    key: Optional[SkeletonKey] = None,
-) -> bytes:
+def encode_skeleton_file(shard: SkeletonShard, key: Optional[SkeletonKey] = None) -> bytes:
     """Serialise one generation shard (skeletons + leaf annex), with header.
 
-    ``chain_cache`` supplies already-materialised chains; specs it is missing
-    are issued (into it) here.  Passing ``None`` issues everything fresh.
-    ``key`` embeds the shard's content address into the payload (always set
-    on the store's write path); without one a placeholder is stored and the
-    file will fail any keyed load.
+    Every spec's leaf is issued here.  ``key`` embeds the shard's content
+    address into the payload (always set on the store's write path); without
+    one a placeholder is stored and the file will fail any keyed load.
     """
-    return encode_self_verifying(
-        SKELETON_FORMAT, _encode_payload(shard, chain_cache, hierarchy, key)
-    )
+    return encode_self_verifying(SKELETON_FORMAT, _encode_payload(shard, key))
 
 
-def _encode_payload(
-    shard: SkeletonShard,
-    chain_cache: Optional[ChainCache],
-    hierarchy: Optional[WebPkiHierarchy],
-    key: Optional[SkeletonKey],
-) -> bytes:
-    hierarchy = hierarchy or default_hierarchy()
-    if chain_cache is None:
-        chain_cache = {}
+def _encode_payload(shard: SkeletonShard, key: Optional[SkeletonKey]) -> bytes:
     address = (key.digest() if key is not None else "0" * KEY_DIGEST_LENGTH).encode(
         "ascii"
     )
     skeleton_bytes = encode_skeleton_shard(shard)
-    annex = _encode_leaf_annex(shard, chain_cache, hierarchy)
+    annex = _encode_leaf_annex(shard)
     return address + struct.pack("<I", len(skeleton_bytes)) + skeleton_bytes + annex
 
 
@@ -666,7 +696,7 @@ class SkeletonStore:
         """Drop in-process decoded shards.
 
         :func:`warm` calls this after each shard: warming reads nothing back,
-        so a memoised shard would only keep its chains alive.
+        so a memoised record would only keep its payload alive.
         """
         self._memo.clear()
 
@@ -752,17 +782,15 @@ class SkeletonStore:
 
     # -- save/load -------------------------------------------------------------
 
-    def save(
-        self,
-        key: SkeletonKey,
-        shard: SkeletonShard,
-        chain_cache: Optional[ChainCache] = None,
-    ) -> StoredShard:
+    def save(self, key: SkeletonKey, shard: SkeletonShard) -> StoredShard:
         """Persist one generation shard atomically; return the saved record.
 
-        The record reads its columns from the bytes just encoded and keeps
-        ``shard`` and ``chain_cache`` (filled with every spec's chain, issued
-        here if missing) as its object view.  A write that fails with
+        Leaves are issued as bytes straight into the annex
+        (:func:`_encode_leaf_annex`), so no certificate or chain object
+        outlives the write.  The record is shaped like a hit: it holds the
+        bytes just encoded and decodes their columns on first use (a warm
+        pass never does); its only difference is ``generated``, see
+        :meth:`StoredShard.deployment`.  A write that fails with
         ``OSError`` (full disk, read-only or permission-denied directory)
         costs the cache, never the campaign: the record is returned uncached,
         counted as ``write_errors`` in :func:`cache_counters` with one
@@ -772,9 +800,7 @@ class SkeletonStore:
         are a deterministic function of the key, so concurrent or repeated
         writes race towards identical content.
         """
-        if chain_cache is None:
-            chain_cache = {}
-        payload = _encode_payload(shard, chain_cache, None, key)
+        payload = _encode_payload(shard, key)
         try:
             atomic_write_bytes(
                 self.path_for(key), encode_self_verifying(SKELETON_FORMAT, payload)
@@ -789,10 +815,7 @@ class SkeletonStore:
                     RuntimeWarning,
                     stacklevel=3,
                 )
-        record = _read_payload(payload, populate=True)
-        record._shard = shard
-        record._chain_cache = chain_cache
-        return record
+        return StoredShard(shard.index, shard.start_rank, len(shard.skeletons), payload)
 
     def load(self, key: SkeletonKey, populate: bool = True) -> Optional[StoredShard]:
         """Load one generation shard's record (with its annex if ``populate``).
@@ -841,10 +864,10 @@ class SkeletonStore:
         would poison the cache for every other consumer.
 
         With ``populate=True`` a hit reads the issued-leaf annex too and a
-        miss issues every spec's chain, stores it and keeps the chains as the
-        record's object view — so the warm path never issues and the cold
-        path issues exactly once, sharing the chains with the campaign that
-        triggered generation.  With ``populate=False`` (skeleton-only
+        miss issues every spec's leaf as bytes and stores it, returning a
+        hit-shaped record — so the warm path never issues and the cold path
+        issues each leaf once (stage 5 re-issues its few spoof targets, see
+        :meth:`StoredShard.deployment`).  With ``populate=False`` (skeleton-only
         consumers: the sweep discovery pass) the annex is neither read nor —
         on a miss — produced: the store reads through without writing,
         because writing would force the issuance the skeleton pass exists to
@@ -974,15 +997,16 @@ def warm(
 ) -> Tuple[int, int]:
     """Pre-populate a cache with the baseline shards of ``config``.
 
-    Returns ``(hits, misses)`` over the warmed indices — a second warm run
-    reports all hits.  Used by ``repro skeletons warm`` and tests.  Raises
-    :class:`ValueError`, before touching the directory, when an index lies
-    outside ``range(shard_count(config.size))``.
+    Returns ``(hits, misses)`` over the warmed indices, each index counted
+    once (in first-seen order) — a second warm run reports all hits.  Used by
+    ``repro skeletons warm`` and tests.  Raises :class:`ValueError`, before
+    touching the directory, when an index lies outside
+    ``range(shard_count(config.size))``.
     """
     if shard_indices is None:
         indices: Iterable[int] = range(shard_count(config.size))
     else:
-        indices = list(shard_indices)
+        indices = list(dict.fromkeys(shard_indices))
         check_shard_indices(indices, config.size)
     if isinstance(store, str):
         store = SkeletonStore(store)
@@ -996,8 +1020,8 @@ def warm(
     for index in indices:
         before = store.hits
         store.load_or_generate(base, index)
-        # Warming reads nothing back, and memoised shards would keep every
-        # chain alive for each later garbage collection to walk.
+        # Warming reads nothing back; a memoised record would only keep its
+        # payload alive.
         store.reset_memo()
         if store.hits > before:
             hits += 1

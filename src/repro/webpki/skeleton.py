@@ -31,7 +31,7 @@ from ..quic.profiles import BUILTIN_PROFILES, ServerBehaviorProfile
 from ..x509.ca import WebPkiHierarchy, default_hierarchy
 from ..x509.certificate import Certificate
 from ..x509.chain import CertificateChain
-from ..x509.issuance import issue_leaf_fast, leaf_template
+from ..x509.issuance import issue_leaf_certificate, leaf_template
 from ..x509.keys import KeyAlgorithm
 from .deployment import DomainDeployment, ServiceCategory
 
@@ -161,7 +161,7 @@ class ChainSpec:
         """Issue the recorded chain (via the per-profile issuance fast path)."""
         hierarchy = hierarchy or default_hierarchy()
         profile = hierarchy.profiles[self.ca_profile]
-        leaf = issue_leaf_fast(
+        leaf = issue_leaf_certificate(
             leaf_template(profile.issuer, self.key_algorithm or profile.leaf_key_algorithm),
             self.domain,
             self.san_names(),

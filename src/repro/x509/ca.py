@@ -33,7 +33,7 @@ from .extensions import (
     SubjectAlternativeName,
     SubjectKeyIdentifier,
 )
-from .issuance import issue_leaf_fast, leaf_template, slug as _slug
+from .issuance import issue_leaf_certificate, leaf_template, slug as _slug
 from .keys import KeyAlgorithm, PublicKey
 from .name import DistinguishedName
 
@@ -87,7 +87,7 @@ class CAProfile:
         the issuer-constant DER blocks are encoded once per
         ``(issuer, key algorithm)`` instead of once per leaf.
         """
-        leaf = issue_leaf_fast(
+        leaf = issue_leaf_certificate(
             leaf_template(self.issuer, key_algorithm or self.leaf_key_algorithm),
             domain,
             san_names if san_names is not None else (domain, f"www.{domain}"),

@@ -16,11 +16,15 @@ other part has a fixed shape, so its framing is encoded once too and
 * the CN-only subject DN, the SAN GeneralNames, and the TBS and outer
   lengths, framed with the short-form :func:`~repro.asn1.der.encode_tlv`.
 
-The output is byte-identical to :func:`repro.x509.ca.issue_leaf` — the
-reference implementation that encodes everything from scratch through the
-structured extension and name classes.  ``tests/test_issuance_splice.py``
+:func:`issue_leaf_fast` is a byte kernel: it returns the DER, the field-size
+row and the component encodings and builds no object, which is all the
+skeleton store's leaf annex needs.  :func:`issue_leaf_certificate` wraps its
+output into a :class:`~repro.x509.certificate.Certificate` for the chain
+builders.  The DER is byte-identical to :func:`repro.x509.ca.issue_leaf` —
+the reference implementation that encodes everything from scratch through
+the structured extension and name classes.  ``tests/test_issuance_splice.py``
 pins that for every profile × key algorithm, long-form lengths included,
-down to the memoized encodings the fast path stores on each object.
+down to the memoized encodings the wrapper stores on each object.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Sequence, Tuple
+from typing import Dict, NamedTuple, Sequence, Tuple
 
 from ..asn1 import (
     OID,
@@ -287,13 +291,41 @@ def _ecdsa_signature(head: bytes, coordinate_length: int) -> bytes:
     return encode_tlv(_SEQUENCE, integers[0] + integers[1])
 
 
+class LeafParts(NamedTuple):
+    """The component encodings :func:`issue_leaf_fast` assembles a leaf from.
+
+    :func:`issue_leaf_certificate` hangs them on the structured fields as
+    their memoized encodings.
+    """
+
+    subject_der: bytes
+    spki_der: bytes
+    key_identifier: bytes
+    serial_content: bytes
+    ski_value: bytes
+    ski_der: bytes
+    san_value: bytes
+    san_der: bytes
+    sct_value: bytes
+    sct_der: bytes
+    tbs: bytes
+    signature: bytes
+
+
 def issue_leaf_fast(
     template: LeafTemplate,
     domain: str,
     san_names: Sequence[str],
     validity_days: int = 90,
-) -> Certificate:
-    """Issue a leaf from a :class:`LeafTemplate` (byte-identical to ``issue_leaf``)."""
+) -> Tuple[bytes, Tuple[int, ...], LeafParts]:
+    """Issue a leaf from a :class:`LeafTemplate` as bytes: ``(der, row, parts)``.
+
+    ``der`` is byte-identical to ``issue_leaf``'s, ``row`` is its seven-field
+    size row (:mod:`repro.x509.field_sizes`) and ``parts`` the component
+    encodings.  No object is built: the skeleton store writes its leaf annex
+    from ``der`` and ``row`` alone, and :func:`issue_leaf_certificate` wraps
+    the three into a :class:`Certificate`.
+    """
     sha256 = hashlib.sha256
     domain_bytes = domain.encode()
     owner = b"leaf:" + domain_bytes
@@ -306,8 +338,6 @@ def issue_leaf_fast(
             encode_tlv(_SEQUENCE, _CN_OID_DER + encode_tlv(_UTF8_STRING, domain_bytes)),
         ),
     )
-    subject = DistinguishedName((RelativeName(_COMMON_NAME_OID, domain),))
-    object.__setattr__(subject, "_encoded", subject_der)
 
     # Public key: the per-domain body spliced into the algorithm's frame.
     frame = spki_frame(template.key_algorithm)
@@ -317,28 +347,20 @@ def issue_leaf_fast(
         body = bytes((body[0] | 0x80,)) + body[1:-1] + bytes((body[-1] | 1,))
     spki_der = frame.prefix + body + frame.suffix
     key_identifier = sha256(spki_der).digest()[:_SKI_SIZE]
-    key = PublicKey(template.key_algorithm, f"leaf:{domain}")
-    object.__setattr__(key, "_spki_der", spki_der)
-    object.__setattr__(key, "_key_identifier", key_identifier)
 
     # Serial: serial_from_seed("leaf:<domain>:<issuer>") — 128 bits, bit 126 on.
     serial_bytes = sha256(owner + template.serial_seed_tail).digest()[:16]
     serial_content = _positive_integer(bytes((serial_bytes[0] | 0x40,)) + serial_bytes[1:])
-    serial_number = int.from_bytes(serial_content, "big")
 
     # The three per-leaf extensions: SKI, SAN and the embedded SCT list.
     ski_value = _SKI_VALUE_HEAD + key_identifier
     ski_der = _SKI_EXTENSION_HEAD + ski_value
-    ski = Extension(_SKI_OID, False, ski_value)
-    object.__setattr__(ski, "_encoded", ski_der)
 
     general_names = []
     for name in san_names:
         general_names.append(encode_tlv(_DNS_NAME, name.encode("ascii")))
     san_value = encode_tlv(_SEQUENCE, b"".join(general_names))
     san_der = encode_tlv(_SEQUENCE, _SAN_OID_DER + encode_tlv(_OCTET_STRING, san_value))
-    san = Extension(_SAN_OID, False, san_value)
-    object.__setattr__(san, "_encoded", san_der)
 
     sct_seed = b"sct:" + domain_bytes + b":"
     sct_value = (
@@ -348,8 +370,6 @@ def issue_leaf_fast(
         + (sha256(sct_seed + b"1").digest() * 4)[:_SCT_BODY]
     )
     sct_der = _SCT_EXTENSION_HEAD + sct_value
-    sct = Extension(_SCT_OID, False, sct_value)
-    object.__setattr__(sct, "_encoded", sct_der)
 
     extensions_content = b"".join(
         (
@@ -361,7 +381,7 @@ def issue_leaf_fast(
             sct_der,
         )
     )
-    validity, validity_der = _validity_for_days(validity_days)
+    _, validity_der = _validity_for_days(validity_days)
     tbs = encode_tlv(
         _SEQUENCE,
         b"".join(
@@ -396,12 +416,60 @@ def issue_leaf_fast(
         tbs + template.algorithm_der + encode_tlv(_BIT_STRING, b"\x00" + signature),
     )
 
+    # Per-field accounting while every component encoding is in hand:
+    # ``extensions_content`` is exactly the concatenation of the nine
+    # extensions' encodings, so its length is their encoded-size sum (see
+    # repro.x509.field_sizes, which reads this row back as its memo).
+    accounted = (
+        len(subject_der)
+        + len(template.issuer_subject_der)
+        + len(spki_der)
+        + len(extensions_content)
+        + len(signature)
+    )
+    row = (
+        len(subject_der),
+        len(template.issuer_subject_der),
+        len(spki_der),
+        len(extensions_content),
+        len(signature),
+        max(len(der) - accounted, 0),
+        len(der),
+    )
+    parts = LeafParts(
+        subject_der, spki_der, key_identifier, serial_content, ski_value, ski_der,
+        san_value, san_der, sct_value, sct_der, tbs, signature,
+    )
+    return der, row, parts
+
+
+def issue_leaf_certificate(
+    template: LeafTemplate,
+    domain: str,
+    san_names: Sequence[str],
+    validity_days: int = 90,
+) -> Certificate:
+    """:func:`issue_leaf_fast` as a :class:`Certificate` (byte-identical to
+    ``issue_leaf``), every field carrying its encoding as its memo."""
+    der, row, parts = issue_leaf_fast(template, domain, san_names, validity_days)
+    subject = DistinguishedName((RelativeName(_COMMON_NAME_OID, domain),))
+    object.__setattr__(subject, "_encoded", parts.subject_der)
+    key = PublicKey(template.key_algorithm, f"leaf:{domain}")
+    object.__setattr__(key, "_spki_der", parts.spki_der)
+    object.__setattr__(key, "_key_identifier", parts.key_identifier)
+    ski = Extension(_SKI_OID, False, parts.ski_value)
+    object.__setattr__(ski, "_encoded", parts.ski_der)
+    san = Extension(_SAN_OID, False, parts.san_value)
+    object.__setattr__(san, "_encoded", parts.san_der)
+    sct = Extension(_SCT_OID, False, parts.sct_value)
+    object.__setattr__(sct, "_encoded", parts.sct_der)
+    validity, _ = _validity_for_days(validity_days)
     certificate = Certificate(
         subject=subject,
         issuer=template.issuer_subject,
         public_key=key,
         signature_algorithm=template.signature_algorithm,
-        serial_number=serial_number,
+        serial_number=int.from_bytes(parts.serial_content, "big"),
         validity=validity,
         extensions=(
             template.key_usage,
@@ -416,34 +484,11 @@ def issue_leaf_fast(
         ),
         is_ca=False,
         der=der,
-        tbs_der=tbs,
-        signature_value=signature,
+        tbs_der=parts.tbs,
+        signature_value=parts.signature,
     )
     object.__setattr__(certificate, "_san_names", tuple(san_names))
-    # Per-field accounting while every component encoding is in hand:
-    # ``extensions_content`` is exactly the concatenation of the nine
-    # extensions' encodings, so its length is their encoded-size sum (see
-    # repro.x509.field_sizes, which reads this row back as its memo).
-    accounted = (
-        len(subject_der)
-        + len(template.issuer_subject_der)
-        + len(spki_der)
-        + len(extensions_content)
-        + len(signature)
-    )
-    object.__setattr__(
-        certificate,
-        "_field_size_row",
-        (
-            len(subject_der),
-            len(template.issuer_subject_der),
-            len(spki_der),
-            len(extensions_content),
-            len(signature),
-            max(len(der) - accounted, 0),
-            len(der),
-        ),
-    )
+    object.__setattr__(certificate, "_field_size_row", row)
     return certificate
 
 
@@ -455,31 +500,14 @@ def issue_leaf_fast(
 # generation phase's *output*, and most of that output's cost is leaf
 # issuance: DER assembly, SPKI/key-identifier/SCT hashing, signing.  A leaf
 # record is the per-leaf remainder of issue_leaf_fast — the finished DER and
-# the field-size memo — from which a warm start reassembles a byte-identical
+# the field-size row — from which a warm start reassembles a byte-identical
 # Certificate with zero hashing and zero DER encoding.  Everything else is a
 # function of the leaf's template, its chain spec and the DER itself.
 
-#: Extension tuple positions of the per-leaf extensions in issue_leaf_fast's
+#: Extension tuple positions of the per-leaf extensions in issue_leaf_certificate's
 #: nine-extension layout (SKI, SAN, SCT); every other position is shared with
 #: the template or a module constant.
 _SKI_POSITION, _SAN_POSITION, _SCT_POSITION = 3, 6, 8
-
-
-def leaf_record(certificate: Certificate) -> Tuple[bytes, Tuple[int, ...]]:
-    """The serializable per-leaf remainder of an ``issue_leaf_fast`` output.
-
-    ``(der, field-size row)``.  Everything else is a function of the leaf's
-    template and its :class:`~repro.webpki.skeleton.ChainSpec` (subject DN,
-    public key, validity, shared extensions) or readable from the DER
-    (serial, TBS and signature slices, SKI/SAN/SCT values), so
-    :func:`leaf_from_record` needs only these two.
-    """
-    row = getattr(certificate, "_field_size_row", None)
-    if row is None:
-        raise ValueError(
-            "certificate was not issued by issue_leaf_fast; cannot build a leaf record"
-        )
-    return certificate.der, row
 
 
 def leaf_from_record(
@@ -488,7 +516,8 @@ def leaf_from_record(
     der: bytes,
     field_size_row: Tuple[int, ...],
 ) -> Certificate:
-    """Rebuild an ``issue_leaf_fast`` output from its DER and field-size row.
+    """Rebuild an :func:`issue_leaf_certificate` output from its DER and
+    field-size row.
 
     ``spec`` is the leaf's :class:`~repro.webpki.skeleton.ChainSpec` (or
     anything with its ``domain``, ``validity_days`` and ``san_names()``).

@@ -1,14 +1,16 @@
 """Spliced leaf issuance against the from-scratch reference ``issue_leaf``.
 
 ``issue_leaf_fast`` splices per-domain bytes into framing encoded once per
-template or key algorithm.  A splice is only right if every length it
+template or key algorithm and returns them as bytes; ``issue_leaf_certificate``
+wraps its output into a ``Certificate``.  A splice is only right if every length it
 assumes fixed really is, so this property test drives it over every CA
 profile × every key algorithm with the inputs that move lengths: domains and
 SAN names long enough for long-form DER lengths (128 bytes and up),
 multi-byte UTF-8 domains, 1–100 SANs and several validity spans.  Beyond the
 DER it checks what the fast path stores on the objects it returns: the
 field-size row and every memoized encoding must equal both the reference's
-and a fresh recomputation from the structured fields.
+and a fresh recomputation from the structured fields, and the byte kernel's
+``(der, row)`` must equal the wrapper's.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from repro.x509.ca import default_hierarchy, issue_leaf
 from repro.x509.certificate import Certificate
 from repro.x509.extensions import Extension
 from repro.x509.field_sizes import measure_field_sizes
-from repro.x509.issuance import issue_leaf_fast, leaf_template
+from repro.x509.issuance import issue_leaf_certificate, issue_leaf_fast, leaf_template
 from repro.x509.keys import KeyAlgorithm, PublicKey
 from repro.x509.name import DistinguishedName
 
@@ -84,9 +86,12 @@ def test_spliced_leaf_equals_reference_issue_leaf(
         validity_days=validity_days,
         key_algorithm=algorithm,
     )
-    fast = issue_leaf_fast(leaf_template(issuer, algorithm), domain, san_names, validity_days)
+    template = leaf_template(issuer, algorithm)
+    fast = issue_leaf_certificate(template, domain, san_names, validity_days)
+    der, row, _ = issue_leaf_fast(template, domain, san_names, validity_days)
 
-    assert fast.der == reference.der
+    assert der == fast.der == reference.der
+    assert row == fast._field_size_row
     assert fast.tbs_der == reference.tbs_der
     assert fast.signature_value == reference.signature_value
     assert fast.serial_number == reference.serial_number
@@ -109,9 +114,9 @@ def test_every_profile_and_key_algorithm_with_long_form_lengths():
                 validity_days=397,
                 key_algorithm=algorithm,
             )
-            fast = issue_leaf_fast(
-                leaf_template(profile.issuer, algorithm), domain, san_names, 397
-            )
-            assert fast.der == reference.der, (label, algorithm)
-            assert fast._field_size_row == reference._field_size_row, (label, algorithm)
+            template = leaf_template(profile.issuer, algorithm)
+            fast = issue_leaf_certificate(template, domain, san_names, 397)
+            der, row, _ = issue_leaf_fast(template, domain, san_names, 397)
+            assert der == fast.der == reference.der, (label, algorithm)
+            assert row == fast._field_size_row == reference._field_size_row, (label, algorithm)
             _assert_memos(fast, reference)

@@ -21,8 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.webpki.population as population_module
-import repro.webpki.skeleton as skeleton_module
-import repro.x509.ca as ca_module
+import repro.x509.issuance as issuance_module
 from repro.scanners.sharding import ShardTask, plan_shards
 from repro.scanners.streaming import _count_quic_targets
 from repro.webpki.deployment import ServiceCategory
@@ -36,7 +35,7 @@ from repro.webpki.population import (
 from repro.webpki.skeleton import ChainSpec, DeploymentSkeleton, bloat_pool, draw_bloat_extras
 from repro.webpki.tranco import generate_tranco_list
 from repro.x509.ca import default_hierarchy, issue_leaf
-from repro.x509.issuance import issue_leaf_fast, leaf_template
+from repro.x509.issuance import issue_leaf_certificate, issue_leaf_fast, leaf_template
 from repro.x509.keys import KeyAlgorithm
 
 
@@ -231,7 +230,7 @@ class TestIssuanceFastPath:
                     validity_days=365,
                     key_algorithm=algorithm,
                 )
-                fast = issue_leaf_fast(
+                fast = issue_leaf_certificate(
                     leaf_template(profile.issuer, algorithm), "byte.test", sans, 365
                 )
                 assert fast.der == reference.der, label
@@ -279,8 +278,8 @@ class TestSkeletonPassCost:
             issued.append(args[1])
             return issue_leaf_fast(*args, **kwargs)
 
-        for module in (skeleton_module, ca_module):
-            monkeypatch.setattr(module, "issue_leaf_fast", counting_issue)
+        # Every chain builder issues through the byte kernel.
+        monkeypatch.setattr(issuance_module, "issue_leaf_fast", counting_issue)
         skeleton_shard = generate_shard(self.CONFIG, 3, skeleton=True)
         assert issued == []
         generate_shard(self.CONFIG, 3)

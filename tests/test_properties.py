@@ -336,7 +336,7 @@ def test_chain_columns_match_object_payload_sizes(ca, algorithm):
     chain = _issued_chain(ca, "columns.example")
     columns = _chain_columns(chain, "columns.example")
     payload = chain_payload(cert.der for cert in chain.certificates)
-    assert columns.payload(0) == payload
+    assert columns.shapes[0].payload(columns.leaf_ders[0]) == payload
     assert columns.payload_len(0) == len(payload)
     assert columns.total_size(0) == chain.total_size
     assert columns.deflate_len(0) == deflate_size(payload)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import errno
+import gc
 import hashlib
 import json
 import os
@@ -20,6 +21,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import types
 
 import pytest
 
@@ -60,8 +62,15 @@ from repro.webpki.population import PopulationConfig, generate_population
 from repro.webpki.skeleton import ChainSpec, SkeletonColumns, materialize_skeletons
 from repro.x509 import issuance
 from repro.x509.ca import default_hierarchy
+from repro.x509.certificate import Certificate
+from repro.x509.chain import CertificateChain
 from repro.x509.field_sizes import field_size_row, san_byte_share
-from repro.x509.issuance import issue_leaf_fast, leaf_from_record, leaf_record, leaf_template
+from repro.x509.issuance import (
+    issue_leaf_certificate,
+    issue_leaf_fast,
+    leaf_from_record,
+    leaf_template,
+)
 from repro.x509.keys import KeyAlgorithm
 
 POPULATION_SIZE = 360  # < GENERATION_SHARD_SIZE: exactly one generation shard
@@ -126,7 +135,7 @@ class TestWireFormat:
     def test_round_trip(self, config, shard_and_cache):
         shard, cache = shard_and_cache
         key = SkeletonKey.for_config(config, 0)
-        record = decode_skeleton_file(encode_skeleton_file(shard, dict(cache), key=key), key=key)
+        record = decode_skeleton_file(encode_skeleton_file(shard, key=key), key=key)
         decoded, decoded_cache = record.shard, record.chain_cache
         assert decoded.index == shard.index
         assert decoded.start_rank == shard.start_rank
@@ -140,15 +149,13 @@ class TestWireFormat:
             assert hash(spec) == hash(dataclasses.replace(spec))
 
     def test_encoding_is_deterministic(self, config, shard_and_cache):
-        shard, cache = shard_and_cache
+        shard, _ = shard_and_cache
         key = SkeletonKey.for_config(config, 0)
-        assert encode_skeleton_file(shard, dict(cache), key=key) == encode_skeleton_file(
-            shard, dict(cache), key=key
-        )
+        assert encode_skeleton_file(shard, key=key) == encode_skeleton_file(shard, key=key)
 
     def test_header_carries_version_and_digest(self, shard_and_cache):
-        shard, cache = shard_and_cache
-        header = encode_skeleton_file(shard, dict(cache)).split(b"\n", 1)[0].split(b" ")
+        shard, _ = shard_and_cache
+        header = encode_skeleton_file(shard).split(b"\n", 1)[0].split(b" ")
         assert header[0] == SKELETON_FORMAT
         assert len(header) == 3 and len(header[2]) == 64
 
@@ -162,32 +169,32 @@ class TestWireFormat:
         ],
     )
     def test_defective_bytes_raise(self, shard_and_cache, mangle):
-        shard, cache = shard_and_cache
-        data = encode_skeleton_file(shard, dict(cache))
+        shard, _ = shard_and_cache
+        data = encode_skeleton_file(shard)
         with pytest.raises(SkeletonStoreError):
             decode_skeleton_file(mangle(data))
 
     def test_flipped_payload_byte_raises(self, shard_and_cache):
-        shard, cache = shard_and_cache
-        data = bytearray(encode_skeleton_file(shard, dict(cache)))
+        shard, _ = shard_and_cache
+        data = bytearray(encode_skeleton_file(shard))
         data[-3] ^= 0xFF
         with pytest.raises(SkeletonStoreError):
             decode_skeleton_file(bytes(data))
 
     def test_wrong_content_address_raises(self, config, shard_and_cache):
-        shard, cache = shard_and_cache
+        shard, _ = shard_and_cache
         key = SkeletonKey.for_config(config, 0)
         other = SkeletonKey.for_config(
             dataclasses.replace(config, seed=7), 0
         )
-        data = encode_skeleton_file(shard, dict(cache), key=other)
+        data = encode_skeleton_file(shard, key=other)
         with pytest.raises(SkeletonStoreError, match="foreign or renamed"):
             decode_skeleton_file(data, key=key)
 
     def test_populate_false_skips_the_annex(self, config, shard_and_cache):
-        shard, cache = shard_and_cache
+        shard, _ = shard_and_cache
         key = SkeletonKey.for_config(config, 0)
-        data = encode_skeleton_file(shard, dict(cache), key=key)
+        data = encode_skeleton_file(shard, key=key)
         record = decode_skeleton_file(data, populate=False, key=key)
         decoded, decoded_cache = record.shard, record.chain_cache
         assert decoded.skeletons == shard.skeletons
@@ -679,7 +686,7 @@ class TestWarmPathObjects:
         sans = ("record.test", "www.record.test", "api.record.test")
         for label, profile in default_hierarchy().profiles.items():
             template = leaf_template(profile.issuer, algorithm)
-            fast = issue_leaf_fast(template, "record.test", sans, 90)
+            fast = issue_leaf_certificate(template, "record.test", sans, 90)
             spec = ChainSpec(
                 domain="record.test",
                 ca_profile=label,
@@ -688,7 +695,7 @@ class TestWarmPathObjects:
                 name_stem="record.test",
                 validity_days=90,
             )
-            der, *_, row = leaf_record(fast)
+            der, row, _ = issue_leaf_fast(template, "record.test", sans, 90)
             rebuilt = leaf_from_record(template, spec, der, row)
             assert rebuilt.key_algorithm is fast.key_algorithm is algorithm, label
             assert san_byte_share(rebuilt) == san_byte_share(fast), label
@@ -748,6 +755,22 @@ class TestWarmShardIndices:
         with pytest.raises(ValueError, match="out of range"):
             warm(str(directory), config, shard_indices=[index])
         assert not directory.exists()
+
+
+    def test_repeated_index_is_warmed_and_counted_once(self, tmp_path, monkeypatch):
+        config = PopulationConfig(size=WARM_PATH_SIZE, seed=2022)
+        store = SkeletonStore(str(tmp_path / "skel"))
+        visited = []
+        load_or_generate = SkeletonStore.load_or_generate
+
+        def recording(self, config, index, *args, **kwargs):
+            visited.append(index)
+            return load_or_generate(self, config, index, *args, **kwargs)
+
+        monkeypatch.setattr(SkeletonStore, "load_or_generate", recording)
+        assert warm(store, config, shard_indices=[1, 0, 1]) == (0, 2)
+        assert visited == [1, 0]  # first-seen order
+        assert warm(store, config, shard_indices=[0, 0]) == (1, 0)
 
 
 class TestConcurrentWarms:
@@ -858,3 +881,75 @@ class TestColumnPath:
         (summary,) = streaming_module._summarize_visit(task, self.SPEC)
         deployments = dataclasses.replace(task, skeleton_cache_dir=None).resolve_deployments()
         assert summarize_shard_columnar(task, lower_deployments(deployments), self.SPEC) == summary
+
+
+def _reachable_types(root) -> set:
+    """Types of every object reachable from ``root`` through containers and
+    instances (types, modules and functions are not followed)."""
+    found, seen, stack = set(), set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        found.add(type(obj))
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+class TestColdColumnPath:
+    """A cold store-backed columnar campaign issues its leaves as bytes: no
+    chain object outlives the write, and no deferred leaf is expanded."""
+
+    KWARGS = dict(
+        stream=True,
+        shard_size=700,
+        spoofed_targets_per_provider=SPOOFED,
+        scan_backend="columnar",
+    )
+
+    def test_workers_and_checkpoints_expand_no_deferred_leaf(self, tmp_path, monkeypatch):
+        config = PopulationConfig(size=WARM_PATH_SIZE, seed=2022)
+        reference = build_report(
+            MeasurementCampaign(population_config=config, **self.KWARGS).run()
+        ).text
+        log = tmp_path / "expansions.log"
+        expand = issuance.expand_deferred_leaf_fields
+
+        def logging_expand(der, record):
+            # Forked workers inherit the patch; the file sees every process.
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(record[1].domain + "\n")
+            return expand(der, record)
+
+        monkeypatch.setattr(issuance, "expand_deferred_leaf_fields", logging_expand)
+        directory = str(tmp_path / "skel")
+        text = build_report(
+            MeasurementCampaign(
+                population_config=config,
+                workers=2,
+                skeleton_cache_dir=directory,
+                checkpoint_dir=str(tmp_path / "ckpt"),
+                **self.KWARGS,
+            ).run()
+        ).text
+        assert text == reference
+        assert len(SkeletonStore(directory).entries()) == shard_count(WARM_PATH_SIZE)
+        assert os.listdir(tmp_path / "ckpt")
+        assert not log.exists()
+
+    def test_cold_visit_memoises_no_chain_object(self, tmp_path):
+        directory = str(tmp_path / "skel")
+        task = TestColumnPath._task(directory, 700, 1400, 1)
+        (summary,) = streaming_module._summarize_visit(task, TestColumnPath.SPEC)
+        assert summary.spoof_candidates
+        records = list(store_for(directory)._memo.values())
+        assert records and all(record.generated for record in records)
+        reachable = set().union(*(_reachable_types(record) for record in records))
+        assert not reachable & {Certificate, CertificateChain}
+        # The spoof candidates are eager leaves carrying the stored DEFLATE
+        # length of their QUIC chain.
+        for deployment in summary.spoof_candidates:
+            for chain in (deployment.https_chain, deployment.quic_chain):
+                assert "_deferred" not in chain.leaf.__dict__
+            assert "_deflate_size" in deployment.quic_chain.__dict__
