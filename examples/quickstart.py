@@ -24,6 +24,7 @@ def main() -> None:
     size = int(sys.argv[1]) if len(sys.argv) > 1 else 3000
     print(f"Generating a synthetic population of {size} domains ...")
     population = generate_population(PopulationConfig(size=size, seed=2022))
+    print(f"  {len(population.quic_services())} of {size} domains serve QUIC")
 
     print("Running the measurement campaign (HTTPS scan, QUIC scans, telescope) ...")
     campaign = MeasurementCampaign(population=population, run_sweep=False)

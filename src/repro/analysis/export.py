@@ -14,7 +14,8 @@ from typing import Dict
 
 from ..core.ioutil import atomic_write_text
 from .dataset import Column, Table
-from .report import AnyCampaignResults, EvaluationReport, build_report
+from ..scanners.streaming import ReducedCampaignResults
+from .report import EvaluationReport, build_report
 
 
 @dataclass(frozen=True)
@@ -105,15 +106,14 @@ def _section_tables(name: str, section) -> Dict[str, Table]:
 
 
 def export_evaluation(
-    results: AnyCampaignResults,
+    results: ReducedCampaignResults,
     directory: str,
     report: EvaluationReport | None = None,
 ) -> ExportedFiles:
     """Write the full evaluation (text report + per-figure CSVs) to ``directory``.
 
-    ``results`` may be an eager :class:`CampaignResults` or a streamed
-    :class:`~repro.scanners.streaming.ReducedCampaignResults`; exported bytes
-    are identical either way.
+    ``results`` is what any campaign path returns; serial and streamed runs
+    export identical bytes.
     """
     os.makedirs(directory, exist_ok=True)
     report = report or build_report(results)

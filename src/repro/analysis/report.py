@@ -5,9 +5,8 @@ and returns a single text report (also used to generate EXPERIMENTS.md), so
 "regenerate the paper's evaluation" is one function call.
 
 Every section is computed from one contract, the reduced
-:class:`~repro.scanners.streaming.ReducedCampaignResults`.  A serial
-:class:`~repro.scanners.orchestrator.CampaignResults` is accepted too and
-read through its ``reduced`` field, so serial and streamed campaigns render
+:class:`~repro.scanners.streaming.ReducedCampaignResults` that every
+campaign path returns, so serial and streamed campaigns render
 byte-identical reports (pinned by ``tests/test_streaming_reduction.py`` and
 the golden digests).
 """
@@ -15,10 +14,9 @@ the golden digests).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Union
+from typing import Dict, List
 
 from ..quic.handshake import HandshakeClass
-from ..scanners.orchestrator import CampaignResults
 from ..scanners.streaming import ReducedCampaignResults
 from ..tls.cert_compression import CertificateCompressionAlgorithm
 from .figures import (
@@ -54,17 +52,9 @@ class EvaluationReport:
         return self.sections[key]
 
 
-AnyCampaignResults = Union[CampaignResults, ReducedCampaignResults]
-
-
-def _reduced(results: AnyCampaignResults) -> ReducedCampaignResults:
-    """Serial object results carry their reduction in ``reduced``."""
-    return results.reduced if isinstance(results, CampaignResults) else results
-
-
-def class_shares(results: AnyCampaignResults) -> Dict[HandshakeClass, float]:
+def class_shares(results: ReducedCampaignResults) -> Dict[HandshakeClass, float]:
     """Convenience: handshake class shares at the default Initial size."""
-    scan = _reduced(results).scan
+    scan = results.scan
     if not scan.reachable_count:
         return {}
     return {
@@ -129,9 +119,8 @@ def _sections(results: ReducedCampaignResults, include_sweep: bool) -> Dict[str,
     return sections
 
 
-def build_report(results: AnyCampaignResults, include_sweep: bool = True) -> EvaluationReport:
+def build_report(results: ReducedCampaignResults, include_sweep: bool = True) -> EvaluationReport:
     """Compute every experiment of the evaluation and render a text report."""
-    results = _reduced(results)
     sections = _sections(results, include_sweep)
 
     parts: List[str] = ["QUIC / TLS certificate interplay — reproduced evaluation", "=" * 60]

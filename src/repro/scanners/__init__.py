@@ -14,7 +14,7 @@ One module per tool in the paper's Figure 10 pipeline:
   host of a prefix (zmap equivalent),
 * :mod:`repro.scanners.backscatter` — step 4.1: telescope backscatter analysis,
 * :mod:`repro.scanners.orchestrator` — step 5: runs the full campaign and
-  merges the per-tool outputs into one results bundle for the analysis layer,
+  finalises its reduction into the one result type the analysis layer reads,
 * :mod:`repro.scanners.sharding` — shard planning, the per-shard object scan
   and the retrying multi-process dispatcher,
 * :mod:`repro.scanners.streaming` — streaming reduction of sharded campaigns:
@@ -28,7 +28,7 @@ from .qscanner import QScanner, QuicCertificateRecord, CertificateComparison
 from .compression_scanner import CompressionScanner, CompressionObservation
 from .zmap import ZmapScanner, ZmapProbeResult
 from .backscatter import BackscatterAnalyzer, ProviderBackscatter, simulate_spoofed_campaign
-from .orchestrator import MeasurementCampaign, CampaignResults, run_grid_campaign
+from .orchestrator import MeasurementCampaign, run_grid_campaign
 from .streaming import (
     CampaignReducer,
     ReducedCampaignResults,
@@ -83,5 +83,4 @@ __all__ = [
     "ProviderBackscatter",
     "simulate_spoofed_campaign",
     "MeasurementCampaign",
-    "CampaignResults",
 ]

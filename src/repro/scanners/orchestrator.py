@@ -20,7 +20,6 @@ every figure and table from the reduced contract,
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..netsim.address import IPv4Prefix
@@ -28,7 +27,7 @@ from ..netsim.network import UdpNetwork
 from ..netsim.telescope import Telescope
 from ..quic.server import FlightCacheInfo, FlightPlanCache
 from ..scenarios import BASELINE, ScenarioSpec
-from ..webpki.deployment import DomainDeployment
+from ..webpki.deployment import DomainDeployment, ServiceCategory
 from ..webpki.population import (
     InternetPopulation,
     PopulationConfig,
@@ -39,13 +38,11 @@ from ..webpki.population import (
 from .columnar import resolve_scan_backend
 from .sharding import (
     DEFAULT_SHARD_SIZE,
-    ShardScanResult,
     ShardTask,
     scan_shard,
     sweep_sample_stride,
 )
 from .streaming import (
-    META_SERVICE_DOMAINS,
     CampaignReducer,
     ReducedCampaignResults,
     ReductionSpec,
@@ -64,44 +61,29 @@ TELESCOPE_PREFIX = IPv4Prefix.parse("198.51.100.0/24")
 #: The Meta point-of-presence prefix probed in §4.3.
 META_POP_PREFIX = IPv4Prefix.parse("157.240.20.0/24")
 
-# META_SERVICE_DOMAINS lives in .streaming next to provider_of_domain (the
-# shared provider lookup); re-exported here for its historical import site.
-__all__ = ["CampaignResults", "MeasurementCampaign", "META_SERVICE_DOMAINS"]
-
-
-@dataclass
-class CampaignResults:
-    """A serial campaign: one in-process object shard over its population.
-
-    ``shard`` holds the per-observation objects of stages 1–4 (funnel and
-    HTTPS records, handshakes, sweep observations, QUIC certificates and
-    their comparison, compression observations); ``reduced`` is that shard
-    reduced and finalised through stage 5, the contract every report reads.
-    """
-
-    population: InternetPopulation
-    shard: ShardScanResult
-    reduced: ReducedCampaignResults
+__all__ = ["MeasurementCampaign", "probe_meta_pop", "run_grid_campaign"]
 
 
 class MeasurementCampaign:
     """Configures and runs the full measurement pipeline.
 
-    A campaign runs one of two paths:
+    ``run()`` returns one
+    :class:`~repro.scanners.streaming.ReducedCampaignResults` on either of
+    its two dispatch paths, with byte-identical reports:
 
     * the default in-process serial path: stages 1–4 run as one object shard
-      over the materialised population, and ``run()`` returns
-      :class:`CampaignResults` with the shard's per-domain observations next
-      to its finalised reduction;
+      over the campaign's deployments, generated in ``__init__`` (read
+      through the skeleton store when ``skeleton_cache_dir`` is given);
     * ``stream=True``, the streaming reduction pipeline
       (:mod:`repro.scanners.streaming`): the population is regenerated shard
-      by shard inside the workers, every shard is reduced to a compact
-      summary before it reaches the parent, and ``run()`` returns a
-      :class:`~repro.scanners.streaming.ReducedCampaignResults` whose report
-      is byte-identical to the serial path's — at bounded parent memory,
-      which is what makes 1M-domain campaigns practical.  Streaming
-      regenerates from ``population_config``; passing a materialised
-      ``population`` would defeat the point and is rejected.
+      by shard inside the workers and every shard is reduced to a compact
+      summary before it reaches the parent — bounded parent memory, which is
+      what makes 1M-domain campaigns practical.  Streaming regenerates from
+      ``population_config``; passing a materialised ``population`` would
+      defeat the point and is rejected.
+
+    Callers that want per-observation objects run
+    :func:`~repro.scanners.sharding.scan_shard` on a shard themselves.
 
     Everything that shapes the shard dispatch — ``workers``, ``shard_size``,
     ``scan_backend="columnar"``, ``checkpoint_dir``/``resume`` — exists on
@@ -177,28 +159,33 @@ class MeasurementCampaign:
         #: Persistent skeleton-shard cache directory (see
         #: :mod:`repro.scanners.skeleton_store`).  Works on both paths:
         #: streamed workers read their ranges through the store, and serial
-        #: campaigns generate the population itself through it.
+        #: campaigns read their whole range through it.
         self.skeleton_cache_dir = skeleton_cache_dir
+        #: The serial path's one shard (``None`` when streamed).
+        self.deployments: Optional[Tuple[DomainDeployment, ...]] = None
         if stream:
             if population is not None:
                 raise ValueError(
                     "stream=True regenerates shards from population_config; "
                     "pass population_config (or neither), not a materialised population"
                 )
-            self.population = None
             self.population_config = population_config or PopulationConfig()
-        else:
-            if population is not None:
-                self.population = population
-            elif skeleton_cache_dir is not None:
-                from .skeleton_store import generate_population_cached, store_for
+        elif population is None and skeleton_cache_dir is not None:
+            from .skeleton_store import deployments_for_range, store_for
 
-                self.population = generate_population_cached(
-                    store_for(skeleton_cache_dir), population_config
+            self.population_config = population_config or PopulationConfig()
+            self.deployments = tuple(
+                deployments_for_range(
+                    store_for(skeleton_cache_dir),
+                    self.population_config,
+                    0,
+                    self.population_config.size,
                 )
-            else:
-                self.population = generate_population(population_config)
-            self.population_config = self.population.config
+            )
+        else:
+            population = population or generate_population(population_config)
+            self.population_config = population.config
+            self.deployments = tuple(population.deployments)
         #: The campaign's scenario: explicit argument, or whatever the
         #: population config embeds (``None`` means plain baseline).
         self.scenario = scenario if scenario is not None else self.population_config.scenario
@@ -227,21 +214,21 @@ class MeasurementCampaign:
 
     # -- pipeline ---------------------------------------------------------------
 
-    def run(self) -> "CampaignResults | ReducedCampaignResults":
+    def run(self) -> ReducedCampaignResults:
         if self.stream:
             return self._run_streaming()
         return self._run_serial()
 
-    def _run_serial(self) -> CampaignResults:
+    def _run_serial(self) -> ReducedCampaignResults:
         """Stages 1–4 as one in-process object shard over the whole population.
 
         The shard is scanned, reduced and finalised exactly as a streamed
         shard is; its Figure 3 sample is the global stride from QUIC index 0.
         """
-        deployments = self.population.deployments
+        deployments = self.deployments
         sweep_selection = None
         if self.run_sweep:
-            quic_count = len(self.population.quic_services())
+            quic_count = sum(1 for d in deployments if d.category is ServiceCategory.QUIC)
             sweep_selection = (0, sweep_sample_stride(quic_count, self.sweep_sample_size))
         task = ShardTask(
             index=0,
@@ -259,11 +246,7 @@ class MeasurementCampaign:
         shard = scan_shard(task, deployments=deployments)
         reducer = CampaignReducer(spec=spec, run_sweep=self.run_sweep)
         reducer.add(summarize_shard(task, deployments, shard, spec))
-        return CampaignResults(
-            population=self.population,
-            shard=shard,
-            reduced=self.finalize_streaming(reducer.reduced_scan()),
-        )
+        return self.finalize_streaming(reducer.reduced_scan())
 
     def _run_streaming(self) -> ReducedCampaignResults:
         """Streaming pipeline: scan + reduce per shard, stage 5 in the parent."""

@@ -97,7 +97,8 @@ from ..webpki.population import (
     GENERATION_SHARD_SIZE,
     PopulationConfig,
     SkeletonShard,
-    generate_tranco_list,
+    _covering_shards,
+    generate_shard,
 )
 from ..tls import cert_compression
 from ..webpki.deployment import DomainDeployment
@@ -854,7 +855,6 @@ class SkeletonStore:
         self,
         config: PopulationConfig,
         shard_index: int,
-        tranco=None,
         populate: bool = True,
     ) -> StoredShard:
         """One generation shard of the *baseline* population, cache-first.
@@ -873,17 +873,16 @@ class SkeletonStore:
         because writing would force the issuance the skeleton pass exists to
         skip.
 
-        The ranked list is built only on a miss (``tranco`` lets a caller
-        that already holds it skip even that): a warm hit reads every domain
-        name from the stored skeletons.
+        A miss builds the shard through
+        :func:`~repro.webpki.population.generate_shard`; a hit builds no
+        ranked list, because it reads every domain name from the stored
+        skeletons.
         """
         if config.scenario is not None and not config.scenario.is_identity:
             raise SkeletonStoreError(
                 "skeleton store caches baseline shards only; strip the scenario "
                 "from the config and apply its transform after load"
             )
-        from ..webpki.population import _generate_shard_skeletons
-
         key = SkeletonKey.for_config(config, shard_index)
         memoed = self._memo.get(key.digest())
         if memoed is not None and (memoed.populated or not populate):
@@ -899,16 +898,10 @@ class SkeletonStore:
             return loaded
         self.misses += 1
         _CACHE_COUNTERS["misses"] += 1
-        tranco = tranco or generate_tranco_list(config.size, seed=config.seed)
-        shard_start = shard_index * GENERATION_SHARD_SIZE
-        domains = tranco.domains[shard_start : shard_start + GENERATION_SHARD_SIZE]
         base = config if config.scenario is None else dataclasses.replace(
             config, scenario=None
         )
-        skeletons = _generate_shard_skeletons(base, domains, shard_index, shard_start + 1)
-        shard = SkeletonShard(
-            index=shard_index, start_rank=shard_start + 1, skeletons=tuple(skeletons)
-        )
+        shard = generate_shard(base, shard_index)
         record = self.save(key, shard) if populate else StoredShard.of_shard(shard)
         self._memoize(key.digest(), record)
         return record
@@ -1042,13 +1035,6 @@ def check_shard_indices(indices: Iterable[int], size: int) -> None:
             )
 
 
-def _covering_shards(start: int, stop: int) -> range:
-    """Generation-shard indices covering the rank range ``[start, stop)``."""
-    first = start // GENERATION_SHARD_SIZE
-    last = max(first, (stop - 1) // GENERATION_SHARD_SIZE) if stop > start else first
-    return range(first, last + 1)
-
-
 def _baseline_range(
     store: "SkeletonStore | str", config: PopulationConfig, start: int, stop: int
 ) -> Tuple["SkeletonStore", PopulationConfig]:
@@ -1071,7 +1057,6 @@ def skeletons_for_range(
     config: PopulationConfig,
     start: int,
     stop: int,
-    tranco=None,
     chain_cache: Optional[ChainCache] = None,
 ):
     """Cache-first counterpart of ``deployments_for_range(..., skeleton=True)``.
@@ -1090,16 +1075,11 @@ def skeletons_for_range(
     """
     store, base = _baseline_range(store, config, start, stop)
     skeletons: List = []
-    for shard_index in _covering_shards(start, stop):
-        record = store.load_or_generate(
-            base, shard_index, tranco=tranco, populate=chain_cache is not None
-        )
+    for shard_index, lo, hi in _covering_shards(start, stop):
+        record = store.load_or_generate(base, shard_index, populate=chain_cache is not None)
         if chain_cache is not None:
             chain_cache.update(record.chain_cache)
-        shard_start = shard_index * GENERATION_SHARD_SIZE
-        skeletons.extend(
-            record.shard.skeletons[max(start - shard_start, 0) : max(stop - shard_start, 0)]
-        )
+        skeletons.extend(record.shard.skeletons[lo:hi])
     scenario = config.scenario
     if scenario is not None and not scenario.is_identity:
         skeletons = list(scenario.transform_skeletons(skeletons))
@@ -1133,11 +1113,8 @@ def columns_for_range(
         return record.deployment(offset + row - first)
 
     columns = ShardColumns(deployment)
-    for shard_index in _covering_shards(start, stop):
+    for shard_index, lo, hi in _covering_shards(start, stop):
         record = store.load_or_generate(base, shard_index)
-        shard_start = shard_index * GENERATION_SHARD_SIZE
-        lo = min(max(start - shard_start, 0), record.length)
-        hi = min(max(stop - shard_start, 0), record.length)
         segments.append((len(columns), record, lo))
         record.extend_columns(columns, lo, hi)
     return columns
@@ -1148,7 +1125,6 @@ def deployments_for_range(
     config: PopulationConfig,
     start: int,
     stop: int,
-    tranco=None,
     chain_cache: Optional[ChainCache] = None,
 ):
     """Cache-first counterpart of ``deployments_for_range`` (materialised).
@@ -1161,26 +1137,6 @@ def deployments_for_range(
     """
     if chain_cache is None:
         chain_cache = {}
-    skeletons = skeletons_for_range(
-        store, config, start, stop, tranco=tranco, chain_cache=chain_cache
-    )
+    skeletons = skeletons_for_range(store, config, start, stop, chain_cache=chain_cache)
     return materialize_skeletons(skeletons, default_hierarchy(), chain_cache)
 
-
-def generate_population_cached(
-    store: "SkeletonStore | str", config: Optional[PopulationConfig] = None
-):
-    """Cache-first counterpart of
-    :func:`~repro.webpki.population.generate_population`.
-
-    Materialises the full population through the store — warm directories
-    skip every RNG roll and every certificate issuance — and returns an
-    :class:`~repro.webpki.population.InternetPopulation` byte-identical to
-    the eager generator's.
-    """
-    from ..webpki.population import InternetPopulation
-
-    config = config or PopulationConfig()
-    tranco = generate_tranco_list(config.size, seed=config.seed)
-    deployments = deployments_for_range(store, config, 0, config.size, tranco=tranco)
-    return InternetPopulation(config=config, tranco=tranco, deployments=deployments)

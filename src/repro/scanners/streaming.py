@@ -26,6 +26,9 @@ The streaming reduction contract (see docs/ARCHITECTURE.md):
   serial path, which scans and reduces as one in-process shard, so
   ``build_report`` renders the same bytes either way
   (``tests/test_streaming_reduction.py``).
+* **One result type.**  Both campaign paths return
+  :class:`ReducedCampaignResults`; they differ only in how shards are
+  dispatched.
 """
 
 from __future__ import annotations
@@ -1052,10 +1055,7 @@ class CampaignReducer:
 class ReducedCampaignResults:
     """A full campaign's results in reduced form: the contract every report reads.
 
-    Streamed runs return it; a serial
-    :class:`repro.scanners.orchestrator.CampaignResults` carries it as its
-    ``reduced`` field.
-    Stage 5 (backscatter, Meta PoP) is carried at full fidelity, like the
+    Every campaign path returns it, serial and streamed alike.  Stage 5 (backscatter, Meta PoP) is carried at full fidelity, like the
     (small, sampled) sweep.
     """
 

@@ -31,7 +31,6 @@ from .population import (
     deployments_for_range,
     generate_population,
     generate_shard,
-    iter_population_shards,
 )
 
 __all__ = [
@@ -55,5 +54,4 @@ __all__ = [
     "deployments_for_range",
     "generate_population",
     "generate_shard",
-    "iter_population_shards",
 ]

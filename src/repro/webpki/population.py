@@ -11,9 +11,9 @@ Generation is *sharded*: the ranked list is cut into rank-contiguous shards of
 :data:`GENERATION_SHARD_SIZE` domains, and every shard is generated from its
 own RNG derived from ``(seed, shard_index)``.  Shard ``i`` therefore depends
 on nothing but the config and ``i`` — shards can be generated in any order, in
-parallel worker processes, or streamed one at a time
-(:func:`iter_population_shards`) without ever materialising the full
-deployment list, and the result is always identical to the eager
+parallel worker processes, or one at a time (:func:`generate_shard`, the one
+builder every generation path goes through) without ever materialising the
+full deployment list, and the result is always identical to the eager
 :func:`generate_population` path.
 """
 
@@ -472,16 +472,14 @@ def _generate_shard_skeletons(
     return skeletons
 
 
-def generate_shard(
-    config: PopulationConfig, shard_index: int, skeleton: bool = False
-) -> "PopulationShard | SkeletonShard":
-    """Generate a single shard, independent of every other shard.
+def generate_shard(config: PopulationConfig, shard_index: int) -> SkeletonShard:
+    """Phase 1 of one generation shard, independent of every other shard.
 
-    Workers use this to rebuild exactly the slice of the population they are
-    responsible for without receiving (or generating) the rest.  With
-    ``skeleton=True`` only phase 1 runs — same RNG stream, no chain issuance —
-    and a :class:`SkeletonShard` is returned (``.materialize()`` yields the
-    byte-identical full shard).
+    The one place the ranked list is cut into generation shards and the
+    skeleton pass runs: :func:`generate_population`,
+    :func:`deployments_for_range` and the skeleton store's misses all build
+    through it.  Same RNG stream as full generation, no chain issuance;
+    ``.materialize()`` yields the byte-identical full shard.
     """
     start = shard_index * GENERATION_SHARD_SIZE
     if not 0 <= start < config.size:
@@ -489,44 +487,28 @@ def generate_shard(
     tranco = generate_tranco_list(config.size, seed=config.seed)
     domains = tranco.domains[start : start + GENERATION_SHARD_SIZE]
     skeletons = _generate_shard_skeletons(config, domains, shard_index, start + 1)
-    shard = SkeletonShard(index=shard_index, start_rank=start + 1, skeletons=tuple(skeletons))
-    if skeleton:
-        return shard
-    return shard.materialize(default_hierarchy())
+    return SkeletonShard(index=shard_index, start_rank=start + 1, skeletons=tuple(skeletons))
 
 
-def iter_population_shards(
-    config: Optional[PopulationConfig] = None,
-    tranco: Optional[TrancoList] = None,
-    skeleton: bool = False,
-) -> "Iterator[PopulationShard | SkeletonShard]":
-    """Stream the population shard by shard, in rank order.
+def _covering_shards(start: int, stop: int) -> Iterator[Tuple[int, int, int]]:
+    """``(shard_index, lo, hi)`` per generation shard overlapping the list
+    indices ``[start, stop)``: that shard's rows ``[lo, hi)`` lie in the range.
 
-    Only one shard's deployments (certificate chains included) are alive at a
-    time unless the caller keeps them, so 100k+ domain populations can be
-    consumed without holding the full deployment list in memory.  The
-    concatenation of all shards is exactly :func:`generate_population`'s
-    deployment list.  With ``skeleton=True`` the stream yields
-    :class:`SkeletonShard` phase-1 shards instead — no chain issuance, ~20×
-    cheaper — for count-only consumers like the sweep discovery pass.
-    """
-    config = config or PopulationConfig()
-    tranco = tranco or generate_tranco_list(config.size, seed=config.seed)
-    hierarchy = default_hierarchy()
-    for shard_index, start in enumerate(range(0, config.size, GENERATION_SHARD_SIZE)):
-        domains = tranco.domains[start : start + GENERATION_SHARD_SIZE]
-        skeletons = _generate_shard_skeletons(config, domains, shard_index, start + 1)
-        shard = SkeletonShard(
-            index=shard_index, start_rank=start + 1, skeletons=tuple(skeletons)
+    An empty range covers no shard."""
+    last = -(-stop // GENERATION_SHARD_SIZE) if stop > start else 0
+    for shard_index in range(start // GENERATION_SHARD_SIZE, last):
+        shard_start = shard_index * GENERATION_SHARD_SIZE
+        yield (
+            shard_index,
+            max(start - shard_start, 0),
+            min(stop - shard_start, GENERATION_SHARD_SIZE),
         )
-        yield shard if skeleton else shard.materialize(hierarchy)
 
 
 def deployments_for_range(
     config: PopulationConfig,
     start: int,
     stop: int,
-    tranco: Optional[TrancoList] = None,
     skeleton: bool = False,
 ) -> "List[DomainDeployment] | List[DeploymentSkeleton]":
     """Regenerate the deployments at list indices ``[start, stop)``.
@@ -537,40 +519,35 @@ def deployments_for_range(
     population from ``(config, start, stop)`` instead of receiving the
     deployments (with all their certificate chains) over IPC.
 
-    Two-phase generation makes unaligned ranges cheaper than they used to be:
-    the covering shards only run the skeleton pass, and chains are
-    materialised for the ``[start, stop)`` slice alone — never for the parts
-    of a covering shard that fall outside the range.  ``skeleton=True`` skips
-    materialisation entirely and returns the phase-1 skeletons.
+    Two-phase generation makes unaligned ranges cheap: the covering shards
+    only run the skeleton pass, and chains are materialised for the
+    ``[start, stop)`` slice alone — never for the parts of a covering shard
+    that fall outside the range.  ``skeleton=True`` skips materialisation
+    entirely and returns the phase-1 skeletons.
     """
     if not 0 <= start <= stop <= config.size:
         raise ValueError(f"range [{start}, {stop}) out of bounds for size {config.size}")
-    tranco = tranco or generate_tranco_list(config.size, seed=config.seed)
-    hierarchy = default_hierarchy()
     skeletons: List[DeploymentSkeleton] = []
-    first_shard = start // GENERATION_SHARD_SIZE
-    last_shard = max(first_shard, (stop - 1) // GENERATION_SHARD_SIZE) if stop > start else first_shard
-    for shard_index in range(first_shard, last_shard + 1):
-        shard_start = shard_index * GENERATION_SHARD_SIZE
-        domains = tranco.domains[shard_start : shard_start + GENERATION_SHARD_SIZE]
-        shard = _generate_shard_skeletons(
-            config, domains, shard_index, shard_start + 1
-        )
-        skeletons.extend(
-            shard[max(start - shard_start, 0) : max(stop - shard_start, 0)]
-        )
+    for shard_index, lo, hi in _covering_shards(start, stop):
+        skeletons.extend(generate_shard(config, shard_index).skeletons[lo:hi])
     if skeleton:
         return skeletons
+    hierarchy = default_hierarchy()
     return [s.materialize(hierarchy) for s in skeletons]
 
 
 def generate_population(config: Optional[PopulationConfig] = None) -> InternetPopulation:
-    """Generate the full synthetic population deterministically (eager path)."""
+    """Generate the full synthetic population deterministically (eager path).
+
+    Materialises one generation shard at a time, so only the deployments and
+    one shard's skeletons are alive at once.
+    """
     config = config or PopulationConfig()
-    tranco = generate_tranco_list(config.size, seed=config.seed)
+    hierarchy = default_hierarchy()
     deployments: List[DomainDeployment] = []
-    for shard in iter_population_shards(config, tranco=tranco):
-        deployments.extend(shard.deployments)
+    for shard_index, _, _ in _covering_shards(0, config.size):
+        deployments.extend(generate_shard(config, shard_index).materialize(hierarchy).deployments)
+    tranco = generate_tranco_list(config.size, seed=config.seed)
     return InternetPopulation(config=config, tranco=tranco, deployments=deployments)
 
 

@@ -37,9 +37,6 @@ class TrancoList:
 
     domains: Tuple[str, ...]
 
-    def __len__(self) -> int:
-        return len(self.domains)
-
 
 #: ``random.choices`` draws ``bisect(cum_weights, random() * total, 0, n - 1)``;
 #: precomputing the cumulative weights keeps exactly that one draw per pick

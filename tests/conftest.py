@@ -10,8 +10,9 @@ from __future__ import annotations
 import pytest
 
 from repro.quic.client import QuicClientConfig
-from repro.scanners.orchestrator import CampaignResults, MeasurementCampaign
-from repro.scanners.streaming import ReducedScanResults
+from repro.scanners.orchestrator import MeasurementCampaign
+from repro.scanners.sharding import ShardScanResult, ShardTask, scan_shard, sweep_sample_stride
+from repro.scanners.streaming import ReducedCampaignResults, ReducedScanResults
 from repro.webpki.population import InternetPopulation, PopulationConfig, generate_population
 from repro.x509.ca import WebPkiHierarchy, default_hierarchy
 
@@ -36,22 +37,45 @@ def small_population() -> InternetPopulation:
     return generate_population(PopulationConfig(size=1500, seed=42))
 
 
+#: Settings of the shared campaign: a sampled sweep and 25 spoof targets
+#: per provider.
+SWEEP_SAMPLE_SIZE = 120
+SPOOFED_TARGETS_PER_PROVIDER = 25
+
+
 @pytest.fixture(scope="session")
-def campaign_results(small_population: InternetPopulation) -> CampaignResults:
+def campaign_results(small_population: InternetPopulation) -> ReducedCampaignResults:
     """A full campaign over the small population, with a sampled sweep."""
     campaign = MeasurementCampaign(
         population=small_population,
         run_sweep=True,
-        sweep_sample_size=120,
-        spoofed_targets_per_provider=25,
+        sweep_sample_size=SWEEP_SAMPLE_SIZE,
+        spoofed_targets_per_provider=SPOOFED_TARGETS_PER_PROVIDER,
     )
     return campaign.run()
 
 
 @pytest.fixture(scope="session")
-def reduced_scan(campaign_results: CampaignResults) -> ReducedScanResults:
+def campaign_shard(small_population: InternetPopulation) -> ShardScanResult:
+    """The per-observation objects of the shared campaign's stages 1–4: the
+    one object shard its serial run scans, with the same sweep sample."""
+    deployments = small_population.deployments
+    quic_count = len(small_population.quic_services())
+    task = ShardTask(
+        index=0,
+        population_config=small_population.config,
+        start=0,
+        stop=len(deployments),
+        run_sweep=True,
+        sweep_local_selection=(0, sweep_sample_stride(quic_count, SWEEP_SAMPLE_SIZE)),
+    )
+    return scan_shard(task, deployments=deployments)
+
+
+@pytest.fixture(scope="session")
+def reduced_scan(campaign_results: ReducedCampaignResults) -> ReducedScanResults:
     """The campaign's stages 1–4 in the reduced contract every figure reads."""
-    return campaign_results.reduced.scan
+    return campaign_results.scan
 
 
 @pytest.fixture(scope="session")

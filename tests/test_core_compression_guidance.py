@@ -12,9 +12,9 @@ class TestCompressionStudy:
         assert result.chain_count == 0
         assert result.median_compression_rate == 0.0
 
-    def test_study_over_population_matches_paper(self, campaign_results):
+    def test_study_over_population_matches_paper(self, small_population):
         chains = [
-            d.delivered_chain for d in campaign_results.population.quic_services() if d.delivered_chain
+            d.delivered_chain for d in small_population.quic_services() if d.delivered_chain
         ][:250]
         result = run_compression_study(chains)
         # Paper: ≈65 % median rate, ≈99 % of chains below the limit once compressed.

@@ -13,7 +13,7 @@ from repro.analysis.report import build_report
 
 class TestFigure09:
     def test_meta_amplifies_most(self, campaign_results):
-        result = figure09.compute(campaign_results.reduced.backscatter)
+        result = figure09.compute(campaign_results.backscatter)
         assert {"cloudflare", "google", "meta"} <= set(result.providers())
         assert result.maximum("meta") > result.maximum("cloudflare")
         for provider in ("cloudflare", "google", "meta"):
@@ -23,7 +23,7 @@ class TestFigure09:
 
 class TestMetaPrefix:
     def test_three_groups_with_expected_factors(self, campaign_results):
-        result = meta_prefix.compute(campaign_results.reduced.meta_probe_before)
+        result = meta_prefix.compute(campaign_results.meta_probe_before)
         assert result.probed_addresses == 256
         assert result.count(1) > 100
         assert result.count(2) > 10
@@ -34,7 +34,7 @@ class TestMetaPrefix:
 class TestFigure11:
     def test_disclosure_reduces_amplification(self, campaign_results):
         result = figure11.compute(
-            campaign_results.reduced.meta_probe_before, campaign_results.reduced.meta_probe_after
+            campaign_results.meta_probe_before, campaign_results.meta_probe_after
         )
         assert result.after.max_amplification < 8
         assert len(result.before.per_octet) == len(result.after.per_octet)
@@ -42,14 +42,14 @@ class TestFigure11:
 
 
 class TestTable01:
-    def test_browser_rows_and_support(self, campaign_results, reduced_scan):
+    def test_browser_rows_and_support(self, campaign_shard, reduced_scan):
         result = table01.compute_from_reduction(
             reduced_scan.wild_support_counts,
             reduced_scan.wild_rates,
             reduced_scan.wild_all_three,
             reduced_scan.wild_count,
         )
-        assert result.scanned_services == len(campaign_results.shard.compression)
+        assert result.scanned_services == len(campaign_shard.compression)
         text = result.render_text()
         assert "Firefox" in text and "1357" in text and "no QUIC" in text
 
@@ -63,9 +63,9 @@ class TestTable03:
 
 
 class TestFunnel:
-    def test_funnel_shares(self, campaign_results):
+    def test_funnel_shares(self, small_population, campaign_shard):
         result = funnel.compute(
-            campaign_results.shard.funnel, len(campaign_results.population.quic_services())
+            campaign_shard.funnel, len(small_population.quic_services())
         )
         assert len(result.as_table().to_csv().splitlines()) == 1 + 7
         assert "funnel" in result.render_text().lower()

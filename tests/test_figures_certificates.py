@@ -18,10 +18,10 @@ def _table02(scan):
 
 
 class TestFigure02b:
-    def test_extensions_are_the_largest_field(self, campaign_results, reduced_scan):
+    def test_extensions_are_the_largest_field(self, small_population, reduced_scan):
         certificates = [
             certificate
-            for deployment in campaign_results.population.deployments
+            for deployment in small_population.deployments
             if deployment.delivered_chain is not None
             for certificate in deployment.delivered_chain.certificates
         ]

@@ -14,20 +14,20 @@ from repro.webpki.population import InternetPopulation
 
 class TestFigure03:
     def test_amplification_independent_of_initial_size(self, campaign_results):
-        result = figure03.compute(campaign_results.reduced.scan.sweep)
+        result = figure03.compute(campaign_results.scan.sweep)
         sizes = result.initial_sizes()
         counts = [result.counts[s].get(HandshakeClass.AMPLIFICATION, 0) for s in sizes]
         assert max(counts) - min(counts) <= max(3, 0.1 * max(counts))
 
     def test_larger_initials_shift_multi_rtt_towards_one_rtt(self, campaign_results):
-        result = figure03.compute(campaign_results.reduced.scan.sweep)
+        result = figure03.compute(campaign_results.scan.sweep)
         sizes = result.initial_sizes()
         first, last = sizes[0], sizes[-1]
         assert result.share(last, HandshakeClass.ONE_RTT) >= result.share(first, HandshakeClass.ONE_RTT)
         assert result.share(last, HandshakeClass.MULTI_RTT) <= result.share(first, HandshakeClass.MULTI_RTT)
 
     def test_table_and_text(self, campaign_results):
-        result = figure03.compute(campaign_results.reduced.scan.sweep)
+        result = figure03.compute(campaign_results.scan.sweep)
         table = result.as_table()
         assert len(table.to_csv().splitlines()) == 1 + len(result.initial_sizes())
         assert "Figure 3" in result.render_text()

@@ -5,42 +5,45 @@ import pytest
 from repro.analysis.report import build_report, class_shares
 from repro.quic.handshake import HandshakeClass
 from repro.scanners import MeasurementCampaign
-from repro.scanners.streaming import provider_of_domain
+from repro.scanners.streaming import ReducedCampaignResults, provider_of_domain
 from repro.webpki import PopulationConfig, generate_population
 
 
 class TestCampaignResults:
-    def test_results_are_internally_consistent(self, campaign_results):
-        shard, reduced = campaign_results.shard, campaign_results.reduced
-        quic_count = len(campaign_results.population.quic_services())
-        assert len(shard.handshakes) == quic_count
-        assert len(shard.quic_certificates) == quic_count
-        assert len(shard.compression) == quic_count
-        assert shard.sweep_observations
-        assert len(reduced.meta_probe_before) == 256
-        assert len(reduced.meta_probe_after) == 256
-        assert reduced.analysis_initial_size == 1362
+    def test_results_are_internally_consistent(
+        self, campaign_results, small_population, campaign_shard
+    ):
+        quic_count = len(small_population.quic_services())
+        assert len(campaign_shard.handshakes) == quic_count
+        assert len(campaign_shard.quic_certificates) == quic_count
+        assert len(campaign_shard.compression) == quic_count
+        assert campaign_shard.sweep_observations
+        assert len(campaign_results.meta_probe_before) == 256
+        assert len(campaign_results.meta_probe_after) == 256
+        assert campaign_results.analysis_initial_size == 1362
 
-    def test_all_quic_handshakes_reachable_at_default_size(self, campaign_results):
+    def test_all_quic_handshakes_reachable_at_default_size(self, campaign_shard):
         # At 1362 bytes, only heavily tunnelled services could drop out; the
         # overwhelming majority must respond.
-        handshakes = campaign_results.shard.handshakes
+        handshakes = campaign_shard.handshakes
         reachable = sum(1 for o in handshakes if o.reachable)
         assert reachable / len(handshakes) > 0.95
 
-    def test_provider_lookup(self, campaign_results):
-        lookup = {d.domain: d for d in campaign_results.population.deployments}.get
-        deployment = campaign_results.population.quic_services()[0]
+    def test_provider_lookup(self, small_population):
+        lookup = {d.domain: d for d in small_population.deployments}.get
+        deployment = small_population.quic_services()[0]
         assert provider_of_domain(deployment.domain, lookup) == deployment.provider
         assert provider_of_domain("definitely-not-scanned.example", lookup) is None
 
-    def test_reduced_carries_every_stage(self, campaign_results):
-        shard, reduced = campaign_results.shard, campaign_results.reduced
+    def test_reduced_carries_every_stage(
+        self, campaign_results, small_population, campaign_shard
+    ):
+        shard, reduced = campaign_shard, campaign_results
         scan = reduced.scan
         assert scan.deployment_count == reduced.population_size == len(
-            campaign_results.population.deployments
+            small_population.deployments
         )
-        assert scan.quic_count == len(campaign_results.population.quic_services())
+        assert scan.quic_count == len(small_population.quic_services())
         assert scan.handshake_total == len(shard.handshakes)
         assert scan.reachable_count == sum(1 for o in shard.handshakes if o.reachable)
         assert scan.funnel.as_dict() == shard.funnel.as_dict()
@@ -60,13 +63,13 @@ class TestCampaignResults:
             population = generate_population(config)
             return MeasurementCampaign(population=population, **kwargs).run()
 
-        cold = serial().reduced.flight_cache
+        cold = serial().flight_cache
         streamed = MeasurementCampaign(
             population_config=config, stream=True, shard_size=config.size, **kwargs
         ).run()
         assert cold.hits + cold.misses > 0
         assert streamed.flight_cache == cold
-        assert serial().reduced.flight_cache == cold
+        assert serial().flight_cache == cold
 
     def test_class_shares_sum_to_one(self, campaign_results):
         shares = class_shares(campaign_results)
@@ -76,9 +79,13 @@ class TestCampaignResults:
     def test_campaign_without_sweep(self):
         population = generate_population(PopulationConfig(size=400, seed=5))
         results = MeasurementCampaign(population=population, run_sweep=False).run()
-        assert results.reduced.scan.sweep is None
-        assert results.shard.sweep_observations == ()
-        assert len(results.shard.handshakes) == len(results.population.quic_services())
+        assert results.scan.sweep is None
+        assert results.scan.handshake_total == len(population.quic_services())
+
+    def test_serial_run_returns_the_reduced_result_type(self, campaign_results):
+        """Both dispatch paths return one result type (the streamed path is
+        covered by ``tests/test_streaming_reduction.py``)."""
+        assert type(campaign_results) is ReducedCampaignResults
 
 
 class TestEvaluationReport:

@@ -52,8 +52,8 @@ class Claim:
 
 def _cloudflare_share_of_amplifying(sources) -> float:
     """§4.1 attributes amplifying handshakes to providers, which the reduced
-    contract does not record per handshake, so this row reads the serial
-    campaign's per-observation shard."""
+    contract does not record per handshake, so this row reads the shared
+    campaign's per-observation shard (``campaign_shard``)."""
     amplifying = [
         o for o in sources.shard.handshakes
         if o.reachable and o.handshake_class is AMPLIFICATION
@@ -172,13 +172,12 @@ LEDGER = (
 
 
 @pytest.fixture(scope="module")
-def sources(campaign_results):
-    reduced = campaign_results.reduced
+def sources(campaign_results, campaign_shard):
     return SimpleNamespace(
-        reduced=reduced,
-        sections=build_report(reduced).sections,
-        shares=class_shares(reduced),
-        shard=campaign_results.shard,
+        reduced=campaign_results,
+        sections=build_report(campaign_results).sections,
+        shares=class_shares(campaign_results),
+        shard=campaign_shard,
     )
 
 

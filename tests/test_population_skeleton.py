@@ -20,6 +20,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.scanners.skeleton_store as skeleton_store_module
 import repro.webpki.population as population_module
 import repro.x509.issuance as issuance_module
 from repro.scanners.sharding import ShardTask, plan_shards
@@ -29,8 +30,8 @@ from repro.webpki.population import (
     GENERATION_SHARD_SIZE,
     PopulationConfig,
     deployments_for_range,
+    generate_population,
     generate_shard,
-    iter_population_shards,
 )
 from repro.webpki.skeleton import ChainSpec, DeploymentSkeleton, bloat_pool, draw_bloat_extras
 from repro.webpki.tranco import generate_tranco_list
@@ -94,7 +95,9 @@ def _record_generation(monkeypatch, config: PopulationConfig, skeleton: bool):
     population_module._meta_pop_chain_rows()
     monkeypatch.setattr(population_module.random, "Random", recording_factory)
     try:
-        generate_shard(config, 0, skeleton=skeleton)
+        shard = generate_shard(config, 0)
+        if not skeleton:
+            shard.materialize()
     finally:
         monkeypatch.undo()
     assert len(instances) == 1, "one derived RNG per generation shard"
@@ -146,11 +149,13 @@ class TestDifferentialMaterialisation:
     )
     def test_materialized_skeletons_equal_eager_deployments(self, size, seed):
         config = PopulationConfig(size=size, seed=seed)
-        eager = generate_shard(config, 0)
-        skeleton_shard = generate_shard(config, 0, skeleton=True)
+        skeleton_shard = generate_shard(config, 0)
         materialized = skeleton_shard.materialize()
-        assert materialized == eager
-        for lazy, direct in zip(materialized.deployments, eager.deployments):
+        eager = deployments_for_range(config, 0, size)
+        assert list(materialized.deployments) == eager
+        for skeleton, lazy, direct in zip(
+            skeleton_shard.skeletons, materialized.deployments, eager
+        ):
             assert lazy == direct  # dataclass equality covers every field
             if direct.https_chain is not None:
                 assert lazy.https_chain.fingerprint == direct.https_chain.fingerprint
@@ -159,18 +164,19 @@ class TestDifferentialMaterialisation:
             assert (lazy.quic_chain is lazy.https_chain) == (
                 direct.quic_chain is direct.https_chain
             )
+            if direct.quic_chain is not None:
+                assert (lazy.quic_chain is lazy.https_chain) == skeleton.quic_shares_https
 
     def test_range_slicing_materializes_only_the_requested_slice(self):
         config = PopulationConfig(size=3 * GENERATION_SHARD_SIZE, seed=5)
-        tranco = generate_tranco_list(config.size, seed=config.seed)
         start, stop = GENERATION_SHARD_SIZE // 2, 2 * GENERATION_SHARD_SIZE - 7
         full = [
             d
-            for shard in iter_population_shards(config, tranco=tranco)
-            for d in shard.deployments
+            for index in range(3)
+            for d in generate_shard(config, index).materialize().deployments
         ]
-        assert deployments_for_range(config, start, stop, tranco=tranco) == full[start:stop]
-        skeletons = deployments_for_range(config, start, stop, tranco=tranco, skeleton=True)
+        assert deployments_for_range(config, start, stop) == full[start:stop]
+        skeletons = deployments_for_range(config, start, stop, skeleton=True)
         assert all(isinstance(s, DeploymentSkeleton) for s in skeletons)
         assert [s.materialize() for s in skeletons] == full[start:stop]
 
@@ -194,7 +200,7 @@ class TestDifferentialMaterialisation:
 
     def test_skeleton_counts_match_materialized_categories(self):
         config = PopulationConfig(size=400, seed=11)
-        shard = generate_shard(config, 0, skeleton=True)
+        shard = generate_shard(config, 0)
         counts = shard.category_counts()
         materialized = shard.materialize()
         for category in ServiceCategory:
@@ -280,9 +286,9 @@ class TestSkeletonPassCost:
 
         # Every chain builder issues through the byte kernel.
         monkeypatch.setattr(issuance_module, "issue_leaf_fast", counting_issue)
-        skeleton_shard = generate_shard(self.CONFIG, 3, skeleton=True)
+        skeleton_shard = generate_shard(self.CONFIG, 3)
         assert issued == []
-        generate_shard(self.CONFIG, 3)
+        skeleton_shard.materialize()
         specs = {
             spec
             for skeleton in skeleton_shard.skeletons
@@ -295,24 +301,25 @@ class TestSkeletonPassCost:
     def test_skeleton_pass_is_at_least_twice_as_fast(self):
         """A coarse timing gate (the ratio is hardware-dependent; docs/PERFORMANCE.md
         tracks it): it fails when the skeleton pass materialises chains again."""
-        generate_shard(self.CONFIG, 2, skeleton=True)  # warm the caches
-        generate_shard(self.CONFIG, 2)
+        generate_shard(self.CONFIG, 2).materialize()  # warm the caches
         # Interleaved pairs, compared by each side's fastest run: a load spike
         # from a concurrent process then has to hit every pair to flip the check.
         skeleton_seconds, full_seconds = [], []
         for _ in range(8):
             t0 = time.perf_counter()
-            generate_shard(self.CONFIG, 3, skeleton=True)
+            generate_shard(self.CONFIG, 3)
             skeleton_seconds.append(time.perf_counter() - t0)
             t0 = time.perf_counter()
-            generate_shard(self.CONFIG, 3)
+            generate_shard(self.CONFIG, 3).materialize()
             full_seconds.append(time.perf_counter() - t0)
         assert min(full_seconds) > 2 * min(skeleton_seconds)
 
     def test_materialised_shard_equals_full_generation(self):
-        skeleton_shard = generate_shard(self.CONFIG, 1, skeleton=True)
-        full_shard = generate_shard(self.CONFIG, 1)
-        assert skeleton_shard.materialize().deployments == full_shard.deployments
+        skeleton_shard = generate_shard(self.CONFIG, 1)
+        full = deployments_for_range(
+            self.CONFIG, GENERATION_SHARD_SIZE, 2 * GENERATION_SHARD_SIZE
+        )
+        assert list(skeleton_shard.materialize().deployments) == full
 
     def test_discovery_pass_counts_quic_targets_from_skeletons(self):
         tasks = [
@@ -324,3 +331,59 @@ class TestSkeletonPassCost:
         quic_targets = sum(_count_quic_targets(task)[1] for task in tasks)
         # Appendix D: about 21 % of the names speak QUIC.
         assert quic_targets == pytest.approx(0.21 * self.CONFIG.size, rel=0.25)
+
+
+class TestOneShardBuilder:
+    """``generate_shard`` is the only code that slices the ranked list and
+    runs the skeleton pass: every generation path builds through it."""
+
+    CONFIG = PopulationConfig(size=GENERATION_SHARD_SIZE + 200, seed=31)
+
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        """The ``(seed, shard_index)`` of every ``generate_shard`` call; a
+        skeleton pass outside one fails the test."""
+        calls = []
+        depth = [0]
+        build = population_module.generate_shard
+        skeletons = population_module._generate_shard_skeletons
+
+        def spy_build(config, shard_index):
+            calls.append((config.seed, shard_index))
+            depth[0] += 1
+            try:
+                return build(config, shard_index)
+            finally:
+                depth[0] -= 1
+
+        def guarded_skeletons(*args, **kwargs):
+            assert depth[0] == 1, "skeleton pass run outside generate_shard"
+            return skeletons(*args, **kwargs)
+
+        monkeypatch.setattr(population_module, "generate_shard", spy_build)
+        # ``raising=False``: a store that stopped binding the builder is
+        # caught by the guard below, not by a missing attribute.
+        monkeypatch.setattr(skeleton_store_module, "generate_shard", spy_build, raising=False)
+        monkeypatch.setattr(population_module, "_generate_shard_skeletons", guarded_skeletons)
+        return calls
+
+    def test_generate_population(self, built):
+        population = generate_population(self.CONFIG)
+        assert built == [(31, 0), (31, 1)]
+        assert len(population.deployments) == self.CONFIG.size
+
+    def test_deployments_for_range(self, built):
+        start = GENERATION_SHARD_SIZE - 10
+        assert len(deployments_for_range(self.CONFIG, start, start + 20)) == 20
+        assert len(deployments_for_range(self.CONFIG, 5, 9, skeleton=True)) == 4
+        assert deployments_for_range(self.CONFIG, 7, 7) == []
+        assert built == [(31, 0), (31, 1), (31, 0)]
+
+    def test_cold_store_miss(self, built, tmp_path):
+        store = skeleton_store_module.SkeletonStore(str(tmp_path / "skel"))
+        store.bind(self.CONFIG)
+        store.load_or_generate(self.CONFIG, 1)
+        assert built == [(31, 1)]
+        store.reset_memo()
+        store.load_or_generate(self.CONFIG, 1)  # a hit builds nothing
+        assert built == [(31, 1)]

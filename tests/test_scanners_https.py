@@ -73,19 +73,20 @@ class TestHttpsScannerUnit:
 
 
 class TestHttpsScannerOnPopulation:
-    def test_funnel_matches_paper_shape(self, campaign_results):
-        funnel = campaign_results.shard.funnel
+    def test_funnel_matches_paper_shape(self, campaign_shard):
+        funnel = campaign_shard.funnel
         total = funnel.names_total
         assert funnel.dns_noerror / total == pytest.approx(0.976, abs=0.03)
         assert funnel.with_a_record / total == pytest.approx(0.866, abs=0.05)
         assert funnel.names_with_certificates / total == pytest.approx(0.80, abs=0.06)
 
-    def test_certificates_collected_for_all_tls_deployments(self, campaign_results):
-        population = campaign_results.population
+    def test_certificates_collected_for_all_tls_deployments(
+        self, small_population, campaign_shard
+    ):
         with_cert = {
             d.domain
-            for d in population.deployments
+            for d in small_population.deployments
             if d.category in (ServiceCategory.QUIC, ServiceCategory.HTTPS_ONLY)
         }
-        collected = {record.requested_domain for record in campaign_results.shard.https_records}
+        collected = {record.requested_domain for record in campaign_shard.https_records}
         assert with_cert <= collected

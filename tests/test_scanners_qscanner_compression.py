@@ -53,8 +53,8 @@ class TestQScanner:
         assert comparison.identical == 1
         assert comparison.different == 1
 
-    def test_comparison_in_campaign_matches_paper(self, campaign_results):
-        comparison = campaign_results.shard.comparison
+    def test_comparison_in_campaign_matches_paper(self, campaign_shard):
+        comparison = campaign_shard.comparison
         identical_share = comparison.identical / comparison.total_compared
         assert identical_share == pytest.approx(0.967, abs=0.03)
 
@@ -78,8 +78,8 @@ class TestCompressionScanner:
     def test_unknown_domain(self, network):
         assert CompressionScanner(network).scan("unknown.example") is None
 
-    def test_campaign_brotli_support_matches_paper(self, campaign_results):
-        observations = campaign_results.shard.compression
+    def test_campaign_brotli_support_matches_paper(self, campaign_shard):
+        observations = campaign_shard.compression
         brotli = CertificateCompressionAlgorithm.BROTLI
         support = sum(1 for o in observations if o.supports(brotli)) / len(observations)
         assert support == pytest.approx(0.96, abs=0.04)

@@ -82,7 +82,7 @@ class TestBackscatter:
         assert figure.share_exceeding("meta", 3.0) > 0.9
 
     def test_campaign_backscatter_shapes(self, campaign_results):
-        backscatter = campaign_results.reduced.backscatter
+        backscatter = campaign_results.backscatter
         assert {"cloudflare", "google", "meta"} <= set(backscatter)
         figure = figure09.compute(backscatter)
         assert figure.maximum("meta") > figure.maximum("cloudflare")

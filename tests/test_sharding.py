@@ -19,7 +19,6 @@ from repro.webpki.population import (
     PopulationConfig,
     generate_population,
     generate_shard,
-    iter_population_shards,
 )
 from repro.x509.field_sizes import measure_field_sizes
 
@@ -72,11 +71,17 @@ class TestPlanShards:
             plan_shards(-1)
 
 
+def _all_shards(config):
+    """Every generation shard of ``config``, materialised, in rank order."""
+    count = -(-config.size // GENERATION_SHARD_SIZE)
+    return [generate_shard(config, index).materialize() for index in range(count)]
+
+
 class TestStreamingGeneration:
     def test_streaming_equals_eager(self, population):
         streamed = [
             deployment
-            for shard in iter_population_shards(CONFIG)
+            for shard in _all_shards(CONFIG)
             for deployment in shard.deployments
         ]
         assert len(streamed) == len(population.deployments)
@@ -92,7 +97,7 @@ class TestStreamingGeneration:
                 assert streamed_d.quic_chain.fingerprint == eager_d.quic_chain.fingerprint
 
     def test_shards_are_rank_contiguous(self):
-        shards = list(iter_population_shards(CONFIG))
+        shards = _all_shards(CONFIG)
         assert shards[0].start_rank == 1
         for shard in shards:
             ranks = [d.rank for d in shard.deployments]
@@ -100,10 +105,11 @@ class TestStreamingGeneration:
         assert shards[-1].start_rank + len(shards[-1].deployments) - 1 == CONFIG.size
 
     def test_single_shard_generation_is_order_independent(self):
-        # Shard 1 generated alone equals shard 1 from the stream: it depends
-        # only on (seed, shard_index), never on shard 0 having been generated.
-        alone = generate_shard(CONFIG, 1)
-        streamed = list(iter_population_shards(CONFIG))[1]
+        # Shard 1 generated alone equals shard 1 generated after shard 0: it
+        # depends only on (seed, shard_index), never on shard 0 having been
+        # generated.
+        alone = generate_shard(CONFIG, 1).materialize()
+        streamed = _all_shards(CONFIG)[1]
         assert alone.start_rank == streamed.start_rank == GENERATION_SHARD_SIZE + 1
         assert [d.domain for d in alone.deployments] == [
             d.domain for d in streamed.deployments
@@ -154,9 +160,9 @@ class TestShardedScanDeterminism:
             population=subset, run_sweep=True, sweep_sample_size=60,
             spoofed_targets_per_provider=10,
         ).run()
-        assert serial.reduced.scan.sweep.observations
-        reachable = [o for o in serial.reduced.scan.sweep.observations if o.reachable]
-        assert len(reachable) > len(serial.reduced.scan.sweep.observations) * 0.9
+        assert serial.scan.sweep.observations
+        reachable = [o for o in serial.scan.sweep.observations if o.reachable]
+        assert len(reachable) > len(serial.scan.sweep.observations) * 0.9
 
     def test_sweep_reuses_per_shard_caches(self):
         results = _streamed(workers=1, shard_size=SHARD_SIZE)

@@ -42,7 +42,6 @@ from repro.scanners.skeleton_store import (
     decode_skeleton_file,
     deployments_for_range,
     encode_skeleton_file,
-    generate_population_cached,
     population_fingerprint,
     reset_cache_counters,
     reset_stores,
@@ -282,6 +281,9 @@ class TestByteIdentity:
                 population_config=config, spoofed_targets_per_provider=SPOOFED
             ).run()
         ).text
+        # A warm serial campaign reads its whole range from the store: it
+        # builds no ranked list.
+        tranco_module._generate_tranco_list.cache_clear()
         cached = build_report(
             MeasurementCampaign(
                 population_config=config,
@@ -291,14 +293,14 @@ class TestByteIdentity:
         ).text
         assert cached == plain
         assert cache_counters()["misses"] == 0
+        assert tranco_module._generate_tranco_list.cache_info().misses == 0
 
-    def test_generate_population_cached_matches_eager(self, config, warmed_dir):
+    def test_whole_range_through_the_store_matches_eager(self, config, warmed_dir):
         eager = generate_population(config)
-        cached = generate_population_cached(SkeletonStore(warmed_dir), config)
+        cached = deployments_for_range(SkeletonStore(warmed_dir), config, 0, config.size)
         assert cache_counters()["misses"] == 0
-        assert cached.config == eager.config
-        assert len(cached.deployments) == len(eager.deployments)
-        for ours, theirs in zip(cached.deployments, eager.deployments):
+        assert len(cached) == len(eager.deployments)
+        for ours, theirs in zip(cached, eager.deployments):
             assert ours.domain == theirs.domain
             for attribute in ("https_chain", "quic_chain"):
                 ours_chain = getattr(ours, attribute)
@@ -376,7 +378,8 @@ class TestGoldenArtefacts:
         warm(directory, config)
         reset_cache_counters()
         results = MeasurementCampaign(
-            population=generate_population_cached(SkeletonStore(directory), config),
+            population_config=config,
+            skeleton_cache_dir=directory,
             run_sweep=True,
             sweep_sample_size=params["sweep_sample_size"],
             spoofed_targets_per_provider=params["spoofed_targets_per_provider"],

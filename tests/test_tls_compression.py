@@ -41,11 +41,11 @@ class TestCompression:
         result = compress_certificate_chain([c.der for c in lets_encrypt_long_chain])
         assert result.compressed_size < result.uncompressed_size
 
-    def test_ratio_matches_paper_band(self, campaign_results):
+    def test_ratio_matches_paper_band(self, small_population):
         """Mean compression rate over many chains lands near the paper's 65-75 %."""
         chains = [
             d.delivered_chain
-            for d in campaign_results.population.quic_services()[:150]
+            for d in small_population.quic_services()[:150]
             if d.delivered_chain is not None
         ]
         ratios = [

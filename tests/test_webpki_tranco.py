@@ -10,7 +10,7 @@ from repro.webpki import generate_tranco_list
 class TestTrancoGeneration:
     def test_size_and_uniqueness(self):
         tranco = generate_tranco_list(5000, seed=1)
-        assert len(tranco) == 5000
+        assert len(tranco.domains) == 5000
         assert len(set(tranco.domains)) == 5000
 
     def test_deterministic_for_seed(self):
